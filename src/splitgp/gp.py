@@ -2,9 +2,12 @@
 
 Posterior mean/variance, log marginal likelihood with its log-domain gradient,
 and gradient-ascent hyperparameter fitting over one or more data shards that
-share a kernel.  Every data change triggers a full refactorization; rank-one
-Cholesky updates are deliberately avoided so batch insertion stays simple and
-small-lengthscale instabilities are not compounded.
+share a kernel.  A posterior grows by one observation in O(n^2) by appending
+a row to its Cholesky factor (Seeger 2004, "Low rank updates for the Cholesky
+decomposition").  A factor that needed jitter, or a new pivot too small to
+trust, is not extended: the caller refactorizes in O(n^3), so small-lengthscale
+instabilities are not compounded.  Batch construction and fitting always
+factorize from scratch.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ JITTER_LADDER = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
 # Negative round-off this small is clamped to zero; anything worse is an error.
 VARIANCE_SLACK = 1e-10
 
+# A new Cholesky pivot d^2 at or below this fraction of the prior variance
+# sf2 + sn2 is too close to singular to extend a factor with.
+PIVOT_RTOL = 1e-10
+
 
 def _factorize(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K, adding the smallest jitter that succeeds."""
@@ -44,7 +51,8 @@ class GpPosterior:
     """A GP conditioned on (X, Y) under a fixed kernel spec.
 
     Immutable after construction; caches the Cholesky factor of the noisy Gram
-    matrix and the weight vector alpha = (K + sn2 I)^-1 Y.
+    matrix and the weight vector alpha = (K + sn2 I)^-1 Y.  `extended` returns
+    a new posterior with one more observation.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, spec: KernelSpec):
@@ -71,10 +79,51 @@ class GpPosterior:
             self.chol = np.zeros((0, 0))
             self.jitter = 0.0
             self.alpha = np.zeros(0)
+        self._v: np.ndarray | None = None  # L^-1 Y, formed on first extension
 
     @property
     def n(self) -> int:
         return self.X.shape[0]
+
+    def extended(self, x: np.ndarray, y: float) -> "GpPosterior | None":
+        """This posterior conditioned on one more observation (x, y), in O(n^2).
+
+        Appends the row [l^T d] to the factor, with l = L^-1 k(X, x) and
+        d^2 = sf2 + sn2 - l.l, extends v = L^-1 Y by (y - l.v) / d and
+        back-substitutes alpha = L^-T v.  Returns None, leaving the caller to
+        refactorize, when there is no factor, when it needed jitter, or when
+        any pivot, old or new, is not above PIVOT_RTOL of sf2 + sn2: a nearly
+        singular factor is not built upon.
+        """
+        if self.jitter != 0.0 or not self.n:
+            return None
+        params = self.spec.params
+        prior_var = params.signal_variance + params.noise_variance
+        min_pivot = PIVOT_RTOL * prior_var
+        if not np.min(np.diagonal(self.chol)) ** 2 > min_pivot:
+            return None
+        x = np.asarray(x, dtype=float).reshape(1, self.spec.ndim)
+        k = cross_gram(x, self.X, self.spec)[0]
+        l = solve_triangular(self.chol, k, lower=True, check_finite=False)
+        d2 = prior_var - l @ l
+        if not d2 > min_pivot:
+            return None
+        if self._v is None:
+            self._v = solve_triangular(self.chol, self.Y, lower=True, check_finite=False)
+        n, d, y = self.n, float(np.sqrt(d2)), float(y)
+        chol = np.empty((n + 1, n + 1))
+        chol[:n, :n] = self.chol
+        chol[:n, n] = 0.0
+        chol[n, :n] = l
+        chol[n, n] = d
+        out = object.__new__(GpPosterior)  # __init__ would refactorize
+        out.X = np.vstack([self.X, x])
+        out.Y = np.append(self.Y, y)
+        out.spec = self.spec
+        out.chol, out.jitter = chol, 0.0
+        out._v = np.append(self._v, (y - l @ self._v) / d)
+        out.alpha = solve_triangular(chol, out._v, lower=True, trans="T", check_finite=False)
+        return out
 
     def _check_spec(self, spec: KernelSpec) -> None:
         if spec != self.spec:

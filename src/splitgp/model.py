@@ -66,7 +66,13 @@ def _prior_values(prior: PriorMeanNode | None, X: np.ndarray) -> np.ndarray:
 
 class ChildModel:
     """One local GP: its data, its center, its inherited prior mean, and a
-    lazy posterior cache over the residuals."""
+    lazy posterior cache over the residuals.
+
+    An append to a child whose posterior is cached costs O(n^2): the prior
+    chain is evaluated at the new row only and the cached Cholesky factor
+    grows by one row.  Otherwise, or when `GpPosterior.extended` declines, the
+    cache is cleared and the next use rebuilds it in O(n^3).
+    """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, center: np.ndarray | None = None,
                  prior: PriorMeanNode | None = None):
@@ -82,11 +88,15 @@ class ChildModel:
         return self.X.shape[0]
 
     def append(self, x: np.ndarray, y: float) -> None:
-        self.X = np.vstack([self.X, np.asarray(x, dtype=float)])
-        self.Y = np.append(self.Y, float(y))
+        x, y = np.asarray(x, dtype=float), float(y)
+        post = self._posterior
+        if post is not None:
+            post = post.extended(x, y - _prior_values(self.prior, x)[0])
+        self.X = np.vstack([self.X, x])
+        self.Y = np.append(self.Y, y)
         self.center = centroid(self.X)
-        self._residuals = None
-        self._posterior = None
+        self._posterior = post
+        self._residuals = None if post is None else post.Y
 
     def invalidate(self) -> None:
         self._posterior = None
@@ -336,6 +346,9 @@ class SplittingGP:
         self._require_children()
         Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
         weights, _, _ = self._weights(Xstar)
+        return self._aggregate_variance(Xstar, weights)
+
+    def _aggregate_variance(self, Xstar: np.ndarray, weights: np.ndarray) -> np.ndarray:
         variances = np.column_stack([
             c.variance_at(Xstar, self.spec) for c in self.children
         ])
@@ -362,8 +375,11 @@ class SplittingGP:
         return float(self.predict_variance_batch(x_star[None, :])[0])
 
     def predict(self, x_star: np.ndarray) -> tuple[float, float]:
+        """(mean, variance) at a single point; the variance reuses the weights
+        of the mean."""
         summary = self.predict_mean(x_star)
-        return summary.mean, self.predict_variance(x_star)
+        x_star = np.asarray(x_star, dtype=float).ravel()[None, :]
+        return summary.mean, float(self._aggregate_variance(x_star, summary.weights[None, :])[0])
 
     # -- accounting and persistence -----------------------------------------
 

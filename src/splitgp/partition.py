@@ -156,6 +156,8 @@ def split(X: np.ndarray, Y: np.ndarray, center: np.ndarray,
     positive; zero projections go right.  When the hyperplane leaves one side
     empty (the center may lag the centroid), the cut falls back to the median
     projection, then to a rank split, so both children are always non-empty.
+    Identical rows have no principal direction; they go straight to the rank
+    split, which keeps arrival order, and the reported direction is zero.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float).ravel()
@@ -165,7 +167,10 @@ def split(X: np.ndarray, Y: np.ndarray, center: np.ndarray,
     if X.shape[0] < 2:
         raise ContractViolationError("cannot split fewer than two rows")
 
-    v = principal_direction(X, est)
+    try:
+        v = principal_direction(X, est)
+    except DegenerateDataError:
+        v = np.zeros(X.shape[1])
     proj = (X - center) @ v
     left_mask = proj > 0.0
     n_left = int(left_mask.sum())

@@ -4,7 +4,7 @@ import pytest
 from splitgp.data import SeedPlan, synth_dataset
 from splitgp.exceptions import ContractViolationError, EmptyModelError
 from splitgp.gp import FitSchedule, GpPosterior, posterior_mean, posterior_variance
-from splitgp.kernels import Hyperparameters, KernelSpec, kernel_eval
+from splitgp.kernels import Hyperparameters, KernelSpec, gram, kernel_eval
 from splitgp.model import ChildModel, SplittingGP, TrainSchedule
 
 
@@ -53,6 +53,16 @@ class TestUpdate:
         model.update(np.array([0.0, 0.0]), 0.0)
         with pytest.raises(ContractViolationError):
             model.update(np.array([0.0, 0.0]), float("inf"))
+
+    def test_identical_inputs_split_by_arrival_rank(self):
+        model = quiet_model(10)
+        x = np.array([0.3, -0.7])
+        for i in range(40):
+            model.update(x, float(i))
+        assert model.n_observations == 40
+        assert all(c.n <= 10 for c in model.children)
+        stored = np.sort(np.concatenate([c.Y for c in model.children]))
+        assert np.array_equal(stored, np.arange(40.0))
 
     def test_split_limit_below_two_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -193,6 +203,20 @@ class TestPredict:
         assert np.allclose(summary.weights, [0.5, 0.5])
         assert summary.normalizer == 0.0
 
+    def test_predict_computes_weights_once(self, monkeypatch):
+        ds = synth_dataset(60, SeedPlan(5))
+        model = quiet_model(15)
+        model.update_batch(ds.X, ds.Y)
+        x = np.array([0.1, -0.2])
+        expected = (model.predict_mean(x).mean, model.predict_variance(x))
+        calls = []
+        weights = SplittingGP._weights
+        monkeypatch.setattr(
+            SplittingGP, "_weights", lambda self, X: calls.append(1) or weights(self, X)
+        )
+        assert model.predict(x) == expected
+        assert len(calls) == 1
+
     def test_empty_model_rejected(self):
         model = quiet_model(5)
         with pytest.raises(EmptyModelError):
@@ -295,3 +319,99 @@ def test_update_refits_on_split_per_schedule():
         model.update(rng.uniform(-1, 1, size=2), rng.normal())
     assert model.n_children == 2
     assert model.last_fit is not None
+
+
+class TestIncrementalUpdate:
+    """Appends to a child with a cached posterior extend its Cholesky factor;
+    each result is checked against a fresh factorization of the same data."""
+
+    @staticmethod
+    def _stream(kind, rng, n):
+        if kind == "smooth":
+            X = rng.uniform(-2, 2, size=(n, 2))
+        else:  # nine distinct inputs, each repeated many times
+            X = 1.5 * rng.integers(0, 3, size=(n, 2)).astype(float)
+        return X, np.sin(X).sum(axis=1) + 0.1 * rng.standard_normal(n)
+
+    @staticmethod
+    def _record_branches(monkeypatch):
+        taken = {"cold": 0, "extended": 0, "jitter": 0, "pivot": 0}
+        append, extended = ChildModel.append, GpPosterior.extended
+
+        def traced_append(self, x, y):
+            taken["cold"] += self._posterior is None
+            append(self, x, y)
+
+        def traced_extended(self, x, y):
+            out = extended(self, x, y)
+            key = "extended" if out is not None else "jitter" if self.jitter else "pivot"
+            taken[key] += 1
+            return out
+
+        monkeypatch.setattr(ChildModel, "append", traced_append)
+        monkeypatch.setattr(GpPosterior, "extended", traced_extended)
+        return taken
+
+    @staticmethod
+    def _relative_gap(a, b):
+        return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+    @pytest.mark.parametrize("kind, sn2, seed, branches", [
+        ("smooth", 0.05, 21, {"cold", "extended"}),
+        ("smooth", 0.05, 22, {"cold", "extended"}),
+        ("duplicates", 1e-12, 23, {"extended", "pivot"}),
+        ("duplicates", 0.0, 24, {"extended", "jitter"}),
+    ])
+    def test_matches_fresh_factorization(self, monkeypatch, kind, sn2, seed, branches):
+        rng = np.random.default_rng(seed)
+        X, Y = self._stream(kind, rng, 160)
+        model = SplittingGP(25, spec=make_spec([0.8, 1.2], sn2=sn2),
+                            train_schedule=TrainSchedule(on_split=False, on_batch=False,
+                                                         fit=FitSchedule(max_iters=3)))
+        taken = self._record_branches(monkeypatch)
+        for t in range(X.shape[0]):
+            if t == 80 and kind == "smooth":
+                before = model.spec
+                model.refit()  # a spec change: the next append finds no cache
+                assert model.spec != before
+            elif t % 4 and model.children:
+                model.predict(X[t])  # caches every child's posterior
+            model.update(X[t], Y[t])
+            for c in model.children:
+                post = c._posterior
+                if post is None:
+                    continue
+                assert post.spec == model.spec
+                prior = c.prior.evaluate(c.X) if c.prior is not None else 0.0
+                fresh = GpPosterior(c.X, c.Y - prior, model.spec)
+                assert self._relative_gap(post.Y, fresh.Y) <= 1e-9
+                assert self._relative_gap(post.chol, fresh.chol) <= 1e-9
+                assert self._relative_gap(post.alpha, fresh.alpha) <= 1e-9
+        assert {k for k, v in taken.items() if v} >= branches
+
+    def test_backward_stable_when_ill_conditioned(self, monkeypatch):
+        # At noise 1e-9 every repeated input leaves a pivot near 1e-9: above
+        # the refusal threshold, so the factor keeps growing, but the Gram
+        # matrix has condition ~1e10 and no two solvers agree to 1e-9.  The
+        # extended factor and weights must still reproduce K and the
+        # residuals to round-off.
+        rng = np.random.default_rng(25)
+        X, Y = self._stream("duplicates", rng, 120)
+        model = quiet_model(25, spec=make_spec([0.8, 1.2], sn2=1e-9))
+        taken = self._record_branches(monkeypatch)
+        eps = np.finfo(float).eps
+        for t in range(X.shape[0]):
+            if model.children:
+                model.predict(X[t])
+            model.update(X[t], Y[t])
+            for c in model.children:
+                post = c._posterior
+                if post is None:
+                    continue
+                K = gram(c.X, model.spec, add_noise=True)
+                scale = 100 * c.n * eps
+                assert np.max(np.abs(post.chol @ post.chol.T - K)) <= scale * np.max(K)
+                resid = K @ post.alpha - post.Y
+                bound = np.max(K) * np.sum(np.abs(post.alpha)) + np.max(np.abs(post.Y))
+                assert np.max(np.abs(resid)) <= scale * bound
+        assert taken["extended"] > 0 and taken["pivot"] == taken["jitter"] == 0
