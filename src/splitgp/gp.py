@@ -8,6 +8,10 @@ decomposition").  A factor that needed jitter, or a new pivot too small to
 trust, is not extended: the caller refactorizes in O(n^3), so small-lengthscale
 instabilities are not compounded.  Batch construction and fitting always
 factorize from scratch.
+
+Inputs are validated where they enter (`kernels.gram` and `cross_gram` reject
+non-finite rows, `GpPosterior` non-finite responses), so the SciPy calls here
+skip their own finiteness scans of the n x n matrices.
 """
 
 from __future__ import annotations
@@ -16,9 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
+from scipy.linalg.blas import dger
+from scipy.linalg.lapack import dpotri
 
 from .exceptions import ContractViolationError, NumericalError
-from .kernels import KernelSpec, cross_gram, gram, gram_gradients
+from .kernels import KernelSpec, cross_gram, gram
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -33,13 +39,22 @@ VARIANCE_SLACK = 1e-10
 PIVOT_RTOL = 1e-10
 
 
-def _factorize(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of K, adding the smallest jitter that succeeds."""
+def _factorize(K: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of K, adding the smallest jitter that succeeds.
+
+    K is left unchanged, and the factor's upper triangle is zero.  Given
+    `out`, an F-ordered array of K's shape, the factor is formed in it rather
+    than in a fresh array; K must then be symmetric, as a Gram matrix is.
+    """
     n = K.shape[0]
     for jitter in JITTER_LADDER:
         try:
             M = K if jitter == 0.0 else K + jitter * np.eye(n)
-            return cholesky(M, lower=True), jitter
+            if out is not None:
+                np.copyto(out.T, M)  # a contiguous copy: out.T is C-ordered like M
+                M = out
+            return cholesky(M, lower=True, overwrite_a=out is not None,
+                            check_finite=False), jitter
         except LinAlgError:
             continue
     raise NumericalError(
@@ -52,10 +67,15 @@ class GpPosterior:
 
     Immutable after construction; caches the Cholesky factor of the noisy Gram
     matrix and the weight vector alpha = (K + sn2 I)^-1 Y.  `extended` returns
-    a new posterior with one more observation.
+    a new posterior with one more observation.  A caller that has already
+    built the noisy Gram matrix `gram(X, spec, add_noise=True)` passes it as
+    K; the posterior factorizes a copy and keeps no reference to it.  A caller
+    that holds the factor of a discarded posterior of the same size passes it
+    as `out`, and the new factor overwrites it instead of a fresh array.
     """
 
-    def __init__(self, X: np.ndarray, Y: np.ndarray, spec: KernelSpec):
+    def __init__(self, X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
+                 K: np.ndarray | None = None, out: np.ndarray | None = None):
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(-1, spec.ndim) if X.size else X.reshape(0, spec.ndim)
@@ -64,6 +84,8 @@ class GpPosterior:
             raise ContractViolationError(
                 f"X has {X.shape[0]} rows but Y has {Y.shape[0]} entries"
             )
+        if not np.all(np.isfinite(Y)):
+            raise ContractViolationError("Y contains non-finite entries")
         if X.shape[0] and X.shape[1] != spec.ndim:
             raise ContractViolationError(
                 f"X has {X.shape[1]} columns, spec expects {spec.ndim}"
@@ -72,9 +94,18 @@ class GpPosterior:
         self.Y = Y
         self.spec = spec
         if self.n:
-            K = gram(X, spec, add_noise=True)
-            self.chol, self.jitter = _factorize(K)
-            self.alpha = cho_solve((self.chol, True), Y)
+            if K is None:
+                K = gram(X, spec, add_noise=True)
+            elif K.shape != (self.n, self.n):
+                raise ContractViolationError(
+                    f"Gram matrix has shape {K.shape}, expected {(self.n, self.n)}"
+                )
+            if out is not None and out.shape != (self.n, self.n):
+                raise ContractViolationError(
+                    f"factor buffer has shape {out.shape}, expected {(self.n, self.n)}"
+                )
+            self.chol, self.jitter = _factorize(K, out)
+            self.alpha = cho_solve((self.chol, True), Y, check_finite=False)
         else:
             self.chol = np.zeros((0, 0))
             self.jitter = 0.0
@@ -155,7 +186,7 @@ def posterior_variance(post: GpPosterior, x_star: np.ndarray, spec: KernelSpec):
         out = np.full(1 if single else x_star.shape[0], sf2)
     else:
         ks = cross_gram(x_star, post.X, spec)
-        v = solve_triangular(post.chol, ks.T, lower=True)
+        v = solve_triangular(post.chol, ks.T, lower=True, check_finite=False)
         out = sf2 - np.sum(v * v, axis=0)
         low = out.min() if out.size else 0.0
         if low < -VARIANCE_SLACK:
@@ -174,19 +205,59 @@ def log_marginal_likelihood(post: GpPosterior, spec: KernelSpec) -> float:
     return fit_term - logdet - 0.5 * post.n * LOG_2PI
 
 
-def lml_gradient(post: GpPosterior, spec: KernelSpec) -> np.ndarray:
-    """Gradient of the log marginal likelihood w.r.t. each log-domain parameter.
+def lml_gradient(post: GpPosterior, spec: KernelSpec,
+                 K: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of the log marginal likelihood w.r.t. each log-domain parameter,
+    in O(n^2 d) time and O(n^2) memory.
 
-    Uses the trace identity 0.5 tr((alpha alpha^T - K^-1) dK/dtheta_j) with
-    K the noisy Gram matrix.
+    Each component is the trace identity 0.5 tr(W dK/dtheta_j) with
+    W = alpha alpha^T - K^-1 (Rasmussen & Williams 2006, eq. 5.9), evaluated
+    without the (d+2) x n x n tensor of `kernels.gram_gradients`.  With
+    P = W o K_f, K_f the noise-free Gram matrix, and x_d the d-th input
+    column:
+
+    - lengthscale d: (sum_i x_id^2 (P 1)_i - x_d^T P x_d) / l_d^2;
+    - signal variance: sum(P) / 2;
+    - noise variance: sn2 tr(W) / 2.
+
+    The inputs are centred per column first; the kernel is shift-invariant,
+    and on offset inputs the two lengthscale terms would otherwise cancel.
+    K^-1 comes from LAPACK `dpotri` on the cached factor, which fills one
+    triangle T of a copy of it and leaves the other zero.  With
+    G = (alpha alpha^T / 2 - T) o K_f and its diagonal set to sf2 W_ii / 2,
+    P = G + G^T, so every term above is read off G: P 1 is G's row plus
+    column sums, x_d^T P x_d is 2 x_d^T G x_d and sum(P) is 2 sum(G).  G is
+    formed in place in the `dpotri` copy, which is the only n x n array the
+    call allocates.  A jittered factor gives the gradient of the jittered K,
+    as the posterior's alpha does.
+
+    K is the posterior's Gram matrix when the caller still holds it; only its
+    off-diagonal entries are read, so it may carry noise on the diagonal, and
+    it must be symmetric, as `kernels.gram` builds it.
     """
     post._check_spec(spec)
     if post.n == 0:
         raise ContractViolationError("gradient needs at least one observation")
-    grads = gram_gradients(post.X, spec)
-    K_inv = cho_solve((post.chol, True), np.eye(post.n))
-    inner = np.outer(post.alpha, post.alpha) - K_inv
-    return 0.5 * np.einsum("ij,kij->k", inner, grads)
+    params, alpha = spec.params, post.alpha
+    if K is None:
+        K = gram(post.X, spec)
+    # dpotri writes the lower triangle of K^-1 into an F-ordered copy of L and
+    # leaves the rest alone, which is zero because L's upper triangle is.
+    H, info = dpotri(post.chol, lower=1)
+    if info != 0:
+        raise NumericalError(f"dpotri failed with info {info}")
+    w_diag = alpha * alpha - H.diagonal()
+    H = dger(-0.5, alpha, alpha, a=H, overwrite_a=1)  # H = T - alpha alpha^T / 2
+    H *= K.T  # H = -G off the diagonal; K.T is K, in H's memory order
+    np.fill_diagonal(H, -0.5 * params.signal_variance * w_diag)
+    p_rows = -(H.sum(axis=0) + H.sum(axis=1))  # P 1
+    Xc = post.X - post.X.mean(axis=0)
+    ls = params.lengthscales
+    grad_ls = (p_rows @ (Xc * Xc) + 2.0 * np.einsum("ij,ij->j", Xc, H @ Xc)) / (ls * ls)
+    return np.concatenate([
+        grad_ls,
+        [0.5 * p_rows.sum(), 0.5 * params.noise_variance * w_diag.sum()],
+    ])
 
 
 @dataclass
@@ -212,15 +283,27 @@ class FitResult:
     warning: bool = False
 
 
-def _shard_lml(theta: np.ndarray, shards, spec: KernelSpec) -> tuple[float, list]:
+def _shard_lml(theta: np.ndarray, shards, spec: KernelSpec,
+               spare: list | None = None) -> tuple[float, list]:
+    """Summed LML at theta, with each shard's (posterior, noisy Gram matrix).
+
+    The Gram matrix is built once per shard and candidate: the posterior
+    factorizes it, and the gradient at an accepted candidate reuses it.
+    `spare` is such a list from a candidate the caller has discarded; its
+    Gram matrices and factors are overwritten, so that a line search reuses
+    the same n x n arrays rather than freeing and allocating them per
+    candidate, which would map and fault fresh pages each time.
+    """
     cand = spec.with_log_vector(theta)
-    posteriors = []
+    fitted = []
     total = 0.0
-    for X, Y in shards:
-        post = GpPosterior(X, Y, cand)
+    for i, (X, Y) in enumerate(shards):
+        old_post, old_K = spare[i] if spare else (None, None)
+        K = gram(X, cand, add_noise=True, out=old_K)
+        post = GpPosterior(X, Y, cand, K, None if old_post is None else old_post.chol)
         total += log_marginal_likelihood(post, cand)
-        posteriors.append(post)
-    return total, posteriors
+        fitted.append((post, K))
+    return total, fitted
 
 
 def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitResult:
@@ -241,10 +324,11 @@ def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitRes
 
     theta = spec.to_log_vector()
     try:
-        obj, posteriors = _shard_lml(theta, shards, spec)
+        obj, fitted = _shard_lml(theta, shards, spec)
     except NumericalError:
         return FitResult(spec, -np.inf, 0, converged=False, warning=True)
 
+    spare = None  # the arrays of the last discarded candidate
     step = schedule.initial_step
     converged = False
     warning = False
@@ -253,8 +337,8 @@ def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitRes
     for it in range(1, schedule.max_iters + 1):
         try:
             grad = np.zeros_like(theta)
-            for post in posteriors:
-                grad += lml_gradient(post, post.spec)
+            for post, K in fitted:
+                grad += lml_gradient(post, post.spec, K)
         except NumericalError:
             warning = True
             break
@@ -266,17 +350,20 @@ def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitRes
         accepted = False
         s = step
         while s >= schedule.min_step:
+            cand_fitted = spare
             try:
-                cand_obj, cand_posts = _shard_lml(theta + s * direction, shards, spec)
+                cand_obj, cand_fitted = _shard_lml(theta + s * direction, shards, spec, spare)
             except NumericalError:
                 cand_obj = -np.inf
             if cand_obj > obj:
                 theta = theta + s * direction
-                obj, posteriors = cand_obj, cand_posts
+                # The replaced candidate's arrays are the next one's buffers.
+                obj, fitted, spare = cand_obj, cand_fitted, fitted
                 step = min(s * schedule.step_growth, schedule.max_step)
                 accepted = True
                 moved = True
                 break
+            spare = cand_fitted
             s *= 0.5
         if not accepted:
             converged = True  # no ascent direction at line-search resolution

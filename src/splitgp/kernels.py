@@ -164,29 +164,70 @@ def kernel_eval(x: np.ndarray, x_prime: np.ndarray, spec: KernelSpec) -> float:
     return float(cross_gram(x, x_prime, spec)[0, 0])
 
 
-def cross_gram(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Noise-free kernel matrix k(X, Z) of shape (n, p)."""
+# Entries per block of `_sq_dist`'s norm sum, so that its temporary stays at
+# 64 KiB.  A temporary as large as the result would be a second large
+# allocation on every call, and each large allocation maps fresh pages.
+_NORM_BLOCK = 8192
+
+
+def _sq_dist(Xs: np.ndarray, Zs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances between the rows of Xs and Zs, in one buffer: `out`
+    if given, else a fresh array.
+
+    Entry (i, j) is (a_i + b_j) - 2 G_ij, with a and b the squared row norms
+    and G = Xs Zs^T the buffer.  When Zs is Xs, numpy forms G by a symmetric
+    rank-k update, so the result is bitwise symmetric.
+    """
+    D = np.matmul(Xs, Zs.T, out=out)
+    D *= -2.0
+    a = np.sum(Xs * Xs, axis=1)
+    b = a if Zs is Xs else np.sum(Zs * Zs, axis=1)
+    step = max(1, _NORM_BLOCK // max(b.size, 1))
+    for i in range(0, a.size, step):
+        D[i:i + step] += np.add.outer(a[i:i + step], b)
+    np.maximum(D, 0.0, out=D)
+    return D
+
+
+def _rbf(D: np.ndarray, sf2: float) -> np.ndarray:
+    """sf2 * exp(-D / 2), overwriting the squared distances D."""
+    D *= -0.5
+    np.exp(D, out=D)
+    D *= sf2
+    return D
+
+
+def sq_dist(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Lengthscale-scaled squared distances between rows, of shape (n, p).
+
+    `cross_gram` is sf2 * exp(-sq_dist / 2), so the smallest distance is the
+    largest similarity, also where every similarity underflows to zero.
+    """
     X = _check_rows(X, spec, "X")
     Z = _check_rows(Z, spec, "Z")
     ls = spec.params.lengthscales
-    Xs = X / ls
-    Zs = Z / ls
-    sq = (
-        np.sum(Xs * Xs, axis=1)[:, None]
-        + np.sum(Zs * Zs, axis=1)[None, :]
-        - 2.0 * (Xs @ Zs.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return spec.params.signal_variance * np.exp(-0.5 * sq)
+    return _sq_dist(X / ls, Z / ls)
 
 
-def gram(X: np.ndarray, spec: KernelSpec, add_noise: bool = False) -> np.ndarray:
-    """Kernel matrix k(X, X), optionally with noise variance on the diagonal."""
-    K = cross_gram(X, X, spec)
-    K = 0.5 * (K + K.T)
-    np.fill_diagonal(K, spec.params.signal_variance)
-    if add_noise:
-        K[np.diag_indices_from(K)] += spec.params.noise_variance
+def cross_gram(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Noise-free kernel matrix k(X, Z) of shape (n, p), a fresh array."""
+    return _rbf(sq_dist(X, Z, spec), spec.params.signal_variance)
+
+
+def gram(X: np.ndarray, spec: KernelSpec, add_noise: bool = False,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """Kernel matrix k(X, X), optionally with noise variance on the diagonal.
+
+    Bitwise symmetric, with exactly sf2 (or sf2 + sn2) on the diagonal.  The
+    result is written into `out`, a C-ordered (n, n) float array, when one is
+    given; otherwise it is a fresh array.
+    """
+    X = _check_rows(X, spec, "X")
+    params = spec.params
+    Xs = X / params.lengthscales
+    sf2 = params.signal_variance
+    K = _rbf(_sq_dist(Xs, Xs, out), sf2)
+    np.fill_diagonal(K, sf2 + params.noise_variance if add_noise else sf2)
     return K
 
 
@@ -197,6 +238,9 @@ def gram_gradients(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
     lengthscale, then signal variance, then noise variance.  The noise slot is
     the identity scaled by the natural-domain noise variance (chain rule
     through the log).
+
+    This is the reference the tests check `gp.lml_gradient` against, not the
+    fit path: the fit never builds this O(M n^2) tensor.
     """
     X = _check_rows(X, spec, "X")
     n, m = X.shape

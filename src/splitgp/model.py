@@ -1,12 +1,14 @@
 """The splitting-GP regressor.
 
 Observations stream in one at a time or in batches; each lands in the local
-model whose center is most similar under the kernel.  A local model that grows
-past the splitting limit is bisected along its principal direction into two
-children.  Each child inherits the parent's predictive mean, frozen at split
-time, as its prior mean and models only the residuals against it, so a freshly
-split pair predicts like the parent did.  Predictions aggregate *all* children
-with similarity weights, which keeps the mean continuous in the input.
+model whose center is nearest in lengthscale-scaled distance, which is the most
+similar under the kernel even where every similarity underflows to zero.  A
+local model that grows past the splitting limit is bisected along its principal
+direction into two children.  Each child inherits the parent's predictive
+mean, frozen at split time, as its prior mean and models only the residuals
+against it, so a freshly split pair predicts like the parent did.
+Predictions aggregate *all* children with similarity weights, which keeps the
+mean continuous in the input.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .exceptions import ContractViolationError, EmptyModelError
 from .gp import FitResult, FitSchedule, GpPosterior, fit, posterior_mean, posterior_variance
-from .kernels import Hyperparameters, KernelSpec, cross_gram, default_spec
+from .kernels import Hyperparameters, KernelSpec, cross_gram, default_spec, sq_dist
 from .partition import BATCH_SVD, OJA_STREAMING, PrincipalDirectionEstimator, centroid, split
 
 SNAPSHOT_VERSION = 2
@@ -228,9 +230,10 @@ class SplittingGP:
             ys = np.concatenate([c.Y for c in self.children] + [[y]]) if self.children else [y]
             self.spec = default_spec(np.asarray(ys), np.asarray(x).size)
 
-    def _similarities(self, x: np.ndarray) -> np.ndarray:
+    def _nearest_child(self, x: np.ndarray) -> int:
+        """Index of the child whose center is nearest to x in scaled distance."""
         centers = np.array([c.center for c in self.children])
-        return cross_gram(x[None, :], centers, self.spec)[0]
+        return int(np.argmin(sq_dist(x[None, :], centers, self.spec)[0]))
 
     def _ingest_one(self, x: np.ndarray, y: float) -> bool:
         """Route one observation; returns True when it triggered a split."""
@@ -245,7 +248,7 @@ class SplittingGP:
         if not self.children:
             self.children.append(ChildModel(x[None, :], [y], center=x.copy()))
             return False
-        idx = int(np.argmax(self._similarities(x)))
+        idx = self._nearest_child(x)
         child = self.children[idx]
         child.append(x, y)
         if child.n > self.m:

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
+import splitgp.gp as gp_module
 from splitgp.exceptions import ContractViolationError
 from splitgp.gp import (
     FitSchedule,
@@ -13,7 +16,7 @@ from splitgp.gp import (
     posterior_mean,
     posterior_variance,
 )
-from splitgp.kernels import Hyperparameters, KernelSpec, gram
+from splitgp.kernels import Hyperparameters, KernelSpec, gram, gram_gradients
 
 
 def make_spec(ls, sf2=1.0, sn2=0.1):
@@ -186,6 +189,160 @@ class TestGradient:
         assert np.abs(lml_gradient(post, result.spec)).max() < 1e-3
 
 
+def tensor_gradient(post, spec):
+    """The trace identity over the explicit (d+2) x n x n tensor of Gram derivatives."""
+    K_inv = cho_solve((post.chol, True), np.eye(post.n))
+    inner = np.outer(post.alpha, post.alpha) - K_inv
+    return 0.5 * np.einsum("ij,kij->k", inner, gram_gradients(post.X, spec))
+
+
+class TestGradientOracle:
+    """`lml_gradient` against the tensor form of the same trace identity."""
+
+    @staticmethod
+    def gap(post, spec):
+        expected = tensor_gradient(post, spec)
+        return np.abs(lml_gradient(post, spec) - expected).max() / np.abs(expected).max()
+
+    def test_random_shards(self):
+        rng = np.random.default_rng(13)
+        for trial in range(40):
+            n, d = int(rng.integers(2, 301)), int(rng.integers(1, 9))
+            spec = make_spec(np.exp(rng.uniform(-1, 1, d)), sf2=float(np.exp(rng.uniform(-1, 1))),
+                             sn2=float(np.exp(rng.uniform(-5, 0))))
+            offset = 1e3 if trial % 3 == 0 else 0.0  # shift-invariance, cancellation
+            X = rng.normal(size=(n, d)) + offset
+            post = GpPosterior(X, rng.normal(size=n), spec)
+            assert self.gap(post, spec) <= 1e-8, (n, d, offset)
+
+    def test_extended_factor(self):
+        rng = np.random.default_rng(14)
+        spec = make_spec([0.8, 1.3], sf2=1.4, sn2=0.05)
+        X, Y = rng.normal(size=(40, 2)), rng.normal(size=40)
+        post = GpPosterior(X[:30], Y[:30], spec)
+        for i in range(30, 40):
+            post = post.extended(X[i], Y[i])
+        assert self.gap(post, spec) <= 1e-8
+
+    def test_jittered_duplicate_shard(self):
+        # Duplicate rows at sn2 = 0 make K singular, so the factor needs jitter
+        # and K^-1 is ill-conditioned.  Both formulas then lose digits in
+        # proportion to cond(K + jitter I); the bound allows 10 eps cond.
+        rng = np.random.default_rng(15)
+        spec = make_spec([1.0, 0.7], sf2=1.2, sn2=0.0)
+        for offset in (0.0, 1e3):
+            rows = np.repeat(np.arange(12), 2)
+            X = rng.uniform(-2, 2, size=(12, 2))[rows] + offset
+            Y = np.sin(X.sum(axis=1))
+            post = GpPosterior(X, Y, spec)
+            assert post.jitter > 0.0
+            K = gram(X, spec, add_noise=True) + post.jitter * np.eye(X.shape[0])
+            bound = max(1e-8, 10.0 * np.finfo(float).eps * np.linalg.cond(K))
+            assert self.gap(post, spec) <= bound
+
+    def test_reused_gram_gives_the_same_gradient(self):
+        rng = np.random.default_rng(16)
+        spec = make_spec([0.9, 1.1, 0.6], sf2=1.3, sn2=0.2)
+        X, Y = rng.normal(size=(50, 3)), rng.normal(size=50)
+        K = gram(X, spec, add_noise=True)
+        post = GpPosterior(X, Y, spec, K)
+        fresh = GpPosterior(X, Y, spec)
+        assert np.array_equal(post.chol, fresh.chol)
+        assert np.array_equal(post.alpha, fresh.alpha)
+        assert np.array_equal(lml_gradient(post, spec, K), lml_gradient(post, spec))
+
+
+def test_fit_builds_one_gram_per_factorization(monkeypatch):
+    rng = np.random.default_rng(17)
+    X = rng.uniform(-2, 2, size=(60, 2))
+    Y = np.sin(X[:, 0]) + rng.normal(0, 0.1, size=60)
+    shards = [(X[:30], Y[:30]), (X[30:], Y[30:])]
+    grams, posteriors = [], []
+    gram_fn, init = gp_module.gram, GpPosterior.__init__
+    monkeypatch.setattr(gp_module, "gram", lambda *a, **k: grams.append(1) or gram_fn(*a, **k))
+    monkeypatch.setattr(GpPosterior, "__init__",
+                        lambda self, *a, **k: posteriors.append(1) or init(self, *a, **k))
+    result = fit(shards, make_spec([1.0, 1.0], sn2=0.1), FitSchedule(max_iters=10))
+    assert result.iterations > 1
+    assert len(grams) == len(posteriors)
+
+
+class TestBufferReuse:
+    """The fit reuses its n x n arrays instead of allocating them afresh.
+
+    Freeing and allocating MB-sized arrays per call returns pages to the OS
+    and faults them in again; these tests pin down that the hot path does not.
+    """
+
+    def test_posterior_factorizes_into_the_given_buffer(self):
+        rng = np.random.default_rng(18)
+        for sn2, rows in ((0.1, np.arange(40)), (0.0, np.repeat(np.arange(20), 2))):
+            spec = make_spec([0.9, 1.2], sf2=1.1, sn2=sn2)
+            X = rng.normal(size=(20 if sn2 == 0.0 else 40, 2))[rows]
+            Y = rng.normal(size=40)
+            K = gram(X, spec, add_noise=True)
+            buffer = GpPosterior(X, rng.normal(size=40), spec).chol
+            post = GpPosterior(X, Y, spec, K, buffer)
+            fresh = GpPosterior(X, Y, spec)
+            assert np.shares_memory(post.chol, buffer)
+            assert post.jitter == fresh.jitter and (post.jitter > 0.0) == (sn2 == 0.0)
+            assert np.array_equal(post.chol, fresh.chol)
+            assert np.array_equal(post.alpha, fresh.alpha)
+
+    def test_wrong_buffer_shape_rejected(self):
+        with pytest.raises(ContractViolationError):
+            GpPosterior(np.zeros((3, 1)), np.zeros(3), make_spec([1.0]), None,
+                        np.zeros((2, 2), order="F"))
+
+    def test_gradient_allocates_one_n_by_n_array(self):
+        rng = np.random.default_rng(19)
+        n = 400
+        spec = make_spec([0.8, 1.4], sf2=1.2, sn2=0.1)
+        X, Y = rng.normal(size=(n, 2)), rng.normal(size=n)
+        K = gram(X, spec, add_noise=True)
+        post = GpPosterior(X, Y, spec, K)
+        tracemalloc.start()
+        try:
+            lml_gradient(post, spec, K)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+
+    def test_candidate_built_in_spare_arrays(self):
+        rng = np.random.default_rng(20)
+        spec = make_spec([1.0, 0.6], sf2=1.3, sn2=0.2)
+        shards = [(rng.normal(size=(n, 2)), rng.normal(size=n)) for n in (30, 45)]
+        theta = spec.to_log_vector() + 0.1
+        _, spare = gp_module._shard_lml(spec.to_log_vector(), shards, spec)
+        buffers = [(post.chol, K) for post, K in spare]
+        total, fitted = gp_module._shard_lml(theta, shards, spec, spare)
+        fresh_total, fresh = gp_module._shard_lml(theta, shards, spec)
+        assert total == fresh_total
+        for (post, K), (chol, K_buf), (post0, K0) in zip(fitted, buffers, fresh):
+            assert np.shares_memory(post.chol, chol) and np.shares_memory(K, K_buf)
+            assert np.array_equal(post.chol, post0.chol) and np.array_equal(K, K0)
+            assert np.array_equal(post.alpha, post0.alpha)
+
+    # A large first step is rejected before any candidate has been accepted.
+    @pytest.mark.parametrize("initial_step", [0.25, 4.0])
+    def test_line_search_allocates_only_two_candidates(self, monkeypatch, initial_step):
+        rng = np.random.default_rng(21)
+        X = rng.uniform(-2, 2, size=(90, 2))
+        Y = np.sin(X[:, 0]) + rng.normal(0, 0.1, size=90)
+        shards = [(X[:30], Y[:30]), (X[30:], Y[30:])]
+        fresh = []
+        gram_fn = gp_module.gram
+        monkeypatch.setattr(gp_module, "gram", lambda *a, out=None, **k: fresh.append(
+            out is None) or gram_fn(*a, out=out, **k))
+        result = fit(shards, make_spec([1.0, 1.0], sn2=0.1),
+                     FitSchedule(max_iters=10, initial_step=initial_step))
+        assert result.iterations > 2
+        # The starting point and the first candidate; every later candidate
+        # reuses the arrays of the one it replaced or of a rejected one.
+        assert sum(fresh) == 2 * len(shards) < len(fresh)
+
+
 class TestFit:
     def test_zero_budget_returns_input(self):
         spec = make_spec([1.0], sn2=0.2)
@@ -244,6 +401,16 @@ class TestFit:
     def test_requires_nonempty_shard(self):
         with pytest.raises(ContractViolationError):
             fit([(np.zeros((0, 1)), np.zeros(0))], make_spec([1.0]), FitSchedule())
+
+
+def test_non_finite_responses_rejected():
+    with pytest.raises(ContractViolationError):
+        GpPosterior(np.array([[0.0], [1.0]]), np.array([0.0, np.nan]), make_spec([1.0]))
+
+
+def test_wrong_gram_shape_rejected():
+    with pytest.raises(ContractViolationError):
+        GpPosterior(np.zeros((3, 1)), np.zeros(3), make_spec([1.0]), np.eye(2))
 
 
 def test_noiseless_interpolation_invariant():

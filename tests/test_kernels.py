@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from splitgp.kernels import (
     gram,
     gram_gradients,
     kernel_eval,
+    sq_dist,
 )
 
 
@@ -163,3 +165,62 @@ def test_cross_gram_shape_and_consistency():
     K = cross_gram(X, Z, spec)
     assert K.shape == (4, 6)
     assert K[2, 3] == pytest.approx(kernel_eval(X[2], Z[3], spec), rel=1e-14)
+
+
+def textbook_cross_gram(X, Z, spec):
+    diff = (X[:, None, :] - Z[None, :, :]) / spec.params.lengthscales
+    return spec.params.signal_variance * np.exp(-0.5 * np.sum(diff * diff, axis=2))
+
+
+class TestOneBufferGram:
+    def test_gram_is_bitwise_symmetric_with_exact_diagonal(self):
+        rng = np.random.default_rng(6)
+        for (n, d), offset in itertools.product(((1, 1), (7, 3), (300, 8), (1100, 2)), (0, 1e3)):
+            spec = make_spec(rng.uniform(0.3, 2.0, size=d), sf2=1.7, sn2=0.3)
+            X = rng.normal(size=(n, d)) + offset
+            for add_noise, diag in ((False, 1.7), (True, 1.7 + 0.3)):
+                K = gram(X, spec, add_noise=add_noise)
+                assert np.array_equal(K, K.T)
+                assert np.all(np.diagonal(K) == diag)
+
+    @pytest.mark.parametrize("n,p", [(1, 40), (40, 1), (37, 53), (0, 5), (300, 100)])
+    def test_cross_gram_matches_textbook(self, n, p):
+        rng = np.random.default_rng(7)
+        spec = make_spec(rng.uniform(0.5, 2.0, size=3), sf2=1.3)
+        X, Z = rng.normal(size=(n, 3)), rng.normal(size=(p, 3))
+        K = cross_gram(X, Z, spec)
+        expected = textbook_cross_gram(X, Z, spec)
+        assert K.shape == (n, p)
+        assert np.all(np.abs(K - expected) <= 1e-12 * expected)
+
+    def test_cross_gram_returns_fresh_array(self):
+        rng = np.random.default_rng(8)
+        spec = make_spec([1.0, 1.0])
+        X, Z = rng.normal(size=(4, 2)), rng.normal(size=(6, 2))
+        X0, Z0 = X.copy(), Z.copy()
+        K = cross_gram(X, Z, spec)
+        assert not np.shares_memory(K, X) and not np.shares_memory(K, Z)
+        K[:] = -1.0
+        assert np.array_equal(X, X0) and np.array_equal(Z, Z0)
+        assert not np.shares_memory(cross_gram(X, X, spec), X)
+        assert not np.shares_memory(gram(X, spec), X)
+
+    def test_gram_into_given_buffer(self):
+        rng = np.random.default_rng(10)
+        spec = make_spec([0.7, 1.9, 1.1], sf2=1.4, sn2=0.2)
+        X = rng.normal(size=(120, 3)) + 1e3
+        for add_noise in (False, True):
+            buffer = np.full((120, 120), np.nan)
+            K = gram(X, spec, add_noise=add_noise, out=buffer)
+            assert K is buffer
+            assert np.array_equal(K, gram(X, spec, add_noise=add_noise))
+            assert np.array_equal(K, K.T)
+
+    def test_sq_dist_orders_like_similarity(self):
+        rng = np.random.default_rng(9)
+        spec = make_spec([0.4, 2.5], sf2=0.8)
+        x, centers = rng.normal(size=(1, 2)), rng.normal(size=(30, 2))
+        D = sq_dist(x, centers, spec)
+        diff = (x - centers) / spec.params.lengthscales
+        assert np.allclose(D[0], np.sum(diff * diff, axis=1), rtol=1e-12, atol=1e-14)
+        assert np.argmin(D[0]) == np.argmax(cross_gram(x, centers, spec)[0])

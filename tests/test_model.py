@@ -31,6 +31,18 @@ class TestUpdate:
         assert model.n_children == 2
         assert all(c.n <= 2 for c in model.children)
 
+    def test_far_field_point_joins_nearest_center(self):
+        # Every similarity to -1000 underflows to zero, so the argmax of the
+        # similarities would pick child 0 whatever its center.
+        model = quiet_model(3, spec=make_spec([1.0], sf2=1.0, sn2=0.1))
+        for x in (0.0, 0.5, 100.0, 100.5):
+            model.update(np.array([x]), 0.0)
+        near, far = sorted(model.children, key=lambda c: c.center[0])
+        assert (near.center[0], far.center[0]) == (0.25, 100.25)
+        model.update(np.array([-1000.0]), 0.0)
+        assert sorted(near.X[:, 0]) == [-1000.0, 0.0, 0.5]
+        assert sorted(far.X[:, 0]) == [100.0, 100.5]
+
     def test_new_point_joins_most_similar_center(self):
         spec = make_spec([1.0, 1.0])
         model = quiet_model(50, spec=spec)
