@@ -3,6 +3,10 @@
 FullGp refits one exact GP over everything seen; LocalGpWgen spawns local
 models behind a similarity threshold; Rbcm assigns observations to a fixed
 pool of experts at random and combines them as a product of Gaussians.
+
+Like `SplittingGP`, each rejects a non-finite or wrong-width observation
+with `ContractViolationError` before it changes any state, and a batch is
+checked whole before its first row is stored.
 """
 
 from __future__ import annotations
@@ -13,11 +17,15 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .exceptions import ContractViolationError, EmptyModelError
-from .gp import FitResult, GpPosterior, fit, posterior_mean, posterior_variance
-from .kernels import KernelSpec, cross_gram, default_spec
-from .model import ChildModel, TrainSchedule, subsample_shards
+from .gp import FitResult, GpPosterior, fit
+from .kernels import KernelSpec, cross_gram, default_spec, scaled_rows
+from .model import ChildModel, TrainSchedule, check_batch, check_observation, subsample_shards
 
 SIMILARITY_CLAMP = 1e-300
+
+
+def _ndim(spec: KernelSpec | None) -> int | None:
+    return None if spec is None else spec.ndim
 
 
 @runtime_checkable
@@ -54,11 +62,11 @@ class FullGp:
             self.spec = default_spec(np.append(self.Y, y), np.asarray(x).size)
 
     def _append(self, x: np.ndarray, y: float) -> None:
-        x = np.asarray(x, dtype=float).ravel()
+        x, y = check_observation(x, y, _ndim(self.spec))
         self._ensure_spec(x, y)
         row = x[None, :]
         self.X = row if self.X is None else np.vstack([self.X, row])
-        self.Y = np.append(self.Y, float(y))
+        self.Y = np.append(self.Y, y)
         self._posterior = None
 
     def ingest(self, x: np.ndarray, y: float) -> None:
@@ -67,8 +75,7 @@ class FullGp:
             self.refit()
 
     def ingest_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.asarray(Y, dtype=float).ravel()
+        X, Y = check_batch(X, Y, _ndim(self.spec))
         for i in range(X.shape[0]):
             self._append(X[i], Y[i])
         if X.shape[0] and self.schedule.on_batch:
@@ -93,14 +100,14 @@ class FullGp:
         return self._posterior
 
     def predict_mean_batch(self, Xstar: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(posterior_mean(self.posterior(), np.atleast_2d(Xstar), self.spec))
+        post = self.posterior()
+        return post.predict_scaled(*scaled_rows(Xstar, self.spec, "Xstar"), variance=False)[0]
 
     def predict(self, x_star: np.ndarray) -> tuple[float, float]:
         post = self.posterior()
-        return (
-            posterior_mean(post, x_star, self.spec),
-            posterior_variance(post, x_star, self.spec),
-        )
+        x_star = np.asarray(x_star, dtype=float).ravel()
+        mean, var = post.predict_scaled(*scaled_rows(x_star, self.spec, "x_star"))
+        return float(mean[0]), float(var[0])
 
     def footprint(self) -> int:
         n = self.n_observations
@@ -144,7 +151,7 @@ class LocalGpWgen:
         return sims
 
     def _ingest_one(self, x: np.ndarray, y: float) -> None:
-        x = np.asarray(x, dtype=float).ravel()
+        x, y = check_observation(x, y, _ndim(self.spec))
         if self.spec is None:
             self.spec = default_spec(np.asarray([y]), x.size)
         if not self.models:
@@ -163,8 +170,7 @@ class LocalGpWgen:
             self.refit()
 
     def ingest_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.asarray(Y, dtype=float).ravel()
+        X, Y = check_batch(X, Y, _ndim(self.spec))
         for i in range(X.shape[0]):
             self._ingest_one(X[i], Y[i])
         if X.shape[0] and self.schedule.on_batch:
@@ -198,8 +204,10 @@ class LocalGpWgen:
         ok = S > 0.0
         weights[ok] = sims[ok] / S[ok, None]
         weights[~ok] = 1.0 / self.n_models
+        Xs, a = scaled_rows(Xstar, self.spec, "Xstar")
         means = np.column_stack([
-            posterior_mean(m.posterior(self.spec), Xstar, self.spec) for m in self.models
+            m.posterior(self.spec).predict_scaled(Xs, a, variance=False)[0]
+            for m in self.models
         ])
         return np.sum(weights * means, axis=1)
 
@@ -241,7 +249,7 @@ class Rbcm:
         return sum(e.n for e in self.experts if e is not None)
 
     def _ingest_one(self, x: np.ndarray, y: float) -> None:
-        x = np.asarray(x, dtype=float).ravel()
+        x, y = check_observation(x, y, _ndim(self.spec))  # before the draw
         if self.spec is None:
             self.spec = default_spec(np.asarray([y]), x.size)
         k = int(self.rng.integers(self.n_experts))
@@ -256,8 +264,7 @@ class Rbcm:
             self.refit()
 
     def ingest_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.asarray(Y, dtype=float).ravel()
+        X, Y = check_batch(X, Y, _ndim(self.spec))
         for i in range(X.shape[0]):
             self._ingest_one(X[i], Y[i])
         if X.shape[0] and self.schedule.on_batch:
@@ -298,13 +305,10 @@ class Rbcm:
         live = [e for e in self.experts if e is not None and e.n > 0]
         if not live:
             raise EmptyModelError("all experts are empty")
-        Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-        mus = np.column_stack([
-            posterior_mean(e.posterior(self.spec), Xstar, self.spec) for e in live
-        ])
-        sigs = np.column_stack([
-            posterior_variance(e.posterior(self.spec), Xstar, self.spec) for e in live
-        ])
+        Xs, a = scaled_rows(Xstar, self.spec, "Xstar")
+        moments = [e.posterior(self.spec).predict_scaled(Xs, a) for e in live]
+        mus = np.column_stack([mu for mu, _ in moments])
+        sigs = np.column_stack([var for _, var in moments])
         return self._combine(mus, sigs)
 
     def predict_mean_batch(self, Xstar: np.ndarray) -> np.ndarray:

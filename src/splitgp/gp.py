@@ -9,9 +9,20 @@ trust, is not extended: the caller refactorizes in O(n^3), so small-lengthscale
 instabilities are not compounded.  Batch construction and fitting always
 factorize from scratch.
 
-Inputs are validated where they enter (`kernels.gram` and `cross_gram` reject
-non-finite rows, `GpPosterior` non-finite responses), so the SciPy calls here
-skip their own finiteness scans of the n x n matrices.
+Storage.  A freshly built posterior holds its factor as a full n x n array.
+Its first extension copies the factor, packed by rows, into storage reserved
+for twice the current rows, or for the most rows the posterior's owner
+expects when that is fewer, together with the rows, their lengthscale-scaled
+copies and norms, the responses and v = L^-1 Y.  Each later append writes one
+row of each there, with no O(n^2) allocation or copy; the storage is copied
+to twice its size only when it is full.  Single-row solves read the packed factor in place through
+BLAS `dtpsv`; batch solves unpack it once per call.
+
+Validation.  Inputs are checked where they enter: `kernels.gram` and
+`kernels.scaled_rows` reject non-finite or wrong-width rows, `GpPosterior`
+non-finite responses.  Stored rows are checked once more when a posterior
+first scales them for kernel rows; query rows once per call.  The SciPy and
+BLAS calls here therefore skip their own finiteness scans.
 """
 
 from __future__ import annotations
@@ -20,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
-from scipy.linalg.blas import dger
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.blas import dger, dtpsv, dtrsv
+from scipy.linalg.lapack import dpotri, dtpttr, dtrttp
 
 from .exceptions import ContractViolationError, NumericalError
-from .kernels import KernelSpec, cross_gram, gram
+from .kernels import KernelSpec, gram, scaled_cross_gram, scaled_rows
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -62,6 +73,32 @@ def _factorize(K: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray
     )
 
 
+def _packed_size(n: int) -> int:
+    return n * (n + 1) // 2
+
+
+class _Storage:
+    """Reserved rows that posteriors of one lineage grow in.
+
+    Row i of the lower factor L is packed at [i(i+1)/2, (i+1)(i+2)/2), which
+    BLAS reads as the column-major upper triangle of L^T, so appending a row
+    writes past the end of what is there.  A posterior of n rows reads the
+    first n rows of every array; `rows` counts those written, so only the
+    posterior that wrote the last row may append in place.
+    """
+
+    __slots__ = ("packed", "X", "Xs", "norms", "Y", "v", "rows")
+
+    def __init__(self, capacity: int, ndim: int):
+        self.packed = np.empty(_packed_size(capacity))
+        self.X = np.empty((capacity, ndim))
+        self.Xs = np.empty((capacity, ndim))
+        self.norms = np.empty(capacity)
+        self.Y = np.empty(capacity)
+        self.v = np.empty(capacity)
+        self.rows = 0
+
+
 class GpPosterior:
     """A GP conditioned on (X, Y) under a fixed kernel spec.
 
@@ -72,10 +109,19 @@ class GpPosterior:
     K; the posterior factorizes a copy and keeps no reference to it.  A caller
     that holds the factor of a discarded posterior of the same size passes it
     as `out`, and the new factor overwrites it instead of a fresh array.
+
+    `max_rows` is the most observations the caller will extend this posterior
+    to, when that is bounded; it caps the storage an extension reserves (see
+    the module docstring).  The rows scaled by the lengthscales, and their
+    norms, are built on the first kernel-row request, after a check of the
+    stored rows, so a posterior that only serves a fit never holds them.
+    `chol` is the n x n lower factor; an extended posterior unpacks it into a
+    fresh array on each read.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
-                 K: np.ndarray | None = None, out: np.ndarray | None = None):
+                 K: np.ndarray | None = None, out: np.ndarray | None = None,
+                 max_rows: int | None = None):
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(-1, spec.ndim) if X.size else X.reshape(0, spec.ndim)
@@ -93,6 +139,7 @@ class GpPosterior:
         self.X = X
         self.Y = Y
         self.spec = spec
+        self.max_rows = max_rows
         if self.n:
             if K is None:
                 K = gram(X, spec, add_noise=True)
@@ -104,17 +151,90 @@ class GpPosterior:
                 raise ContractViolationError(
                     f"factor buffer has shape {out.shape}, expected {(self.n, self.n)}"
                 )
-            self.chol, self.jitter = _factorize(K, out)
-            self.alpha = cho_solve((self.chol, True), Y, check_finite=False)
+            self._L, self.jitter = _factorize(K, out)
+            self.alpha = cho_solve((self._L, True), Y, check_finite=False)
         else:
-            self.chol = np.zeros((0, 0))
+            self._L = np.zeros((0, 0))
             self.jitter = 0.0
             self.alpha = np.zeros(0)
-        self._v: np.ndarray | None = None  # L^-1 Y, formed on first extension
+        self._store: _Storage | None = None  # set on the first extension
+        self._scaled: tuple[np.ndarray, np.ndarray] | None = None
+        self._v: np.ndarray | None = None  # L^-1 Y, kept once the factor grows
 
     @property
     def n(self) -> int:
         return self.X.shape[0]
+
+    @property
+    def chol(self) -> np.ndarray:
+        if self._store is None:
+            return self._L
+        n = self.n
+        return dtpttr(n, self._store.packed[:_packed_size(n)], uplo="U")[0].T
+
+    def scaled_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stored rows as `kernels.scaled_rows` gives them, built once."""
+        if self._scaled is None:
+            self._scaled = scaled_rows(self.X, self.spec)
+        return self._scaled
+
+    def _solve_lower(self, k: np.ndarray) -> np.ndarray:
+        """L^-1 k for one contiguous vector k, which it overwrites."""
+        if self._store is None:
+            return dtrsv(self._L, k, lower=1, overwrite_x=1)
+        return dtpsv(self.n, self._store.packed, k, lower=0, trans=1, overwrite_x=1)
+
+    def predict_scaled(self, Xs: np.ndarray, a: np.ndarray, mean: bool = True,
+                       variance: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Posterior mean and noise-free latent variance at query rows given
+        as their `kernels.scaled_rows` pair under this posterior's spec;
+        None for what is not asked.
+
+        One kernel row per query row serves both.  A single row is solved
+        against the factor where it is stored; more rows against `chol` in
+        one call.
+        """
+        sf2 = self.spec.params.signal_variance
+        B = Xs.shape[0]
+        if not self.n:
+            return (np.zeros(B) if mean else None), (np.full(B, sf2) if variance else None)
+        K = scaled_cross_gram(Xs, a, *self.scaled_rows(), sf2)
+        mu = K @ self.alpha if mean else None
+        if not variance:
+            return mu, None
+        if B == 1:
+            l = self._solve_lower(K[0])
+            var = np.array([sf2 - l @ l])
+        else:
+            V = solve_triangular(self.chol, K.T, lower=True, check_finite=False)
+            var = sf2 - np.sum(V * V, axis=0)
+        low = var.min() if var.size else 0.0
+        if low < -VARIANCE_SLACK:
+            raise NumericalError(f"posterior variance {low} below round-off slack")
+        np.maximum(var, 0.0, out=var)
+        return mu, var
+
+    def _reserve(self) -> _Storage:
+        """Storage holding this posterior's n rows with room for more."""
+        n = self.n
+        capacity = 2 * n
+        if self.max_rows is not None and n < self.max_rows < capacity:
+            capacity = self.max_rows
+        store = _Storage(capacity, self.spec.ndim)
+        size = _packed_size(n)
+        if self._store is None:
+            store.packed[:size] = dtrttp(self._L.T, uplo="U")[0]
+        else:
+            store.packed[:size] = self._store.packed[:size]
+        store.X[:n] = self.X
+        store.Xs[:n], store.norms[:n] = self.scaled_rows()
+        store.Y[:n] = self.Y
+        if self._v is None:
+            store.v[:n] = self._solve_lower(self.Y.copy())
+        else:
+            store.v[:n] = self._v
+        store.rows = n
+        return store
 
     def extended(self, x: np.ndarray, y: float) -> "GpPosterior | None":
         """This posterior conditioned on one more observation (x, y), in O(n^2).
@@ -131,29 +251,34 @@ class GpPosterior:
         params = self.spec.params
         prior_var = params.signal_variance + params.noise_variance
         min_pivot = PIVOT_RTOL * prior_var
-        if not np.min(np.diagonal(self.chol)) ** 2 > min_pivot:
+        # A grown factor's pivots all passed this test as they were added.
+        if self._store is None and not np.min(np.diagonal(self._L)) ** 2 > min_pivot:
             return None
-        x = np.asarray(x, dtype=float).reshape(1, self.spec.ndim)
-        k = cross_gram(x, self.X, self.spec)[0]
-        l = solve_triangular(self.chol, k, lower=True, check_finite=False)
+        x = np.asarray(x, dtype=float).reshape(1, -1)
+        xs, a = scaled_rows(x, self.spec, "x")
+        l = self._solve_lower(scaled_cross_gram(xs, a, *self.scaled_rows(),
+                                                params.signal_variance)[0])
         d2 = prior_var - l @ l
         if not d2 > min_pivot:
             return None
-        if self._v is None:
-            self._v = solve_triangular(self.chol, self.Y, lower=True, check_finite=False)
         n, d, y = self.n, float(np.sqrt(d2)), float(y)
-        chol = np.empty((n + 1, n + 1))
-        chol[:n, :n] = self.chol
-        chol[:n, n] = 0.0
-        chol[n, :n] = l
-        chol[n, n] = d
+        store = self._store
+        if store is None or store.rows != n or store.Y.size == n:
+            store = self._reserve()
+        start = _packed_size(n)
+        store.packed[start:start + n] = l
+        store.packed[start + n] = d
+        store.X[n], store.Xs[n], store.norms[n], store.Y[n] = x[0], xs[0], a[0], y
+        store.v[n] = (y - l @ store.v[:n]) / d
+        store.rows = n + 1
+
         out = object.__new__(GpPosterior)  # __init__ would refactorize
-        out.X = np.vstack([self.X, x])
-        out.Y = np.append(self.Y, y)
-        out.spec = self.spec
-        out.chol, out.jitter = chol, 0.0
-        out._v = np.append(self._v, (y - l @ self._v) / d)
-        out.alpha = solve_triangular(chol, out._v, lower=True, trans="T", check_finite=False)
+        n += 1
+        out.X, out.Y, out.spec, out.max_rows = store.X[:n], store.Y[:n], self.spec, self.max_rows
+        out._L, out.jitter, out._store = None, 0.0, store
+        out._scaled = (store.Xs[:n], store.norms[:n])
+        out._v = store.v[:n]
+        out.alpha = dtpsv(n, store.packed, out._v.copy(), lower=0, trans=0, overwrite_x=1)
         return out
 
     def _check_spec(self, spec: KernelSpec) -> None:
@@ -166,33 +291,15 @@ class GpPosterior:
 def posterior_mean(post: GpPosterior, x_star: np.ndarray, spec: KernelSpec):
     """Posterior mean at one point (scalar in, scalar out) or a batch of rows."""
     post._check_spec(spec)
-    x_star = np.asarray(x_star, dtype=float)
-    single = x_star.ndim == 1
-    if post.n == 0:
-        out = np.zeros(1 if single else x_star.shape[0])
-    else:
-        ks = cross_gram(x_star, post.X, spec)
-        out = ks @ post.alpha
-    return float(out[0]) if single else out
+    mu, _ = post.predict_scaled(*scaled_rows(x_star, spec, "x_star"), variance=False)
+    return float(mu[0]) if np.ndim(x_star) == 1 else mu
 
 
 def posterior_variance(post: GpPosterior, x_star: np.ndarray, spec: KernelSpec):
     """Posterior variance (noise-free latent) at one point or a batch of rows."""
     post._check_spec(spec)
-    x_star = np.asarray(x_star, dtype=float)
-    single = x_star.ndim == 1
-    sf2 = spec.params.signal_variance
-    if post.n == 0:
-        out = np.full(1 if single else x_star.shape[0], sf2)
-    else:
-        ks = cross_gram(x_star, post.X, spec)
-        v = solve_triangular(post.chol, ks.T, lower=True, check_finite=False)
-        out = sf2 - np.sum(v * v, axis=0)
-        low = out.min() if out.size else 0.0
-        if low < -VARIANCE_SLACK:
-            raise NumericalError(f"posterior variance {low} below round-off slack")
-        np.maximum(out, 0.0, out=out)
-    return float(out[0]) if single else out
+    _, var = post.predict_scaled(*scaled_rows(x_star, spec, "x_star"), mean=False)
+    return float(var[0]) if np.ndim(x_star) == 1 else var
 
 
 def log_marginal_likelihood(post: GpPosterior, spec: KernelSpec) -> float:

@@ -55,6 +55,8 @@ class Hyperparameters:
         return self.lengthscales.size
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, Hyperparameters):
             return NotImplemented
         return (
@@ -125,6 +127,8 @@ class KernelSpec:
         return self.params.ndim
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, KernelSpec):
             return NotImplemented
         return self.family == other.family and self.params == other.params
@@ -164,24 +168,33 @@ def kernel_eval(x: np.ndarray, x_prime: np.ndarray, spec: KernelSpec) -> float:
     return float(cross_gram(x, x_prime, spec)[0, 0])
 
 
+def scaled_rows(X: np.ndarray, spec: KernelSpec, arg: str = "X") -> tuple[np.ndarray, np.ndarray]:
+    """Rows X / lengthscales, after `_check_rows`, with their squared norms.
+
+    The pair is one side of `scaled_cross_gram`.  An object whose rows and
+    spec never change computes it once and keeps it.
+    """
+    Xs = _check_rows(X, spec, arg) / spec.params.lengthscales
+    return Xs, np.sum(Xs * Xs, axis=1)
+
+
 # Entries per block of `_sq_dist`'s norm sum, so that its temporary stays at
 # 64 KiB.  A temporary as large as the result would be a second large
 # allocation on every call, and each large allocation maps fresh pages.
 _NORM_BLOCK = 8192
 
 
-def _sq_dist(Xs: np.ndarray, Zs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Squared distances between the rows of Xs and Zs, in one buffer: `out`
-    if given, else a fresh array.
+def _sq_dist(Xs: np.ndarray, a: np.ndarray, Zs: np.ndarray, b: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances between the rows of Xs and Zs, whose squared row
+    norms are a and b, in one buffer: `out` if given, else a fresh array.
 
-    Entry (i, j) is (a_i + b_j) - 2 G_ij, with a and b the squared row norms
-    and G = Xs Zs^T the buffer.  When Zs is Xs, numpy forms G by a symmetric
-    rank-k update, so the result is bitwise symmetric.
+    Entry (i, j) is (a_i + b_j) - 2 G_ij, with G = Xs Zs^T the buffer.  When
+    Zs is Xs, numpy forms G by a symmetric rank-k update, so the result is
+    bitwise symmetric.
     """
     D = np.matmul(Xs, Zs.T, out=out)
     D *= -2.0
-    a = np.sum(Xs * Xs, axis=1)
-    b = a if Zs is Xs else np.sum(Zs * Zs, axis=1)
     step = max(1, _NORM_BLOCK // max(b.size, 1))
     for i in range(0, a.size, step):
         D[i:i + step] += np.add.outer(a[i:i + step], b)
@@ -197,21 +210,30 @@ def _rbf(D: np.ndarray, sf2: float) -> np.ndarray:
     return D
 
 
+def scaled_cross_gram(Xs: np.ndarray, a: np.ndarray, Zs: np.ndarray, b: np.ndarray,
+                      sf2: float) -> np.ndarray:
+    """k(X, Z) from the `scaled_rows` pairs (Xs, a) of X and (Zs, b) of Z,
+    both under the spec whose signal variance is sf2; a fresh (n, p) array.
+
+    The one place the kernel formula is applied to rows: `cross_gram` calls
+    it, and so do the objects that keep their stored rows pre-scaled.
+    """
+    return _rbf(_sq_dist(Xs, a, Zs, b), sf2)
+
+
 def sq_dist(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Lengthscale-scaled squared distances between rows, of shape (n, p).
 
     `cross_gram` is sf2 * exp(-sq_dist / 2), so the smallest distance is the
     largest similarity, also where every similarity underflows to zero.
     """
-    X = _check_rows(X, spec, "X")
-    Z = _check_rows(Z, spec, "Z")
-    ls = spec.params.lengthscales
-    return _sq_dist(X / ls, Z / ls)
+    return _sq_dist(*scaled_rows(X, spec, "X"), *scaled_rows(Z, spec, "Z"))
 
 
 def cross_gram(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Noise-free kernel matrix k(X, Z) of shape (n, p), a fresh array."""
-    return _rbf(sq_dist(X, Z, spec), spec.params.signal_variance)
+    return scaled_cross_gram(*scaled_rows(X, spec, "X"), *scaled_rows(Z, spec, "Z"),
+                             spec.params.signal_variance)
 
 
 def gram(X: np.ndarray, spec: KernelSpec, add_noise: bool = False,
@@ -222,11 +244,10 @@ def gram(X: np.ndarray, spec: KernelSpec, add_noise: bool = False,
     result is written into `out`, a C-ordered (n, n) float array, when one is
     given; otherwise it is a fresh array.
     """
-    X = _check_rows(X, spec, "X")
     params = spec.params
-    Xs = X / params.lengthscales
+    Xs, a = scaled_rows(X, spec)
     sf2 = params.signal_variance
-    K = _rbf(_sq_dist(Xs, Xs, out), sf2)
+    K = _rbf(_sq_dist(Xs, a, Xs, a, out), sf2)
     np.fill_diagonal(K, sf2 + params.noise_variance if add_noise else sf2)
     return K
 

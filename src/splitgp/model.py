@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ContractViolationError, EmptyModelError
-from .gp import FitResult, FitSchedule, GpPosterior, fit, posterior_mean, posterior_variance
-from .kernels import Hyperparameters, KernelSpec, cross_gram, default_spec, sq_dist
+from .gp import FitResult, FitSchedule, GpPosterior, fit
+from .kernels import (Hyperparameters, KernelSpec, cross_gram, default_spec, scaled_cross_gram,
+                      scaled_rows, sq_dist)
 from .partition import BATCH_SVD, OJA_STREAMING, PrincipalDirectionEstimator, centroid, split
 
 SNAPSHOT_VERSION = 2
@@ -32,10 +33,14 @@ class PriorMeanNode:
     Created when a local model splits: the parent's residual weights and data
     are copied with the kernel spec current at that moment, chained to the
     parent's own prior.  Nodes never change afterwards, so children can be
-    refit without touching their inherited mean.
+    refit without touching their inherited mean.  Because a node is frozen
+    with its own spec, it keeps its rows scaled by that spec's lengthscales,
+    with their squared norms, from its first evaluation on.  The rows are
+    checked when that cache is built, which covers rows read from a
+    snapshot; query rows are checked on every call.
     """
 
-    __slots__ = ("X", "alpha", "spec", "parent")
+    __slots__ = ("X", "alpha", "spec", "parent", "_scaled")
 
     def __init__(self, X: np.ndarray, alpha: np.ndarray, spec: KernelSpec,
                  parent: "PriorMeanNode | None"):
@@ -43,10 +48,19 @@ class PriorMeanNode:
         self.alpha = alpha
         self.spec = spec
         self.parent = parent
+        self._scaled: tuple[np.ndarray, np.ndarray] | None = None
 
-    def evaluate(self, Xstar: np.ndarray) -> np.ndarray:
-        base = self.parent.evaluate(Xstar) if self.parent is not None else 0.0
-        return base + cross_gram(Xstar, self.X, self.spec) @ self.alpha
+    def evaluate(self, Xstar: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
+        """The chain's mean at rows Xstar: this node's expansion on top of
+        its ancestors'.  `base`, when given, is the parent's value at the same
+        rows, so that no ancestor is evaluated again."""
+        if base is None:
+            base = self.parent.evaluate(Xstar) if self.parent is not None else 0.0
+        if self._scaled is None:
+            self._scaled = scaled_rows(self.X, self.spec)
+        k = scaled_cross_gram(*scaled_rows(Xstar, self.spec, "Xstar"), *self._scaled,
+                              self.spec.params.signal_variance)
+        return base + k @ self.alpha
 
     def chain(self) -> list["PriorMeanNode"]:
         node, out = self, []
@@ -66,22 +80,55 @@ def _prior_values(prior: PriorMeanNode | None, X: np.ndarray) -> np.ndarray:
     return prior.evaluate(np.atleast_2d(X))
 
 
+def check_observation(x: np.ndarray, y: float, ndim: int | None) -> tuple[np.ndarray, float]:
+    """(x as a flat float row, y as a float), or ContractViolationError when
+    either is not finite or x does not have `ndim` entries (None: any)."""
+    x, y = np.asarray(x, dtype=float).ravel(), float(y)
+    if not np.all(np.isfinite(x)) or not np.isfinite(y):
+        raise ContractViolationError("observation contains non-finite values")
+    if ndim is not None and x.size != ndim:
+        raise ContractViolationError(f"observation has {x.size} dimensions, spec expects {ndim}")
+    return x, y
+
+
+def check_batch(X: np.ndarray, Y: np.ndarray, ndim: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """`check_observation` for every row of a batch at once, before any is
+    stored, so that a rejected batch leaves the model unchanged."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.asarray(Y, dtype=float).ravel()
+    if X.shape[0] != Y.shape[0]:
+        raise ContractViolationError("batch X rows and Y entries must match")
+    if X.shape[0]:
+        if not np.all(np.isfinite(X)) or not np.all(np.isfinite(Y)):
+            raise ContractViolationError("batch contains non-finite values")
+        if ndim is not None and X.shape[1] != ndim:
+            raise ContractViolationError(
+                f"batch rows have {X.shape[1]} dimensions, spec expects {ndim}"
+            )
+    return X, Y
+
+
 class ChildModel:
     """One local GP: its data, its center, its inherited prior mean, and a
     lazy posterior cache over the residuals.
 
     An append to a child whose posterior is cached costs O(n^2): the prior
     chain is evaluated at the new row only and the cached Cholesky factor
-    grows by one row.  Otherwise, or when `GpPosterior.extended` declines, the
-    cache is cleared and the next use rebuilds it in O(n^3).
+    grows by one row, in place in storage the posterior reserves on its first
+    extension and doubles when full, capped at `max_rows` when the owner
+    bounds the child's size (a `SplittingGP` child holds at most m + 1).
+    Otherwise, or when `GpPosterior.extended` declines, the cache is cleared
+    and the next use rebuilds it in O(n^3).  The owning model validates each
+    row before it reaches `append`.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, center: np.ndarray | None = None,
-                 prior: PriorMeanNode | None = None):
+                 prior: PriorMeanNode | None = None, max_rows: int | None = None):
         self.X = np.atleast_2d(np.asarray(X, dtype=float))
         self.Y = np.asarray(Y, dtype=float).ravel()
         self.center = centroid(self.X) if center is None else np.asarray(center, dtype=float)
         self.prior = prior
+        self.max_rows = max_rows
         self._residuals: np.ndarray | None = None
         self._posterior: GpPosterior | None = None
 
@@ -111,20 +158,16 @@ class ChildModel:
 
     def posterior(self, spec: KernelSpec) -> GpPosterior:
         if self._posterior is None or self._posterior.spec != spec:
-            self._posterior = GpPosterior(self.X, self.residuals(), spec)
+            self._posterior = GpPosterior(self.X, self.residuals(), spec,
+                                          max_rows=self.max_rows)
         return self._posterior
 
     def mean_at(self, Xstar: np.ndarray, spec: KernelSpec) -> np.ndarray:
         """Per-child predictive mean: inherited prior plus the residual layer."""
         Xstar = np.atleast_2d(Xstar)
-        return _prior_values(self.prior, Xstar) + posterior_mean(
-            self.posterior(spec), Xstar, spec
-        )
-
-    def variance_at(self, Xstar: np.ndarray, spec: KernelSpec) -> np.ndarray:
-        return np.atleast_1d(
-            posterior_variance(self.posterior(spec), np.atleast_2d(Xstar), spec)
-        )
+        mu, _ = self.posterior(spec).predict_scaled(*scaled_rows(Xstar, spec, "Xstar"),
+                                                    variance=False)
+        return _prior_values(self.prior, Xstar) + mu
 
     def footprint_bytes(self, ndim: int) -> int:
         # Gram entries + stored rows + responses + center, 8 bytes a scalar.
@@ -235,18 +278,17 @@ class SplittingGP:
         centers = np.array([c.center for c in self.children])
         return int(np.argmin(sq_dist(x[None, :], centers, self.spec)[0]))
 
+    def _new_child(self, X: np.ndarray, Y: np.ndarray, center: np.ndarray | None = None,
+                   prior: PriorMeanNode | None = None) -> ChildModel:
+        # A child holds at most m + 1 rows: the one past m triggers its split.
+        return ChildModel(X, Y, center, prior, max_rows=self.m + 1)
+
     def _ingest_one(self, x: np.ndarray, y: float) -> bool:
         """Route one observation; returns True when it triggered a split."""
-        x = np.asarray(x, dtype=float).ravel()
-        if not np.all(np.isfinite(x)) or not np.isfinite(y):
-            raise ContractViolationError("observation contains non-finite values")
+        x, y = check_observation(x, y, None if self.spec is None else self.spec.ndim)
         self._ensure_spec(x, y)
-        if x.size != self.spec.ndim:
-            raise ContractViolationError(
-                f"observation has {x.size} dimensions, spec expects {self.spec.ndim}"
-            )
         if not self.children:
-            self.children.append(ChildModel(x[None, :], [y], center=x.copy()))
+            self.children.append(self._new_child(x[None, :], [y], center=x.copy()))
             return False
         idx = self._nearest_child(x)
         child = self.children[idx]
@@ -268,8 +310,8 @@ class SplittingGP:
         if self.estimator_mode == OJA_STREAMING:
             est = PrincipalDirectionEstimator(mode=OJA_STREAMING)
         result = split(child.X, child.Y, child.center, est)
-        self.children[idx] = ChildModel(*result.left, prior=node)
-        self.children.append(ChildModel(*result.right, prior=node))
+        self.children[idx] = self._new_child(*result.left, prior=node)
+        self.children.append(self._new_child(*result.right, prior=node))
 
     def update(self, x: np.ndarray, y: float) -> None:
         """Insert a single observation, splitting and refitting per schedule."""
@@ -279,10 +321,7 @@ class SplittingGP:
 
     def update_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
         """Insert rows in order; hyperparameters are refit once at the end."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.asarray(Y, dtype=float).ravel()
-        if X.shape[0] != Y.shape[0]:
-            raise ContractViolationError("batch X rows and Y entries must match")
+        X, Y = check_batch(X, Y, None if self.spec is None else self.spec.ndim)
         if X.shape[0] == 0:
             return
         for i in range(X.shape[0]):
@@ -336,41 +375,76 @@ class SplittingGP:
         if not self.children:
             raise EmptyModelError("model has no observations yet")
 
+    def _prior_node_values(self, Xstar: np.ndarray) -> dict[int, np.ndarray]:
+        """Every unique prior node's value at Xstar, keyed by the node's id.
+
+        Ancestors come first, so each node is evaluated once, on top of its
+        parent's value.
+        """
+        values: dict[int, np.ndarray] = {}
+        for node in self.prior_nodes():
+            base = None if node.parent is None else values[id(node.parent)]
+            values[id(node)] = node.evaluate(Xstar, base)
+        return values
+
+    def _aggregate(self, Xstar: np.ndarray, weights: np.ndarray, mean: bool,
+                   variance: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Weighted mean and variance over the children at query rows; None
+        for what is not asked.
+
+        The rows are checked and scaled once; each child then builds one
+        kernel row per query row for both moments, and each prior node is
+        evaluated once.  Every prediction entry point comes through here, so
+        a single-row `predict` and a one-row batch do the same arithmetic.
+        """
+        spec = self.spec
+        Xs, a = scaled_rows(Xstar, spec, "Xstar")
+        priors = self._prior_node_values(Xstar) if mean else {}
+        shape = (Xs.shape[0], self.n_children)
+        means = np.empty(shape) if mean else None
+        variances = np.empty(shape) if variance else None
+        for j, child in enumerate(self.children):
+            mu, var = child.posterior(spec).predict_scaled(Xs, a, mean, variance)
+            if mean:
+                means[:, j] = mu if child.prior is None else priors[id(child.prior)] + mu
+            if variance:
+                variances[:, j] = var
+        return (
+            np.sum(weights * means, axis=1) if mean else None,
+            np.sum(weights * weights * variances, axis=1) if variance else None,
+        )
+
     def predict_mean_batch(self, Xstar: np.ndarray) -> np.ndarray:
         """Aggregate posterior mean over all children for query rows."""
         self._require_children()
         Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
         weights, _, _ = self._weights(Xstar)
-        means = np.column_stack([c.mean_at(Xstar, self.spec) for c in self.children])
-        return np.sum(weights * means, axis=1)
+        return self._aggregate(Xstar, weights, mean=True, variance=False)[0]
 
     def predict_variance_batch(self, Xstar: np.ndarray) -> np.ndarray:
         """Aggregate variance under independence of the child posteriors."""
         self._require_children()
         Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
         weights, _, _ = self._weights(Xstar)
-        return self._aggregate_variance(Xstar, weights)
+        return self._aggregate(Xstar, weights, mean=False, variance=True)[1]
 
-    def _aggregate_variance(self, Xstar: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        variances = np.column_stack([
-            c.variance_at(Xstar, self.spec) for c in self.children
-        ])
-        return np.sum(weights * weights * variances, axis=1)
-
-    def predict_mean(self, x_star: np.ndarray) -> PredictionSummary:
-        """Weighted-average prediction at a single point, with its weights."""
+    def _predict_one(self, x_star: np.ndarray,
+                     variance: bool) -> tuple[PredictionSummary, float | None]:
         self._require_children()
-        x_star = np.asarray(x_star, dtype=float).ravel()
-        weights, S, fallback = self._weights(x_star[None, :])
-        means = np.array([
-            float(c.mean_at(x_star[None, :], self.spec)[0]) for c in self.children
-        ])
-        return PredictionSummary(
-            mean=float(weights[0] @ means),
+        x_star = np.asarray(x_star, dtype=float).ravel()[None, :]
+        weights, S, fallback = self._weights(x_star)
+        mean, var = self._aggregate(x_star, weights, mean=True, variance=variance)
+        summary = PredictionSummary(
+            mean=float(mean[0]),
             weights=weights[0],
             normalizer=float(S[0]),
             uniform_fallback=bool(fallback[0]),
         )
+        return summary, None if var is None else float(var[0])
+
+    def predict_mean(self, x_star: np.ndarray) -> PredictionSummary:
+        """Weighted-average prediction at a single point, with its weights."""
+        return self._predict_one(x_star, variance=False)[0]
 
     def predict_variance(self, x_star: np.ndarray) -> float:
         self._require_children()
@@ -378,11 +452,10 @@ class SplittingGP:
         return float(self.predict_variance_batch(x_star[None, :])[0])
 
     def predict(self, x_star: np.ndarray) -> tuple[float, float]:
-        """(mean, variance) at a single point; the variance reuses the weights
-        of the mean."""
-        summary = self.predict_mean(x_star)
-        x_star = np.asarray(x_star, dtype=float).ravel()[None, :]
-        return summary.mean, float(self._aggregate_variance(x_star, summary.weights[None, :])[0])
+        """(mean, variance) at a single point from one set of weights and one
+        kernel row per child."""
+        summary, var = self._predict_one(x_star, variance=True)
+        return summary.mean, var
 
     # -- accounting and persistence -----------------------------------------
 
@@ -464,7 +537,7 @@ class SplittingGP:
                 ))
             for i in range(int(data["n_children"])):
                 prior_idx = int(data[f"child_{i}_prior"])
-                model.children.append(ChildModel(
+                model.children.append(model._new_child(
                     data[f"child_{i}_X"], data[f"child_{i}_Y"], data[f"child_{i}_c"],
                     prior=nodes[prior_idx] if prior_idx >= 0 else None,
                 ))

@@ -271,3 +271,39 @@ def test_models_deterministic_given_seed_and_stream():
         a.ingest_batch(ds.X, ds.Y)
         b.ingest_batch(ds.X, ds.Y)
         assert np.array_equal(a.predict_mean_batch(queries), b.predict_mean_batch(queries))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SplittingGP(8, train_schedule=TrainSchedule.never()),
+    lambda: FullGp(**quiet()),
+    lambda: LocalGpWgen(0.5, **quiet()),
+    lambda: Rbcm(2, seed=3, **quiet()),
+], ids=["splitting", "fullgp", "local", "rbcm"])
+def test_bad_rows_rejected_at_ingest(build):
+    ds = synth_dataset(20, SeedPlan(78))
+    queries = ds.X[:5]
+    model, reference = build(), build()
+    model.ingest_batch(ds.X, ds.Y)
+    reference.ingest_batch(ds.X, ds.Y)
+    bad = [
+        (np.array([np.nan, 0.0]), 1.0),
+        (np.array([0.0, np.inf]), 1.0),
+        (np.array([0.1, 0.2]), np.inf),
+        (np.array([0.1, 0.2]), np.nan),
+        (np.array([0.1, 0.2, 0.3]), 1.0),
+        (np.array([0.1]), 1.0),
+    ]
+    for x, y in bad:
+        with pytest.raises(ContractViolationError):
+            model.ingest(x, y)
+        with pytest.raises(ContractViolationError):
+            model.ingest_batch(np.vstack([ds.X[:2], x]) if x.size == 2 else x[None, :],
+                               np.append(ds.Y[:2], y) if x.size == 2 else [y])
+    assert model.n_observations == ds.n
+    assert np.array_equal(model.predict_mean_batch(queries),
+                          reference.predict_mean_batch(queries))
+    # Both go on alike: a rejected row drew nothing from a seeded assignment.
+    model.ingest(ds.X[0] + 0.05, 0.3)
+    reference.ingest(ds.X[0] + 0.05, 0.3)
+    assert np.array_equal(model.predict_mean_batch(queries),
+                          reference.predict_mean_batch(queries))

@@ -433,3 +433,23 @@ def test_cholesky_reconstruction_invariant():
     recon = post.chol @ post.chol.T
     assert np.linalg.norm(recon - K) / np.linalg.norm(K) < 1e-10
     assert np.linalg.norm(K @ post.alpha - Y) / np.linalg.norm(Y) < 1e-8
+
+
+def test_branching_extensions_stay_independent():
+    # Extending one posterior twice: the second extension finds the shared
+    # storage's next row taken and copies instead of overwriting it.
+    rng = np.random.default_rng(26)
+    spec = make_spec([0.9, 1.3], sf2=1.2, sn2=0.05)
+    X, Y = rng.normal(size=(24, 2)), rng.normal(size=24)
+    base = GpPosterior(X[:20], Y[:20], spec).extended(X[20], Y[20])
+    first = base.extended(X[21], Y[21]).extended(X[22], Y[22])
+    second = base.extended(X[23], Y[23])
+    for post, rows in ((base, np.arange(21)), (first, np.arange(23)),
+                       (second, np.r_[np.arange(21), 23])):
+        fresh = GpPosterior(X[rows], Y[rows], spec)
+        assert np.array_equal(post.X, X[rows]) and np.array_equal(post.Y, Y[rows])
+        for got, want in ((post.chol, fresh.chol), (post.alpha, fresh.alpha)):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        x = rng.normal(size=2)
+        assert posterior_variance(post, x, spec) == pytest.approx(
+            posterior_variance(fresh, x, spec), rel=1e-9, abs=1e-12)

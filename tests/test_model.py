@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from splitgp.baselines import LocalGpWgen
 from splitgp.data import SeedPlan, synth_dataset
 from splitgp.exceptions import ContractViolationError, EmptyModelError
 from splitgp.gp import FitSchedule, GpPosterior, posterior_mean, posterior_variance
 from splitgp.kernels import Hyperparameters, KernelSpec, gram, kernel_eval
-from splitgp.model import ChildModel, SplittingGP, TrainSchedule
+from splitgp.model import ChildModel, PriorMeanNode, SplittingGP, TrainSchedule
 
 
 def make_spec(ls, sf2=1.0, sn2=0.1):
@@ -427,3 +430,126 @@ class TestIncrementalUpdate:
                 bound = np.max(K) * np.sum(np.abs(post.alpha)) + np.max(np.abs(post.Y))
                 assert np.max(np.abs(resid)) <= scale * bound
         assert taken["extended"] > 0 and taken["pivot"] == taken["jitter"] == 0
+
+
+def _relative_gap(a, b):
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+class TestSingleQueryPath:
+    """`predict` on one point does the batch paths' arithmetic with one kernel
+    row per child and one evaluation per prior node."""
+
+    @staticmethod
+    def _streamed(seed):
+        # Every third input repeats an earlier one; m = 10 over 300 rows
+        # builds prior chains several splits deep.  A predict before each
+        # update leaves some children with grown factors, some fresh.
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-2, 2, size=(300, 2))
+        X[2::3] = X[0:-2:3]
+        Y = np.sin(X).sum(axis=1) + 0.1 * rng.standard_normal(300)
+        model = quiet_model(10, spec=make_spec([0.7, 1.1], sn2=0.02))
+        for t in range(X.shape[0]):
+            if t % 5 and model.children:
+                model.predict(X[t])
+            model.update(X[t], Y[t])
+        assert max(len(c.prior.chain()) for c in model.children if c.prior) >= 3
+        queries = np.vstack([
+            X[::25],                            # training inputs, some duplicated
+            rng.uniform(-2.5, 2.5, size=(12, 2)),
+            [[9.0, -9.0], [-14.0, 3.0]],        # far field, weights still defined
+            [[1e3, 1e3]],                       # every similarity underflows
+        ])
+        return model, queries
+
+    @staticmethod
+    def _count_evaluations(monkeypatch):
+        counts = {}
+        evaluate = PriorMeanNode.evaluate
+
+        def counted(node, *args, **kwargs):
+            counts[id(node)] = counts.get(id(node), 0) + 1
+            return evaluate(node, *args, **kwargs)
+
+        monkeypatch.setattr(PriorMeanNode, "evaluate", counted)
+        return counts
+
+    @pytest.mark.filterwarnings("ignore:similarity normalizer underflowed")
+    @pytest.mark.parametrize("seed", [41, 42])
+    def test_single_point_matches_batch(self, seed):
+        model, queries = self._streamed(seed)
+        single = np.array([model.predict(q) for q in queries])
+        assert _relative_gap(single[:, 0], model.predict_mean_batch(queries)) <= 1e-12
+        assert _relative_gap(single[:, 1], model.predict_variance_batch(queries)) <= 1e-12
+        for q in queries:
+            weights = model.predict_mean(q).weights
+            assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
+            assert abs(weights.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:similarity normalizer underflowed")
+    def test_each_prior_node_evaluated_once_per_call(self, monkeypatch):
+        model, queries = self._streamed(43)
+        once = {id(node): 1 for node in model.prior_nodes()}
+        assert len(once) >= 3
+        counts = self._count_evaluations(monkeypatch)
+        for call, rows in ((model.predict, queries[0]), (model.predict_mean, queries[-3]),
+                           (model.predict_mean_batch, queries)):
+            counts.clear()
+            call(rows)
+            assert counts == once
+        counts.clear()
+        model.predict_variance_batch(queries)  # needs no prior mean
+        assert counts == {}
+
+
+class TestFactorStorage:
+    """A grown factor lives in storage reserved once, not in a fresh array
+    per append."""
+
+    def test_append_copies_no_factor(self):
+        rng = np.random.default_rng(44)
+        n = 400
+        X = rng.uniform(-2, 2, size=(n + 2, 2))
+        Y = np.sin(X).sum(axis=1) + 0.1 * rng.standard_normal(n + 2)
+        model = quiet_model(500, spec=make_spec([0.8, 1.2], sn2=0.05))
+        model.update_batch(X[:n], Y[:n])
+        model.predict(X[n])  # caches the posterior
+        model.update(X[n], Y[n])  # its first extension reserves the storage
+        child = model.children[0]
+        assert child._posterior is not None
+        tracemalloc.start()
+        try:
+            model.update(X[n + 1], Y[n + 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        post = child._posterior
+        assert post is not None and post.n == n + 2  # extended, not cleared
+        assert peak < n * n * 8 / 4
+        fresh = GpPosterior(child.X, child.Y, model.spec)
+        assert _relative_gap(post.alpha, fresh.alpha) <= 1e-9
+
+    def test_unbounded_child_grows_past_its_storage(self):
+        # A LocalGpWgen model has no size limit, so its storage doubles when
+        # full; each boundary crossing is checked against a fresh factor.
+        rng = np.random.default_rng(45)
+        X = rng.uniform(-2, 2, size=(90, 2))
+        Y = np.sin(X).sum(axis=1) + 0.1 * rng.standard_normal(90)
+        spec = make_spec([0.8, 1.2], sn2=0.05)
+        model = LocalGpWgen(1e-15, spec=spec, train_schedule=TrainSchedule.never())
+        capacities = set()
+        for t in range(X.shape[0]):
+            if t >= 3:
+                model.predict(X[t])  # caches the posterior
+            model.ingest(X[t], Y[t])
+            assert model.n_models == 1
+            post = model.models[0]._posterior
+            if post is None or post._store is None:
+                continue
+            capacities.add(post._store.Y.size)
+            fresh = GpPosterior(model.models[0].X, model.models[0].Y, spec)
+            assert _relative_gap(post.Y, fresh.Y) <= 1e-9
+            assert _relative_gap(post.chol, fresh.chol) <= 1e-9
+            assert _relative_gap(post.alpha, fresh.alpha) <= 1e-9
+        assert len(capacities) >= 4
