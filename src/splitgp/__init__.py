@@ -40,7 +40,6 @@ from .gp import (
     posterior_variance,
 )
 from .kernels import (
-    Hyperparameters,
     KernelSpec,
     cross_gram,
     default_spec,
@@ -50,7 +49,6 @@ from .kernels import (
 )
 from .model import ChildModel, PredictionSummary, SplittingGP, TrainSchedule
 from .partition import (
-    PrincipalDirectionEstimator,
     SplitResult,
     centroid,
     principal_direction,
@@ -70,14 +68,12 @@ __all__ = [
     "FitSchedule",
     "FullGp",
     "GpPosterior",
-    "Hyperparameters",
     "KernelSpec",
     "LocalGpWgen",
     "MetricRecord",
     "NumericalError",
     "OnlineRegressor",
     "PredictionSummary",
-    "PrincipalDirectionEstimator",
     "Rbcm",
     "SeedPlan",
     "SplitResult",

@@ -57,13 +57,10 @@ class FullGp:
     def n_observations(self) -> int:
         return 0 if self.X is None else self.X.shape[0]
 
-    def _ensure_spec(self, x: np.ndarray, y: float) -> None:
-        if self.spec is None:
-            self.spec = default_spec(np.append(self.Y, y), np.asarray(x).size)
-
     def _append(self, x: np.ndarray, y: float) -> None:
         x, y = check_observation(x, y, _ndim(self.spec))
-        self._ensure_spec(x, y)
+        if self.spec is None:
+            self.spec = default_spec(np.asarray([y]), x.size)
         row = x[None, :]
         self.X = row if self.X is None else np.vstack([self.X, row])
         self.Y = np.append(self.Y, y)
@@ -158,7 +155,7 @@ class LocalGpWgen:
             self.models.append(ChildModel(x[None, :], [y], center=x.copy()))
             return
         sims = self._similarities(x)
-        normalized = sims / self.spec.params.signal_variance
+        normalized = sims / self.spec.signal_variance
         if np.max(normalized) <= self.w_gen:
             self.models.append(ChildModel(x[None, :], [y], center=x.copy()))
         else:
@@ -284,7 +281,7 @@ class Rbcm:
 
     def _combine(self, mus: np.ndarray, sigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Product-of-Gaussians combination for (B, K) expert means/variances."""
-        prior_var = self.spec.params.signal_variance
+        prior_var = self.spec.signal_variance
         sigs = np.maximum(sigs, SIMILARITY_CLAMP)
         beta = 0.5 * (np.log(prior_var) - np.log(sigs))
         np.maximum(beta, 0.0, out=beta)

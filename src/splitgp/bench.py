@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .baselines import FullGp, LocalGpWgen, Rbcm
 from .data import (
@@ -58,7 +58,6 @@ class ExperimentConfig:
     fit_iters: int = 50
     fit_subsample: int = 0
     standardize_x: bool = False
-    estimator_mode: str = "batch-svd"
     out: str = ""
 
     def __post_init__(self):
@@ -88,47 +87,53 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        kwargs = {}
-        valid = {f.name: f for f in fields(cls)}
-        for key, raw in mapping.items():
-            if key not in valid:
-                raise ContractViolationError(f"unknown config key {key!r}")
-            kwargs[key] = _coerce(key, raw)
-        return cls(**kwargs)
+        return cls(**{key: _coerce(key, raw) for key, raw in mapping.items()})
 
     @classmethod
     def from_kv_text(cls, text: str) -> "ExperimentConfig":
-        mapping = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ContractViolationError(f"malformed config line {line!r}")
-            mapping[key.strip()] = value.strip()
-        return cls.from_mapping(mapping)
+        return cls.from_mapping(parse_kv_text(text))
+
+
+def parse_kv_text(text: str) -> dict[str, str]:
+    """The key=value lines of a config, skipping blank and `#` lines."""
+    mapping = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ContractViolationError(f"malformed config line {line!r}")
+        mapping[key.strip()] = value.strip()
+    return mapping
+
+
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _coerce(key: str, raw):
+    """The value of config field `key` from its text, by the field's type;
+    a value that is not text passes through."""
+    if key not in _FIELD_TYPES:
+        raise ContractViolationError(f"unknown config key {key!r}")
     if not isinstance(raw, str):
         return raw
-    if key == "sweep":
-        parts = raw.split(":")
-        if len(parts) != 3:
-            raise ContractViolationError("sweep must be start:stop:step")
-        return tuple(int(p) for p in parts)
-    if key == "x_cols":
-        return tuple(int(p) for p in raw.split(","))
-    if key in ("model", "dataset", "train_schedule", "estimator_mode", "out"):
-        return raw
-    if key == "standardize_x":
-        return raw.strip() in ("1", "true", "True", "yes")
-    if key in ("w_gen", "train_fraction"):
-        return float(raw)
-    if key == "y_col":
-        return int(raw)
-    return int(raw)
+    kind = _FIELD_TYPES[key]
+    try:
+        if key == "sweep":
+            parts = raw.split(":")
+            if len(parts) != 3:
+                raise ContractViolationError("sweep must be start:stop:step")
+            return tuple(int(p) for p in parts)
+        if key == "x_cols":
+            return tuple(int(p) for p in raw.split(","))
+        if kind == "str":
+            return raw
+        if kind == "bool":
+            return raw.strip() in ("1", "true", "True", "yes")
+        return float(raw) if kind == "float" else int(raw)
+    except ValueError as err:
+        raise ContractViolationError(f"bad value {raw!r} for config key {key!r}") from err
 
 
 @dataclass
@@ -177,8 +182,7 @@ def make_model(cfg: ExperimentConfig, seeds: SeedPlan, replicate: int):
     """Fresh model instance for one fold of one replicate."""
     schedule = _schedule_for(cfg, seeds, replicate)
     if cfg.model == "splitting":
-        return SplittingGP(cfg.m, train_schedule=schedule,
-                           estimator_mode=cfg.estimator_mode)
+        return SplittingGP(cfg.m, train_schedule=schedule)
     if cfg.model == "fullgp":
         return FullGp(train_schedule=schedule)
     if cfg.model == "localgp":
@@ -409,9 +413,7 @@ def summarize(records, metric: str = "mse") -> list[SummaryRow]:
         mean = float(rep_means.mean())
         lo = hi = None
         if r >= 2:
-            half = float(
-                stats.t.ppf(0.975, r - 1) * rep_means.std(ddof=1) / math.sqrt(r)
-            )
+            half = float(stdtrit(r - 1, 0.975) * rep_means.std(ddof=1) / math.sqrt(r))
             lo, hi = mean - half, mean + half
         rows.append(SummaryRow(*key, mean=mean, lo=lo, hi=hi, replicates=r))
     return rows

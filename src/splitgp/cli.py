@@ -8,47 +8,27 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .bench import (
     ExperimentConfig,
+    _coerce,
     emit_csv,
     emit_summary_csv,
     grid_search,
+    parse_kv_text,
     read_metrics,
     run_experiment,
     summarize,
 )
 from .exceptions import ContractViolationError
 
-_FLAG_TO_KEY = {
-    "model": "model",
-    "m": "m",
-    "wgen": "w_gen",
-    "experts": "experts",
-    "dataset": "dataset",
-    "synthetic_n": "synthetic_n",
-    "batch_size": "batch_size",
-    "replicates": "replicates",
-    "kfold": "kfold",
-    "train_fraction": "train_fraction",
-    "seed": "seed",
-    "sweep": "sweep",
-    "train_schedule": "train_schedule",
-    "fit_iters": "fit_iters",
-    "fit_subsample": "fit_subsample",
-    "standardize_x": "standardize_x",
-    "estimator_mode": "estimator_mode",
-    "x_cols": "x_cols",
-    "y_col": "y_col",
-    "out": "out",
-}
-
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--model", choices=["splitting", "fullgp", "localgp", "rbcm"])
     parser.add_argument("--m", type=int, help="splitting limit")
-    parser.add_argument("--wgen", type=float, help="local GP similarity threshold")
+    parser.add_argument("--wgen", dest="w_gen", type=float, help="local GP similarity threshold")
     parser.add_argument("--experts", type=int, help="rBCM expert count")
     parser.add_argument("--dataset", help="'synthetic' or 'csv:<path>'")
     parser.add_argument("--synthetic-n", dest="synthetic_n", type=int)
@@ -66,27 +46,19 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fit-subsample", dest="fit_subsample", type=int)
     parser.add_argument("--standardize-x", dest="standardize_x", action="store_const",
                         const="1", default=None)
-    parser.add_argument("--estimator-mode", dest="estimator_mode",
-                        choices=["batch-svd", "oja-streaming"])
     parser.add_argument("--out", help="output CSV path")
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The `--config` file's settings, overridden by the flags given."""
     mapping: dict = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            for line in fh.read().splitlines():
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise ContractViolationError(f"malformed config line {line!r}")
-                mapping[key.strip()] = value.strip()
-    for key in _FLAG_TO_KEY.values():
-        value = getattr(args, key if key != "w_gen" else "wgen", None)
+            mapping = parse_kv_text(fh.read())
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            mapping[key] = value if isinstance(value, str) else str(value)
+            mapping[f.name] = value
     return ExperimentConfig.from_mapping(mapping)
 
 
@@ -97,8 +69,7 @@ def _parse_grid(items: list[str]) -> dict[str, list]:
         if not sep:
             raise ContractViolationError(f"grid entry {item!r} is not key=v1,v2,...")
         key = key.strip()
-        caster = float if key in ("w_gen", "train_fraction") else int
-        grid[key] = [caster(v) for v in values.split(",")]
+        grid[key] = [_coerce(key, v.strip()) for v in values.split(",")]
     return grid
 
 

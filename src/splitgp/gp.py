@@ -194,7 +194,7 @@ class GpPosterior:
         against the factor where it is stored; more rows against `chol` in
         one call.
         """
-        sf2 = self.spec.params.signal_variance
+        sf2 = self.spec.signal_variance
         B = Xs.shape[0]
         if not self.n:
             return (np.zeros(B) if mean else None), (np.full(B, sf2) if variance else None)
@@ -248,8 +248,7 @@ class GpPosterior:
         """
         if self.jitter != 0.0 or not self.n:
             return None
-        params = self.spec.params
-        prior_var = params.signal_variance + params.noise_variance
+        prior_var = self.spec.signal_variance + self.spec.noise_variance
         min_pivot = PIVOT_RTOL * prior_var
         # A grown factor's pivots all passed this test as they were added.
         if self._store is None and not np.min(np.diagonal(self._L)) ** 2 > min_pivot:
@@ -257,7 +256,7 @@ class GpPosterior:
         x = np.asarray(x, dtype=float).reshape(1, -1)
         xs, a = scaled_rows(x, self.spec, "x")
         l = self._solve_lower(scaled_cross_gram(xs, a, *self.scaled_rows(),
-                                                params.signal_variance)[0])
+                                                self.spec.signal_variance)[0])
         d2 = prior_var - l @ l
         if not d2 > min_pivot:
             return None
@@ -345,7 +344,7 @@ def lml_gradient(post: GpPosterior, spec: KernelSpec,
     post._check_spec(spec)
     if post.n == 0:
         raise ContractViolationError("gradient needs at least one observation")
-    params, alpha = spec.params, post.alpha
+    alpha = post.alpha
     if K is None:
         K = gram(post.X, spec)
     # dpotri writes the lower triangle of K^-1 into an F-ordered copy of L and
@@ -356,14 +355,14 @@ def lml_gradient(post: GpPosterior, spec: KernelSpec,
     w_diag = alpha * alpha - H.diagonal()
     H = dger(-0.5, alpha, alpha, a=H, overwrite_a=1)  # H = T - alpha alpha^T / 2
     H *= K.T  # H = -G off the diagonal; K.T is K, in H's memory order
-    np.fill_diagonal(H, -0.5 * params.signal_variance * w_diag)
+    np.fill_diagonal(H, -0.5 * spec.signal_variance * w_diag)
     p_rows = -(H.sum(axis=0) + H.sum(axis=1))  # P 1
     Xc = post.X - post.X.mean(axis=0)
-    ls = params.lengthscales
+    ls = spec.lengthscales
     grad_ls = (p_rows @ (Xc * Xc) + 2.0 * np.einsum("ij,ij->j", Xc, H @ Xc)) / (ls * ls)
     return np.concatenate([
         grad_ls,
-        [0.5 * p_rows.sum(), 0.5 * params.noise_variance * w_diag.sum()],
+        [0.5 * p_rows.sum(), 0.5 * spec.noise_variance * w_diag.sum()],
     ])
 
 

@@ -13,13 +13,10 @@ import numpy as np
 
 from .exceptions import ContractViolationError
 
-RBF_ARD = "rbf-ard"
-_FAMILIES = (RBF_ARD,)
-
 
 @dataclass(frozen=True, eq=False)
-class Hyperparameters:
-    """Kernel hyperparameters shared by all local GPs.
+class KernelSpec:
+    """Kernel parameters shared by all local GPs.
 
     Parameters
     ----------
@@ -57,7 +54,7 @@ class Hyperparameters:
     def __eq__(self, other) -> bool:
         if other is self:
             return True
-        if not isinstance(other, Hyperparameters):
+        if not isinstance(other, KernelSpec):
             return NotImplemented
         return (
             np.array_equal(self.lengthscales, other.lengthscales)
@@ -75,79 +72,26 @@ class Hyperparameters:
                 ]
             )
 
-    @classmethod
-    def from_log_vector(cls, theta: np.ndarray) -> "Hyperparameters":
+    def with_log_vector(self, theta: np.ndarray) -> "KernelSpec":
+        """The spec whose `to_log_vector` is theta."""
         theta = np.asarray(theta, dtype=float)
         if theta.ndim != 1 or theta.size < 3:
             raise ContractViolationError("log vector must contain at least one lengthscale")
-        return cls(
+        return KernelSpec(
             lengthscales=np.exp(theta[:-2]),
             signal_variance=float(np.exp(theta[-2])),
             noise_variance=float(np.exp(theta[-1])),
         )
 
-    def to_kv_text(self) -> str:
-        """Flat key=value block used by the CLI config."""
-        ls = ",".join(repr(float(v)) for v in self.lengthscales)
-        return (
-            f"lengthscales={ls}\n"
-            f"signal_variance={self.signal_variance!r}\n"
-            f"noise_variance={self.noise_variance!r}\n"
-        )
-
-    @classmethod
-    def from_kv_text(cls, text: str) -> "Hyperparameters":
-        fields = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-        try:
-            ls = np.array([float(v) for v in fields["lengthscales"].split(",")])
-            return cls(ls, float(fields["signal_variance"]), float(fields["noise_variance"]))
-        except KeyError as err:
-            raise ContractViolationError(f"missing hyperparameter key: {err}") from err
-
-
-@dataclass(frozen=True, eq=False)
-class KernelSpec:
-    """A kernel family paired with its hyperparameters."""
-
-    params: Hyperparameters
-    family: str = RBF_ARD
-
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ContractViolationError(f"unknown kernel family {self.family!r}")
-
-    @property
-    def ndim(self) -> int:
-        return self.params.ndim
-
-    def __eq__(self, other) -> bool:
-        if other is self:
-            return True
-        if not isinstance(other, KernelSpec):
-            return NotImplemented
-        return self.family == other.family and self.params == other.params
-
-    def to_log_vector(self) -> np.ndarray:
-        return self.params.to_log_vector()
-
-    def with_log_vector(self, theta: np.ndarray) -> "KernelSpec":
-        return KernelSpec(Hyperparameters.from_log_vector(theta), family=self.family)
-
 
 def default_spec(y: np.ndarray, ndim: int) -> KernelSpec:
-    """Starting hyperparameters: unit lengthscales, signal variance from the
+    """Starting kernel parameters: unit lengthscales, signal variance from the
     responses seen so far, noise at a tenth of that."""
     y = np.asarray(y, dtype=float)
     var = float(np.var(y)) if y.size >= 2 else 1.0
     if not np.isfinite(var) or var <= 0.0:
         var = 1.0
-    return KernelSpec(Hyperparameters(np.ones(ndim), var, 0.1 * var))
+    return KernelSpec(np.ones(ndim), var, 0.1 * var)
 
 
 def _check_rows(X: np.ndarray, spec: KernelSpec, arg: str) -> np.ndarray:
@@ -174,7 +118,7 @@ def scaled_rows(X: np.ndarray, spec: KernelSpec, arg: str = "X") -> tuple[np.nda
     The pair is one side of `scaled_cross_gram`.  An object whose rows and
     spec never change computes it once and keeps it.
     """
-    Xs = _check_rows(X, spec, arg) / spec.params.lengthscales
+    Xs = _check_rows(X, spec, arg) / spec.lengthscales
     return Xs, np.sum(Xs * Xs, axis=1)
 
 
@@ -233,7 +177,7 @@ def sq_dist(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
 def cross_gram(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Noise-free kernel matrix k(X, Z) of shape (n, p), a fresh array."""
     return scaled_cross_gram(*scaled_rows(X, spec, "X"), *scaled_rows(Z, spec, "Z"),
-                             spec.params.signal_variance)
+                             spec.signal_variance)
 
 
 def gram(X: np.ndarray, spec: KernelSpec, add_noise: bool = False,
@@ -244,11 +188,10 @@ def gram(X: np.ndarray, spec: KernelSpec, add_noise: bool = False,
     result is written into `out`, a C-ordered (n, n) float array, when one is
     given; otherwise it is a fresh array.
     """
-    params = spec.params
     Xs, a = scaled_rows(X, spec)
-    sf2 = params.signal_variance
+    sf2 = spec.signal_variance
     K = _rbf(_sq_dist(Xs, a, Xs, a, out), sf2)
-    np.fill_diagonal(K, sf2 + params.noise_variance if add_noise else sf2)
+    np.fill_diagonal(K, sf2 + spec.noise_variance if add_noise else sf2)
     return K
 
 
@@ -267,10 +210,10 @@ def gram_gradients(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
     n, m = X.shape
     K = gram(X, spec, add_noise=False)
     out = np.empty((m + 2, n, n))
-    ls = spec.params.lengthscales
+    ls = spec.lengthscales
     for d in range(m):
         diff = X[:, d:d + 1] - X[:, d]
         out[d] = K * (diff * diff) / (ls[d] * ls[d])
     out[m] = K
-    out[m + 1] = spec.params.noise_variance * np.eye(n)
+    out[m + 1] = spec.noise_variance * np.eye(n)
     return out

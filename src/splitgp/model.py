@@ -20,11 +20,10 @@ import numpy as np
 
 from .exceptions import ContractViolationError, EmptyModelError
 from .gp import FitResult, FitSchedule, GpPosterior, fit
-from .kernels import (Hyperparameters, KernelSpec, cross_gram, default_spec, scaled_cross_gram,
-                      scaled_rows, sq_dist)
-from .partition import BATCH_SVD, OJA_STREAMING, PrincipalDirectionEstimator, centroid, split
+from .kernels import KernelSpec, cross_gram, default_spec, scaled_cross_gram, scaled_rows, sq_dist
+from .partition import centroid, split
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 class PriorMeanNode:
@@ -59,7 +58,7 @@ class PriorMeanNode:
         if self._scaled is None:
             self._scaled = scaled_rows(self.X, self.spec)
         k = scaled_cross_gram(*scaled_rows(Xstar, self.spec, "Xstar"), *self._scaled,
-                              self.spec.params.signal_variance)
+                              self.spec.signal_variance)
         return base + k @ self.alpha
 
     def chain(self) -> list["PriorMeanNode"]:
@@ -176,7 +175,7 @@ class ChildModel:
 
 @dataclass
 class TrainSchedule:
-    """When to re-optimize the shared hyperparameters, and with what budget.
+    """When to re-optimize the shared kernel parameters, and with what budget.
 
     `on_split` refits after a split during single-observation updates;
     `on_batch` refits once at the end of every batch; `every_update` is the
@@ -221,7 +220,6 @@ class PredictionSummary:
     mean: float
     weights: np.ndarray
     normalizer: float
-    variance: float | None = None
     uniform_fallback: bool = False
 
 
@@ -236,21 +234,15 @@ class SplittingGP:
     spec : KernelSpec, optional
         Shared kernel; defaults are derived from the first data seen.
     train_schedule : TrainSchedule, optional
-    estimator_mode : str
-        "batch-svd" (exact principal direction) or "oja-streaming".
     """
 
     def __init__(self, split_limit: int, spec: KernelSpec | None = None,
-                 train_schedule: TrainSchedule | None = None,
-                 estimator_mode: str = BATCH_SVD):
+                 train_schedule: TrainSchedule | None = None):
         if split_limit < 2:
             raise ContractViolationError("split limit must be at least 2")
-        if estimator_mode not in (BATCH_SVD, OJA_STREAMING):
-            raise ContractViolationError(f"unknown estimator mode {estimator_mode!r}")
         self.m = int(split_limit)
         self.spec = spec
         self.schedule = train_schedule or TrainSchedule()
-        self.estimator_mode = estimator_mode
         self.children: list[ChildModel] = []
         self.last_fit: FitResult | None = None
 
@@ -268,11 +260,6 @@ class SplittingGP:
     def ndim(self) -> int | None:
         return self.children[0].X.shape[1] if self.children else None
 
-    def _ensure_spec(self, x: np.ndarray, y: float) -> None:
-        if self.spec is None:
-            ys = np.concatenate([c.Y for c in self.children] + [[y]]) if self.children else [y]
-            self.spec = default_spec(np.asarray(ys), np.asarray(x).size)
-
     def _nearest_child(self, x: np.ndarray) -> int:
         """Index of the child whose center is nearest to x in scaled distance."""
         centers = np.array([c.center for c in self.children])
@@ -286,7 +273,8 @@ class SplittingGP:
     def _ingest_one(self, x: np.ndarray, y: float) -> bool:
         """Route one observation; returns True when it triggered a split."""
         x, y = check_observation(x, y, None if self.spec is None else self.spec.ndim)
-        self._ensure_spec(x, y)
+        if self.spec is None:
+            self.spec = default_spec(np.asarray([y]), x.size)
         if not self.children:
             self.children.append(self._new_child(x[None, :], [y], center=x.copy()))
             return False
@@ -306,10 +294,7 @@ class SplittingGP:
             self.spec,
             child.prior,
         )
-        est = None
-        if self.estimator_mode == OJA_STREAMING:
-            est = PrincipalDirectionEstimator(mode=OJA_STREAMING)
-        result = split(child.X, child.Y, child.center, est)
+        result = split(child.X, child.Y, child.center)
         self.children[idx] = self._new_child(*result.left, prior=node)
         self.children.append(self._new_child(*result.right, prior=node))
 
@@ -320,7 +305,7 @@ class SplittingGP:
             self.refit()
 
     def update_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
-        """Insert rows in order; hyperparameters are refit once at the end."""
+        """Insert rows in order; the kernel is refit once at the end."""
         X, Y = check_batch(X, Y, None if self.spec is None else self.spec.ndim)
         if X.shape[0] == 0:
             return
@@ -342,7 +327,7 @@ class SplittingGP:
         return subsample_shards(shards, self.schedule)
 
     def refit(self) -> FitResult:
-        """Re-optimize the shared hyperparameters on the current children."""
+        """Re-optimize the shared kernel parameters on the current children."""
         if not self.children:
             raise EmptyModelError("cannot fit an empty model")
         result = fit(self._fit_shards(), self.spec, self.schedule.fit)
@@ -495,7 +480,6 @@ class SplittingGP:
         payload = {
             "version": np.array(SNAPSHOT_VERSION),
             "m": np.array(self.m),
-            "estimator_mode": np.array(self.estimator_mode),
             "n_children": np.array(self.n_children),
             "n_nodes": np.array(len(nodes)),
         }
@@ -524,8 +508,7 @@ class SplittingGP:
             if version != SNAPSHOT_VERSION:
                 raise ContractViolationError(f"unsupported snapshot version {version}")
             spec = _spec_from_array(data["spec"]) if "spec" in data else None
-            model = cls(int(data["m"]), spec=spec,
-                        estimator_mode=str(data["estimator_mode"]))
+            model = cls(int(data["m"]), spec=spec)
             nodes: list[PriorMeanNode] = []
             for i in range(int(data["n_nodes"])):
                 parent_idx = int(data[f"node_{i}_parent"])
@@ -545,11 +528,8 @@ class SplittingGP:
 
 
 def _spec_to_array(spec: KernelSpec) -> np.ndarray:
-    return np.concatenate([
-        [spec.params.signal_variance, spec.params.noise_variance],
-        spec.params.lengthscales,
-    ])
+    return np.concatenate([[spec.signal_variance, spec.noise_variance], spec.lengthscales])
 
 
 def _spec_from_array(arr: np.ndarray) -> KernelSpec:
-    return KernelSpec(Hyperparameters(arr[2:], float(arr[0]), float(arr[1])))
+    return KernelSpec(arr[2:], float(arr[0]), float(arr[1]))

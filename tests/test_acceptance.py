@@ -21,7 +21,7 @@ from splitgp.gp import (
     posterior_mean,
     posterior_variance,
 )
-from splitgp.kernels import Hyperparameters, KernelSpec, cross_gram, gram
+from splitgp.kernels import KernelSpec, cross_gram, gram
 from splitgp.model import ChildModel, SplittingGP, TrainSchedule
 from splitgp.partition import centroid, split
 
@@ -36,11 +36,11 @@ def report(num, name, ok, detail=""):
 
 
 def random_spec(rng, ndim):
-    return KernelSpec(Hyperparameters(
+    return KernelSpec(
         rng.uniform(0.4, 2.0, size=ndim),
         float(rng.uniform(0.5, 3.0)),
         float(rng.uniform(0.05, 0.5)),
-    ))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ def test_criterion_1_oracle_equivalence():
             x = rng.uniform(-2, 2, size=ndim)
             ks = cross_gram(x[None, :], X, spec)[0]
             mean_oracle = ks @ solve(K, Y)
-            var_oracle = spec.params.signal_variance - ks @ solve(K, ks)
+            var_oracle = spec.signal_variance - ks @ solve(K, ks)
             worst = max(worst, abs(posterior_mean(post, x, spec) - mean_oracle))
             worst = max(worst, abs(posterior_variance(post, x, spec) - max(var_oracle, 0.0)))
         sign, logdet = np.linalg.slogdet(K)

@@ -7,12 +7,12 @@ from splitgp.baselines import FullGp, LocalGpWgen, OnlineRegressor, Rbcm
 from splitgp.data import SeedPlan, synth_dataset
 from splitgp.exceptions import ContractViolationError, EmptyModelError
 from splitgp.gp import GpPosterior, posterior_mean, posterior_variance
-from splitgp.kernels import Hyperparameters, KernelSpec
+from splitgp.kernels import KernelSpec
 from splitgp.model import SplittingGP, TrainSchedule
 
 
 def make_spec(ls, sf2=1.0, sn2=0.1):
-    return KernelSpec(Hyperparameters(np.asarray(ls, dtype=float), sf2, sn2))
+    return KernelSpec(np.asarray(ls, dtype=float), sf2, sn2)
 
 
 def quiet(**kwargs):

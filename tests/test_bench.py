@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,9 +302,42 @@ class TestCli:
         assert rc == 0
         assert len(read_metrics(out)) == 2
 
+    def test_grid_values_take_their_field_types(self):
+        grid = cli._parse_grid(["model=splitting, fullgp", "standardize_x=1,0", "w_gen=0.5"])
+        assert grid == {"model": ["splitting", "fullgp"], "standardize_x": [True, False],
+                        "w_gen": [0.5]}
+        assert all(type(v) is bool for v in grid["standardize_x"])
+
+    def test_grid_over_models(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        rc = cli.main([
+            "grid", "--dataset", "synthetic", "--synthetic-n", "120", "--kfold", "2",
+            "--replicates", "1", "--seed", "3", "--batch-size", "60",
+            "--train-schedule", "never", "--grid", "model=splitting,fullgp", "--out", str(out),
+        ])
+        assert rc == 0
+        assert sorted({r.model for r in read_metrics(out)}) == ["fullgp", "splitting"]
+
+    @pytest.mark.parametrize("grid", ["m=ten", "turbo=1,2", "model=oracle"])
+    def test_bad_grid_returns_error(self, tmp_path, capsys, grid):
+        rc = cli.main(["grid", "--synthetic-n", "120", "--grid", grid,
+                       "--out", str(tmp_path / "grid.csv")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_bad_config_returns_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("model=timetravel\n")
         rc = cli.main(["run", "--config", str(cfg_path)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, splitgp; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -16,11 +16,11 @@ from splitgp.gp import (
     posterior_mean,
     posterior_variance,
 )
-from splitgp.kernels import Hyperparameters, KernelSpec, gram, gram_gradients
+from splitgp.kernels import KernelSpec, gram, gram_gradients
 
 
 def make_spec(ls, sf2=1.0, sn2=0.1):
-    return KernelSpec(Hyperparameters(np.asarray(ls, dtype=float), sf2, sn2))
+    return KernelSpec(np.asarray(ls, dtype=float), sf2, sn2)
 
 
 # Dense direct-solve oracle, deliberately avoiding the Cholesky code path.
@@ -34,7 +34,7 @@ def oracle_mean(X, Y, spec, x_star):
 def oracle_variance(X, Y, spec, x_star):
     K = gram(X, spec, add_noise=True)
     ks = gram(np.vstack([x_star[None, :], X]), spec, add_noise=False)[0, 1:]
-    return spec.params.signal_variance - ks @ np.linalg.solve(K, ks)
+    return spec.signal_variance - ks @ np.linalg.solve(K, ks)
 
 
 def oracle_lml(X, Y, spec):
@@ -368,7 +368,7 @@ class TestFit:
         Y = np.linalg.cholesky(K) @ rng.standard_normal(200)
         start = make_spec([1.0], sf2=float(np.var(Y)), sn2=0.1 * float(np.var(Y)))
         result = fit([(X, Y)], start, FitSchedule(max_iters=150))
-        recovered = result.spec.params.lengthscales[0]
+        recovered = result.spec.lengthscales[0]
         assert abs(recovered - 0.7) / 0.7 < 0.25
 
     def test_shards_differ_from_concatenation_generally(self):

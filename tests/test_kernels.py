@@ -6,7 +6,6 @@ import pytest
 
 from splitgp.exceptions import ContractViolationError
 from splitgp.kernels import (
-    Hyperparameters,
     KernelSpec,
     cross_gram,
     default_spec,
@@ -18,7 +17,7 @@ from splitgp.kernels import (
 
 
 def make_spec(ls, sf2=1.0, sn2=0.1):
-    return KernelSpec(Hyperparameters(np.asarray(ls, dtype=float), sf2, sn2))
+    return KernelSpec(np.asarray(ls, dtype=float), sf2, sn2)
 
 
 class TestEval:
@@ -47,9 +46,9 @@ class TestEval:
             x, z = rng.normal(size=3), rng.normal(size=3)
             k_xz = kernel_eval(x, z, spec)
             assert k_xz == pytest.approx(kernel_eval(z, x, spec), rel=1e-14)
-            assert 0.0 < k_xz <= spec.params.signal_variance
+            assert 0.0 < k_xz <= spec.signal_variance
             if not np.array_equal(x, z):
-                assert k_xz < spec.params.signal_variance
+                assert k_xz < spec.signal_variance
 
     def test_continuity_halving(self):
         # A non-stationary point of the map t -> k(x + t*d, z).
@@ -127,16 +126,11 @@ class TestGramGradients:
 
 class TestHyperparameters:
     def test_log_round_trip(self):
-        hp = Hyperparameters(np.array([0.5, 2.0, 7.0]), 3.0, 0.25)
-        back = Hyperparameters.from_log_vector(hp.to_log_vector())
+        hp = KernelSpec(np.array([0.5, 2.0, 7.0]), 3.0, 0.25)
+        back = hp.with_log_vector(hp.to_log_vector())
         assert np.allclose(back.lengthscales, hp.lengthscales, rtol=1e-15)
         assert back.signal_variance == pytest.approx(3.0, rel=1e-15)
         assert back.noise_variance == pytest.approx(0.25, rel=1e-15)
-
-    def test_kv_text_round_trip(self):
-        hp = Hyperparameters(np.array([0.5, 2.0]), 1.25, 0.0625)
-        back = Hyperparameters.from_kv_text(hp.to_kv_text())
-        assert back == hp
 
     @pytest.mark.parametrize("ls,sf2,sn2", [
         ([0.0, 1.0], 1.0, 0.1),
@@ -148,14 +142,14 @@ class TestHyperparameters:
     ])
     def test_invalid_values_raise(self, ls, sf2, sn2):
         with pytest.raises(ContractViolationError):
-            Hyperparameters(np.asarray(ls, dtype=float), sf2, sn2)
+            KernelSpec(np.asarray(ls, dtype=float), sf2, sn2)
 
     def test_default_spec_follows_sample_variance(self):
         y = np.array([1.0, 3.0, 5.0])
         spec = default_spec(y, ndim=2)
-        assert np.array_equal(spec.params.lengthscales, [1.0, 1.0])
-        assert spec.params.signal_variance == pytest.approx(np.var(y))
-        assert spec.params.noise_variance == pytest.approx(0.1 * np.var(y))
+        assert np.array_equal(spec.lengthscales, [1.0, 1.0])
+        assert spec.signal_variance == pytest.approx(np.var(y))
+        assert spec.noise_variance == pytest.approx(0.1 * np.var(y))
 
 
 def test_cross_gram_shape_and_consistency():
@@ -168,8 +162,8 @@ def test_cross_gram_shape_and_consistency():
 
 
 def textbook_cross_gram(X, Z, spec):
-    diff = (X[:, None, :] - Z[None, :, :]) / spec.params.lengthscales
-    return spec.params.signal_variance * np.exp(-0.5 * np.sum(diff * diff, axis=2))
+    diff = (X[:, None, :] - Z[None, :, :]) / spec.lengthscales
+    return spec.signal_variance * np.exp(-0.5 * np.sum(diff * diff, axis=2))
 
 
 class TestOneBufferGram:
@@ -221,6 +215,6 @@ class TestOneBufferGram:
         spec = make_spec([0.4, 2.5], sf2=0.8)
         x, centers = rng.normal(size=(1, 2)), rng.normal(size=(30, 2))
         D = sq_dist(x, centers, spec)
-        diff = (x - centers) / spec.params.lengthscales
+        diff = (x - centers) / spec.lengthscales
         assert np.allclose(D[0], np.sum(diff * diff, axis=1), rtol=1e-12, atol=1e-14)
         assert np.argmin(D[0]) == np.argmax(cross_gram(x, centers, spec)[0])

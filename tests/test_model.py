@@ -7,12 +7,12 @@ from splitgp.baselines import LocalGpWgen
 from splitgp.data import SeedPlan, synth_dataset
 from splitgp.exceptions import ContractViolationError, EmptyModelError
 from splitgp.gp import FitSchedule, GpPosterior, posterior_mean, posterior_variance
-from splitgp.kernels import Hyperparameters, KernelSpec, gram, kernel_eval
+from splitgp.kernels import KernelSpec, gram, kernel_eval
 from splitgp.model import ChildModel, PriorMeanNode, SplittingGP, TrainSchedule
 
 
 def make_spec(ls, sf2=1.0, sn2=0.1):
-    return KernelSpec(Hyperparameters(np.asarray(ls, dtype=float), sf2, sn2))
+    return KernelSpec(np.asarray(ls, dtype=float), sf2, sn2)
 
 
 def quiet_model(m, spec=None, **kwargs):
@@ -311,19 +311,65 @@ class TestSnapshot:
         assert np.array_equal(model.predict_mean_batch(grid), loaded.predict_mean_batch(grid))
         assert loaded.memory_footprint() == model.memory_footprint()
 
+    @staticmethod
+    def _stream(seed, n=160):
+        """A 2-d stream in which every fifth input lies on the line x2 = 2 x1
+        and every fifth repeats an earlier input."""
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1, 1, size=(n, 2))
+        X[2::5, 1] = 2.0 * X[2::5, 0]
+        for t in range(4, n, 5):
+            X[t] = X[rng.integers(t)]
+        return X, np.sin(3 * X[:, 0]) + X[:, 1] ** 2 + 0.05 * rng.standard_normal(n)
 
-def test_oja_estimator_mode_streams_and_splits():
-    seeds = SeedPlan(14)
-    ds = synth_dataset(400, seeds)
-    model = quiet_model(80, estimator_mode="oja-streaming")
-    model.update_batch(ds.X, ds.Y)
-    assert model.n_children >= 5
-    assert all(c.n <= 80 for c in model.children)
-    assert model.n_observations == 400
-    # Splits remain deterministic for a fixed stream.
-    other = quiet_model(80, estimator_mode="oja-streaming")
-    other.update_batch(ds.X, ds.Y)
-    assert [c.n for c in other.children] == [c.n for c in model.children]
+    @staticmethod
+    def _predict_then_update(model, X, Y):
+        out = []
+        for x, y in zip(X, Y):
+            out.append(model.predict(x))
+            model.update(x, y)
+        grid = np.random.default_rng(0).uniform(-1.5, 1.5, size=(30, 2))
+        return np.concatenate([np.ravel(out), model.predict_mean_batch(grid),
+                               model.predict_variance_batch(grid)])
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    @pytest.mark.parametrize("m", [15, 60])
+    @pytest.mark.parametrize("refit", [False, True])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_save_load_continue_matches_uninterrupted(self, tmp_path, seed, m, refit, warm):
+        X, Y = self._stream(seed)
+        sched = (TrainSchedule(on_split=True, on_batch=False, fit=FitSchedule(max_iters=3))
+                 if refit else TrainSchedule.never())
+        model = SplittingGP(m, train_schedule=sched)
+        for t in range(100):
+            if warm and model.children:
+                model.predict(X[t])
+            model.update(X[t], Y[t])
+        assert any(c._posterior is not None for c in model.children) == warm
+        model.save(tmp_path / "model.npz")
+        loaded = SplittingGP.load(tmp_path / "model.npz")
+        loaded.schedule = model.schedule  # snapshots do not store the schedule
+        expected = self._predict_then_update(model, X[100:], Y[100:])
+        got = self._predict_then_update(loaded, X[100:], Y[100:])
+        assert loaded.n_observations == model.n_observations == X.shape[0]
+        if warm:
+            # The loaded model refactorizes the factors the other one grew
+            # row by row, so the two agree to round-off, not bitwise.
+            gap = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+            assert gap <= 1e-9
+        else:
+            assert got.tobytes() == expected.tobytes()
+
+    def test_version_2_snapshot_rejected(self, tmp_path):
+        model = quiet_model(5)
+        model.update_batch(*self._stream(33, n=12))
+        model.save(tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz") as data:
+            payload = dict(data)
+        payload.update(version=np.array(2), estimator_mode=np.array("batch-svd"))
+        np.savez(tmp_path / "old.npz", **payload)
+        with pytest.raises(ContractViolationError, match="version 2"):
+            SplittingGP.load(tmp_path / "old.npz")
 
 
 def test_update_refits_on_split_per_schedule():

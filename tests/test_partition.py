@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from splitgp.exceptions import ContractViolationError, DegenerateDataError
-from splitgp.partition import (
-    OJA_STREAMING,
-    PrincipalDirectionEstimator,
-    centroid,
-    principal_direction,
-    split,
-)
+from splitgp.partition import centroid, principal_direction, split
 
 
 class TestCentroid:
@@ -69,36 +63,6 @@ class TestPrincipalDirection:
     def test_single_row_rejected(self):
         with pytest.raises(ContractViolationError):
             principal_direction(np.array([[1.0, 2.0]]))
-
-
-class TestOja:
-    def test_converges_on_anisotropic_stream(self):
-        rng = np.random.default_rng(3)
-        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        stream = rng.standard_normal((10000, 3)) * np.array([3.0, 1.0, 0.4]) @ Q.T
-        est = PrincipalDirectionEstimator(mode=OJA_STREAMING)
-        for row in stream:
-            est.observe(row)
-        batch = principal_direction(stream)
-        assert abs(est.direction @ batch) > 0.99
-
-    def test_direction_stays_unit(self):
-        rng = np.random.default_rng(4)
-        est = PrincipalDirectionEstimator(mode=OJA_STREAMING)
-        for row in rng.normal(size=(200, 2)):
-            est.observe(row)
-            if est.direction is not None:
-                assert np.linalg.norm(est.direction) == pytest.approx(1.0, abs=1e-12)
-
-    def test_streaming_mode_through_interface(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(500, 2)) * np.array([4.0, 0.5])
-        v = principal_direction(X, PrincipalDirectionEstimator(mode=OJA_STREAMING))
-        assert abs(v @ principal_direction(X)) > 0.95
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ContractViolationError):
-            PrincipalDirectionEstimator(mode="kmeans")
 
 
 class TestSplit:
