@@ -68,8 +68,6 @@ class FullGp:
 
     def ingest(self, x: np.ndarray, y: float) -> None:
         self._append(x, y)
-        if self.schedule.every_update:
-            self.refit()
 
     def ingest_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
         X, Y = check_batch(X, Y, _ndim(self.spec))
@@ -163,8 +161,6 @@ class LocalGpWgen:
 
     def ingest(self, x: np.ndarray, y: float) -> None:
         self._ingest_one(x, y)
-        if self.schedule.every_update:
-            self.refit()
 
     def ingest_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
         X, Y = check_batch(X, Y, _ndim(self.spec))
@@ -257,8 +253,6 @@ class Rbcm:
 
     def ingest(self, x: np.ndarray, y: float) -> None:
         self._ingest_one(x, y)
-        if self.schedule.every_update:
-            self.refit()
 
     def ingest_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
         X, Y = check_batch(X, Y, _ndim(self.spec))

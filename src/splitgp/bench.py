@@ -29,7 +29,7 @@ from .gp import FitSchedule
 from .model import SplittingGP, TrainSchedule
 
 MODELS = ("splitting", "fullgp", "localgp", "rbcm")
-SCHEDULES = ("default", "batch", "split", "every", "never")
+SCHEDULES = ("default", "batch", "split", "never")
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,7 @@ def parse_kv_text(text: str) -> dict[str, str]:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _coerce(key: str, raw):
@@ -130,7 +131,10 @@ def _coerce(key: str, raw):
         if kind == "str":
             return raw
         if kind == "bool":
-            return raw.strip() in ("1", "true", "True", "yes")
+            word = raw.strip().lower()
+            if word not in _BOOL_WORDS:
+                raise ValueError(word)
+            return _BOOL_WORDS[word]
         return float(raw) if kind == "float" else int(raw)
     except ValueError as err:
         raise ContractViolationError(f"bad value {raw!r} for config key {key!r}") from err
@@ -164,11 +168,10 @@ TIMING_COLUMNS = ("train_time_s", "predict_time_s")
 
 def _schedule_for(cfg: ExperimentConfig, seeds: SeedPlan, replicate: int) -> TrainSchedule:
     flags = {
-        "default": dict(on_split=True, on_batch=True, every_update=False),
-        "batch": dict(on_split=False, on_batch=True, every_update=False),
-        "split": dict(on_split=True, on_batch=False, every_update=False),
-        "every": dict(on_split=True, on_batch=True, every_update=True),
-        "never": dict(on_split=False, on_batch=False, every_update=False),
+        "default": dict(on_split=True, on_batch=True),
+        "batch": dict(on_split=False, on_batch=True),
+        "split": dict(on_split=True, on_batch=False),
+        "never": dict(on_split=False, on_batch=False),
     }[cfg.train_schedule]
     return TrainSchedule(
         fit=FitSchedule(max_iters=cfg.fit_iters),

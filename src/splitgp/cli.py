@@ -11,6 +11,7 @@ import sys
 from dataclasses import fields
 
 from .bench import (
+    SCHEDULES,
     ExperimentConfig,
     _coerce,
     emit_csv,
@@ -41,7 +42,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--sweep", help="checkpoint counts start:stop:step")
     parser.add_argument("--train-schedule", dest="train_schedule",
-                        choices=["default", "batch", "split", "every", "never"])
+                        choices=SCHEDULES)
     parser.add_argument("--fit-iters", dest="fit_iters", type=int)
     parser.add_argument("--fit-subsample", dest="fit_subsample", type=int)
     parser.add_argument("--standardize-x", dest="standardize_x", action="store_const",

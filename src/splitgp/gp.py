@@ -117,6 +117,12 @@ class GpPosterior:
     stored rows, so a posterior that only serves a fit never holds them.
     `chol` is the n x n lower factor; an extended posterior unpacks it into a
     fresh array on each read.
+
+    A single-row variance query leaves a one-entry memo: the scaled row's
+    bytes and its l = L^-1 k.  `extended` at that row reuses l instead of
+    building the kernel row and solving again, which is safe because the
+    posterior never changes.  A posterior starts with no memo, an extended
+    one included.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
@@ -160,6 +166,7 @@ class GpPosterior:
         self._store: _Storage | None = None  # set on the first extension
         self._scaled: tuple[np.ndarray, np.ndarray] | None = None
         self._v: np.ndarray | None = None  # L^-1 Y, kept once the factor grows
+        self._memo: tuple[bytes, np.ndarray] | None = None  # (row bytes, L^-1 k)
 
     @property
     def n(self) -> int:
@@ -191,8 +198,8 @@ class GpPosterior:
         None for what is not asked.
 
         One kernel row per query row serves both.  A single row is solved
-        against the factor where it is stored; more rows against `chol` in
-        one call.
+        against the factor where it is stored, and its solve is memoized for
+        `extended`; more rows are solved against `chol` in one call.
         """
         sf2 = self.spec.signal_variance
         B = Xs.shape[0]
@@ -204,6 +211,7 @@ class GpPosterior:
             return mu, None
         if B == 1:
             l = self._solve_lower(K[0])
+            self._memo = (Xs.tobytes(), l)
             var = np.array([sf2 - l @ l])
         else:
             V = solve_triangular(self.chol, K.T, lower=True, check_finite=False)
@@ -236,15 +244,19 @@ class GpPosterior:
         store.rows = n
         return store
 
-    def extended(self, x: np.ndarray, y: float) -> "GpPosterior | None":
+    def extended(self, x: np.ndarray, y: float,
+                 scaled: tuple[np.ndarray, np.ndarray] | None = None) -> "GpPosterior | None":
         """This posterior conditioned on one more observation (x, y), in O(n^2).
 
         Appends the row [l^T d] to the factor, with l = L^-1 k(X, x) and
         d^2 = sf2 + sn2 - l.l, extends v = L^-1 Y by (y - l.v) / d and
-        back-substitutes alpha = L^-T v.  Returns None, leaving the caller to
-        refactorize, when there is no factor, when it needed jitter, or when
-        any pivot, old or new, is not above PIVOT_RTOL of sf2 + sn2: a nearly
-        singular factor is not built upon.
+        back-substitutes alpha = L^-T v.  `scaled` is x's `scaled_rows` pair
+        under this posterior's spec when the caller holds it.  When x is the
+        row of the last single-row variance query, l is that query's; then
+        the step is the back-substitution and O(n) bookkeeping.  Returns
+        None, leaving the caller to refactorize, when there is no factor,
+        when it needed jitter, or when any pivot, old or new, is not above
+        PIVOT_RTOL of sf2 + sn2: a nearly singular factor is not built upon.
         """
         if self.jitter != 0.0 or not self.n:
             return None
@@ -254,9 +266,12 @@ class GpPosterior:
         if self._store is None and not np.min(np.diagonal(self._L)) ** 2 > min_pivot:
             return None
         x = np.asarray(x, dtype=float).reshape(1, -1)
-        xs, a = scaled_rows(x, self.spec, "x")
-        l = self._solve_lower(scaled_cross_gram(xs, a, *self.scaled_rows(),
-                                                self.spec.signal_variance)[0])
+        xs, a = scaled_rows(x, self.spec, "x") if scaled is None else scaled
+        if self._memo is not None and self._memo[0] == xs.tobytes():
+            l = self._memo[1]
+        else:
+            l = self._solve_lower(scaled_cross_gram(xs, a, *self.scaled_rows(),
+                                                    self.spec.signal_variance)[0])
         d2 = prior_var - l @ l
         if not d2 > min_pivot:
             return None
@@ -276,7 +291,7 @@ class GpPosterior:
         out.X, out.Y, out.spec, out.max_rows = store.X[:n], store.Y[:n], self.spec, self.max_rows
         out._L, out.jitter, out._store = None, 0.0, store
         out._scaled = (store.Xs[:n], store.norms[:n])
-        out._v = store.v[:n]
+        out._v, out._memo = store.v[:n], None
         out.alpha = dtpsv(n, store.packed, out._v.copy(), lower=0, trans=0, overwrite_x=1)
         return out
 

@@ -8,6 +8,7 @@ an unconstrained log-domain vector for gradient ascent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,30 +113,58 @@ def kernel_eval(x: np.ndarray, x_prime: np.ndarray, spec: KernelSpec) -> float:
     return float(cross_gram(x, x_prime, spec)[0, 0])
 
 
+def _scale(X: np.ndarray, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
+    Xs = X / spec.lengthscales
+    return Xs, np.sum(Xs * Xs, axis=1)
+
+
 def scaled_rows(X: np.ndarray, spec: KernelSpec, arg: str = "X") -> tuple[np.ndarray, np.ndarray]:
     """Rows X / lengthscales, after `_check_rows`, with their squared norms.
 
     The pair is one side of `scaled_cross_gram`.  An object whose rows and
     spec never change computes it once and keeps it.
     """
-    Xs = _check_rows(X, spec, arg) / spec.lengthscales
-    return Xs, np.sum(Xs * Xs, axis=1)
+    return _scale(_check_rows(X, spec, arg), spec)
 
 
-# Entries per block of `_sq_dist`'s norm sum, so that its temporary stays at
-# 64 KiB.  A temporary as large as the result would be a second large
+class Query(NamedTuple):
+    """Query rows checked once and scaled once under `spec`, so that every
+    consumer of one call shares one `scaled_rows` pair (Xs, norms)."""
+
+    X: np.ndarray
+    Xs: np.ndarray
+    norms: np.ndarray
+    spec: KernelSpec
+
+    @classmethod
+    def of(cls, X: np.ndarray, spec: KernelSpec, arg: str = "Xstar") -> "Query":
+        X = _check_rows(X, spec, arg)
+        return cls(X, *_scale(X, spec), spec)
+
+    def scaled(self, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
+        """The rows' `scaled_rows` pair under `spec`: the kept one when spec
+        equals the query's, else scaled afresh."""
+        if spec == self.spec:
+            return self.Xs, self.norms
+        return scaled_rows(self.X, spec, "Xstar")
+
+
+# Entries per block of `scaled_sq_dist`'s norm sum, so that its temporary
+# stays at 64 KiB.  A temporary as large as the result would be a second large
 # allocation on every call, and each large allocation maps fresh pages.
 _NORM_BLOCK = 8192
 
 
-def _sq_dist(Xs: np.ndarray, a: np.ndarray, Zs: np.ndarray, b: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
+def scaled_sq_dist(Xs: np.ndarray, a: np.ndarray, Zs: np.ndarray, b: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Squared distances between the rows of Xs and Zs, whose squared row
     norms are a and b, in one buffer: `out` if given, else a fresh array.
 
     Entry (i, j) is (a_i + b_j) - 2 G_ij, with G = Xs Zs^T the buffer.  When
     Zs is Xs, numpy forms G by a symmetric rank-k update, so the result is
-    bitwise symmetric.
+    bitwise symmetric.  The kernel is sf2 * exp(-D / 2), so the smallest
+    distance is the largest similarity, also where every similarity
+    underflows to zero.
     """
     D = np.matmul(Xs, Zs.T, out=out)
     D *= -2.0
@@ -162,16 +191,7 @@ def scaled_cross_gram(Xs: np.ndarray, a: np.ndarray, Zs: np.ndarray, b: np.ndarr
     The one place the kernel formula is applied to rows: `cross_gram` calls
     it, and so do the objects that keep their stored rows pre-scaled.
     """
-    return _rbf(_sq_dist(Xs, a, Zs, b), sf2)
-
-
-def sq_dist(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Lengthscale-scaled squared distances between rows, of shape (n, p).
-
-    `cross_gram` is sf2 * exp(-sq_dist / 2), so the smallest distance is the
-    largest similarity, also where every similarity underflows to zero.
-    """
-    return _sq_dist(*scaled_rows(X, spec, "X"), *scaled_rows(Z, spec, "Z"))
+    return _rbf(scaled_sq_dist(Xs, a, Zs, b), sf2)
 
 
 def cross_gram(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -190,7 +210,7 @@ def gram(X: np.ndarray, spec: KernelSpec, add_noise: bool = False,
     """
     Xs, a = scaled_rows(X, spec)
     sf2 = spec.signal_variance
-    K = _rbf(_sq_dist(Xs, a, Xs, a, out), sf2)
+    K = _rbf(scaled_sq_dist(Xs, a, Xs, a, out), sf2)
     np.fill_diagonal(K, sf2 + spec.noise_variance if add_noise else sf2)
     return K
 

@@ -14,16 +14,23 @@ mean continuous in the input.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .exceptions import ContractViolationError, EmptyModelError
 from .gp import FitResult, FitSchedule, GpPosterior, fit
-from .kernels import KernelSpec, cross_gram, default_spec, scaled_cross_gram, scaled_rows, sq_dist
+from .kernels import (
+    KernelSpec,
+    Query,
+    default_spec,
+    scaled_cross_gram,
+    scaled_rows,
+    scaled_sq_dist,
+)
 from .partition import centroid, split
 
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 class PriorMeanNode:
@@ -36,10 +43,15 @@ class PriorMeanNode:
     with its own spec, it keeps its rows scaled by that spec's lengthscales,
     with their squared norms, from its first evaluation on.  The rows are
     checked when that cache is built, which covers rows read from a
-    snapshot; query rows are checked on every call.
+    snapshot.  A query comes either as a `Query`, whose scaled rows are used
+    when its spec is the node's, or as bare rows, checked on the call.
+
+    A single-row evaluation leaves a one-entry memo of the row's bytes and
+    the chain's value there, so the append that follows a predict of the
+    same row reads the chain without a kernel evaluation.
     """
 
-    __slots__ = ("X", "alpha", "spec", "parent", "_scaled")
+    __slots__ = ("X", "alpha", "spec", "parent", "_scaled", "_memo")
 
     def __init__(self, X: np.ndarray, alpha: np.ndarray, spec: KernelSpec,
                  parent: "PriorMeanNode | None"):
@@ -48,18 +60,30 @@ class PriorMeanNode:
         self.spec = spec
         self.parent = parent
         self._scaled: tuple[np.ndarray, np.ndarray] | None = None
+        self._memo: tuple[bytes, np.ndarray] | None = None
 
-    def evaluate(self, Xstar: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
+    def evaluate(self, Xstar: np.ndarray, base: np.ndarray | None = None,
+                 query: Query | None = None) -> np.ndarray:
         """The chain's mean at rows Xstar: this node's expansion on top of
         its ancestors'.  `base`, when given, is the parent's value at the same
-        rows, so that no ancestor is evaluated again."""
+        rows, so that no ancestor is evaluated again.  `query`, when given,
+        holds the same rows, checked and scaled."""
+        Xstar = np.asarray(Xstar, dtype=float)
+        key = Xstar.tobytes() if Xstar.shape[0] == 1 else None
+        if key is not None and self._memo is not None and self._memo[0] == key:
+            return self._memo[1]
         if base is None:
-            base = self.parent.evaluate(Xstar) if self.parent is not None else 0.0
+            base = self.parent.evaluate(Xstar, None, query) if self.parent is not None else 0.0
         if self._scaled is None:
             self._scaled = scaled_rows(self.X, self.spec)
-        k = scaled_cross_gram(*scaled_rows(Xstar, self.spec, "Xstar"), *self._scaled,
-                              self.spec.signal_variance)
-        return base + k @ self.alpha
+        scaled = (query.scaled(self.spec) if query is not None
+                  else scaled_rows(Xstar, self.spec, "Xstar"))
+        value = base + scaled_cross_gram(*scaled, *self._scaled,
+                                         self.spec.signal_variance) @ self.alpha
+        if key is not None:
+            value.flags.writeable = False  # every later hit returns this array
+            self._memo = (key, value)
+        return value
 
     def chain(self) -> list["PriorMeanNode"]:
         node, out = self, []
@@ -73,10 +97,11 @@ class PriorMeanNode:
         return 8 * (p * ndim + p)
 
 
-def _prior_values(prior: PriorMeanNode | None, X: np.ndarray) -> np.ndarray:
+def _prior_values(prior: PriorMeanNode | None, X: np.ndarray,
+                  query: Query | None = None) -> np.ndarray:
     if prior is None:
         return np.zeros(np.atleast_2d(X).shape[0])
-    return prior.evaluate(np.atleast_2d(X))
+    return prior.evaluate(np.atleast_2d(X), None, query)
 
 
 def check_observation(x: np.ndarray, y: float, ndim: int | None) -> tuple[np.ndarray, float]:
@@ -111,11 +136,19 @@ class ChildModel:
     """One local GP: its data, its center, its inherited prior mean, and a
     lazy posterior cache over the residuals.
 
+    The rows and responses live in a buffer reserved for `max_rows` rows
+    when the owner bounds the child's size (a `SplittingGP` child holds at
+    most m + 1), else doubled when full; `X` and `Y` are views of its first
+    n rows, which an append never writes.  The center is a running row sum
+    divided by n, which for inputs of two or more columns is bitwise
+    `X.mean(axis=0)`: NumPy sums axis 0 of a C-ordered array row by row.
+
     An append to a child whose posterior is cached costs O(n^2): the prior
     chain is evaluated at the new row only and the cached Cholesky factor
     grows by one row, in place in storage the posterior reserves on its first
-    extension and doubles when full, capped at `max_rows` when the owner
-    bounds the child's size (a `SplittingGP` child holds at most m + 1).
+    extension and doubles when full, capped at `max_rows`.  When the append
+    follows a predict of the same row, the chain's value and the solve
+    l = L^-1 k are that predict's memos, so no kernel row is built at all.
     Otherwise, or when `GpPosterior.extended` declines, the cache is cleared
     and the next use rebuilds it in O(n^3).  The owning model validates each
     row before it reaches `append`.
@@ -123,8 +156,16 @@ class ChildModel:
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, center: np.ndarray | None = None,
                  prior: PriorMeanNode | None = None, max_rows: int | None = None):
-        self.X = np.atleast_2d(np.asarray(X, dtype=float))
-        self.Y = np.asarray(Y, dtype=float).ravel()
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        Y = np.asarray(Y, dtype=float).ravel()
+        n = X.shape[0]
+        self._Xbuf = np.empty((max(n, max_rows or 0, 1), X.shape[1]))
+        self._Ybuf = np.empty(self._Xbuf.shape[0])
+        self._Xbuf[:n], self._Ybuf[:n] = X, Y
+        self.X, self.Y = self._Xbuf[:n], self._Ybuf[:n]
+        # Accumulated row by row, as appends continue the sum; `X.sum(axis=0)`
+        # would sum a single column pairwise instead.
+        self._sum = np.add.accumulate(X)[-1].copy() if n else np.zeros(X.shape[1])
         self.center = centroid(self.X) if center is None else np.asarray(center, dtype=float)
         self.prior = prior
         self.max_rows = max_rows
@@ -135,14 +176,24 @@ class ChildModel:
     def n(self) -> int:
         return self.X.shape[0]
 
-    def append(self, x: np.ndarray, y: float) -> None:
-        x, y = np.asarray(x, dtype=float), float(y)
+    def append(self, x: np.ndarray, y: float, query: Query | None = None) -> None:
+        """Store one row; `query`, when given, is x as a checked and scaled
+        one-row `Query`."""
+        x, y = np.asarray(x, dtype=float).ravel(), float(y)
         post = self._posterior
         if post is not None:
-            post = post.extended(x, y - _prior_values(self.prior, x)[0])
-        self.X = np.vstack([self.X, x])
-        self.Y = np.append(self.Y, y)
-        self.center = centroid(self.X)
+            if query is None:
+                query = Query.of(x[None, :], post.spec, "x")
+            prior = _prior_values(self.prior, query.X, query)
+            post = post.extended(x, y - prior[0], query.scaled(post.spec))
+        n = self.n
+        if n == self._Xbuf.shape[0]:
+            self._Xbuf = np.concatenate([self._Xbuf, np.empty_like(self._Xbuf)])
+            self._Ybuf = np.concatenate([self._Ybuf, np.empty_like(self._Ybuf)])
+        self._Xbuf[n], self._Ybuf[n] = x, y
+        self.X, self.Y = self._Xbuf[:n + 1], self._Ybuf[:n + 1]
+        self._sum += x
+        self.center = self._sum / (n + 1)
         self._posterior = post
         self._residuals = None if post is None else post.Y
 
@@ -178,23 +229,20 @@ class TrainSchedule:
     """When to re-optimize the shared kernel parameters, and with what budget.
 
     `on_split` refits after a split during single-observation updates;
-    `on_batch` refits once at the end of every batch; `every_update` is the
-    per-observation refit of the sequential algorithm, off by default because
-    it is prohibitive on streams.  `fit_subsample`, when set, caps the number
-    of rows per shard used for the hyperparameter search (seeded); posteriors
-    always condition on all data.
+    `on_batch` refits once at the end of every batch.  `fit_subsample`, when
+    set, caps the number of rows per shard used for the hyperparameter search
+    (seeded); posteriors always condition on all data.
     """
 
     on_split: bool = True
     on_batch: bool = True
-    every_update: bool = False
     fit: FitSchedule = field(default_factory=FitSchedule)
     fit_subsample: int | None = None
     subsample_seed: int = 0
 
     @classmethod
     def never(cls) -> "TrainSchedule":
-        return cls(on_split=False, on_batch=False, every_update=False)
+        return cls(on_split=False, on_batch=False)
 
 
 def subsample_shards(shards, schedule: TrainSchedule):
@@ -260,10 +308,14 @@ class SplittingGP:
     def ndim(self) -> int | None:
         return self.children[0].X.shape[1] if self.children else None
 
-    def _nearest_child(self, x: np.ndarray) -> int:
-        """Index of the child whose center is nearest to x in scaled distance."""
-        centers = np.array([c.center for c in self.children])
-        return int(np.argmin(sq_dist(x[None, :], centers, self.spec)[0]))
+    def _centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The children's centers as a `scaled_rows` pair under the spec."""
+        return scaled_rows(np.array([c.center for c in self.children]), self.spec, "centers")
+
+    def _nearest_child(self, query: Query) -> int:
+        """Index of the child whose center is nearest to the query row in
+        scaled distance."""
+        return int(np.argmin(scaled_sq_dist(query.Xs, query.norms, *self._centers())[0]))
 
     def _new_child(self, X: np.ndarray, Y: np.ndarray, center: np.ndarray | None = None,
                    prior: PriorMeanNode | None = None) -> ChildModel:
@@ -278,9 +330,10 @@ class SplittingGP:
         if not self.children:
             self.children.append(self._new_child(x[None, :], [y], center=x.copy()))
             return False
-        idx = self._nearest_child(x)
+        query = Query.of(x[None, :], self.spec)
+        idx = self._nearest_child(query)
         child = self.children[idx]
-        child.append(x, y)
+        child.append(x, y, query)
         if child.n > self.m:
             self._split_child(idx)
             return True
@@ -300,8 +353,7 @@ class SplittingGP:
 
     def update(self, x: np.ndarray, y: float) -> None:
         """Insert a single observation, splitting and refitting per schedule."""
-        split_occurred = self._ingest_one(x, y)
-        if self.schedule.every_update or (split_occurred and self.schedule.on_split):
+        if self._ingest_one(x, y) and self.schedule.on_split:
             self.refit()
 
     def update_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
@@ -339,10 +391,14 @@ class SplittingGP:
 
     # -- prediction --------------------------------------------------------
 
-    def _weights(self, Xstar: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _query(self, Xstar: np.ndarray) -> Query:
+        self._require_children()
+        return Query.of(Xstar, self.spec)
+
+    def _weights(self, query: Query) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-child weights for a batch of query rows: (weights, S, fallback)."""
-        centers = np.array([c.center for c in self.children])
-        sims = cross_gram(Xstar, centers, self.spec)  # (B, C)
+        sims = scaled_cross_gram(query.Xs, query.norms, *self._centers(),
+                                 self.spec.signal_variance)  # (B, C)
         S = sims.sum(axis=1)
         fallback = S <= 0.0
         weights = np.empty_like(sims)
@@ -360,8 +416,9 @@ class SplittingGP:
         if not self.children:
             raise EmptyModelError("model has no observations yet")
 
-    def _prior_node_values(self, Xstar: np.ndarray) -> dict[int, np.ndarray]:
-        """Every unique prior node's value at Xstar, keyed by the node's id.
+    def _prior_node_values(self, query: Query) -> dict[int, np.ndarray]:
+        """Every unique prior node's value at the query rows, keyed by the
+        node's id.
 
         Ancestors come first, so each node is evaluated once, on top of its
         parent's value.
@@ -369,27 +426,26 @@ class SplittingGP:
         values: dict[int, np.ndarray] = {}
         for node in self.prior_nodes():
             base = None if node.parent is None else values[id(node.parent)]
-            values[id(node)] = node.evaluate(Xstar, base)
+            values[id(node)] = node.evaluate(query.X, base, query)
         return values
 
-    def _aggregate(self, Xstar: np.ndarray, weights: np.ndarray, mean: bool,
+    def _aggregate(self, query: Query, weights: np.ndarray, mean: bool,
                    variance: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Weighted mean and variance over the children at query rows; None
         for what is not asked.
 
-        The rows are checked and scaled once; each child then builds one
-        kernel row per query row for both moments, and each prior node is
-        evaluated once.  Every prediction entry point comes through here, so
-        a single-row `predict` and a one-row batch do the same arithmetic.
+        Each child builds one kernel row per query row for both moments, and
+        each prior node is evaluated once.  Every prediction entry point
+        comes through here, so a single-row `predict` and a one-row batch do
+        the same arithmetic.
         """
         spec = self.spec
-        Xs, a = scaled_rows(Xstar, spec, "Xstar")
-        priors = self._prior_node_values(Xstar) if mean else {}
-        shape = (Xs.shape[0], self.n_children)
+        priors = self._prior_node_values(query) if mean else {}
+        shape = (query.X.shape[0], self.n_children)
         means = np.empty(shape) if mean else None
         variances = np.empty(shape) if variance else None
         for j, child in enumerate(self.children):
-            mu, var = child.posterior(spec).predict_scaled(Xs, a, mean, variance)
+            mu, var = child.posterior(spec).predict_scaled(query.Xs, query.norms, mean, variance)
             if mean:
                 means[:, j] = mu if child.prior is None else priors[id(child.prior)] + mu
             if variance:
@@ -401,24 +457,21 @@ class SplittingGP:
 
     def predict_mean_batch(self, Xstar: np.ndarray) -> np.ndarray:
         """Aggregate posterior mean over all children for query rows."""
-        self._require_children()
-        Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-        weights, _, _ = self._weights(Xstar)
-        return self._aggregate(Xstar, weights, mean=True, variance=False)[0]
+        query = self._query(Xstar)
+        weights, _, _ = self._weights(query)
+        return self._aggregate(query, weights, mean=True, variance=False)[0]
 
     def predict_variance_batch(self, Xstar: np.ndarray) -> np.ndarray:
         """Aggregate variance under independence of the child posteriors."""
-        self._require_children()
-        Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-        weights, _, _ = self._weights(Xstar)
-        return self._aggregate(Xstar, weights, mean=False, variance=True)[1]
+        query = self._query(Xstar)
+        weights, _, _ = self._weights(query)
+        return self._aggregate(query, weights, mean=False, variance=True)[1]
 
     def _predict_one(self, x_star: np.ndarray,
                      variance: bool) -> tuple[PredictionSummary, float | None]:
-        self._require_children()
-        x_star = np.asarray(x_star, dtype=float).ravel()[None, :]
-        weights, S, fallback = self._weights(x_star)
-        mean, var = self._aggregate(x_star, weights, mean=True, variance=variance)
+        query = self._query(np.asarray(x_star, dtype=float).ravel()[None, :])
+        weights, S, fallback = self._weights(query)
+        mean, var = self._aggregate(query, weights, mean=True, variance=variance)
         summary = PredictionSummary(
             mean=float(mean[0]),
             weights=weights[0],
@@ -474,7 +527,8 @@ class SplittingGP:
         return self.memory_footprint()
 
     def save(self, path) -> None:
-        """Write a versioned snapshot (children, priors, kernel, split limit)."""
+        """Write a versioned snapshot: children, priors, kernel, split limit,
+        training schedule and the last fit's outcome."""
         nodes = self.prior_nodes()
         order = {id(node): i for i, node in enumerate(nodes)}
         payload = {
@@ -483,8 +537,14 @@ class SplittingGP:
             "n_children": np.array(self.n_children),
             "n_nodes": np.array(len(nodes)),
         }
+        payload.update(_schedule_to_payload(self.schedule))
         if self.spec is not None:
             payload["spec"] = _spec_to_array(self.spec)
+        if self.last_fit is not None:
+            last = self.last_fit
+            payload["last_fit_spec"] = _spec_to_array(last.spec)
+            payload["last_fit"] = np.array([last.objective, last.iterations,
+                                            last.converged, last.warning], dtype=float)
         for i, node in enumerate(nodes):
             payload[f"node_{i}_X"] = node.X
             payload[f"node_{i}_alpha"] = node.alpha
@@ -508,7 +568,12 @@ class SplittingGP:
             if version != SNAPSHOT_VERSION:
                 raise ContractViolationError(f"unsupported snapshot version {version}")
             spec = _spec_from_array(data["spec"]) if "spec" in data else None
-            model = cls(int(data["m"]), spec=spec)
+            model = cls(int(data["m"]), spec=spec, train_schedule=_schedule_from_payload(data))
+            if "last_fit" in data:
+                objective, iterations, converged, warning = data["last_fit"]
+                model.last_fit = FitResult(_spec_from_array(data["last_fit_spec"]),
+                                           float(objective), int(iterations),
+                                           bool(converged), bool(warning))
             nodes: list[PriorMeanNode] = []
             for i in range(int(data["n_nodes"])):
                 parent_idx = int(data[f"node_{i}_parent"])
@@ -533,3 +598,25 @@ def _spec_to_array(spec: KernelSpec) -> np.ndarray:
 
 def _spec_from_array(arr: np.ndarray) -> KernelSpec:
     return KernelSpec(arr[2:], float(arr[0]), float(arr[1]))
+
+
+def _schedule_to_payload(schedule: TrainSchedule) -> dict[str, np.ndarray]:
+    subsample = schedule.fit_subsample
+    return {
+        "schedule_flags": np.array([schedule.on_split, schedule.on_batch]),
+        "schedule_fit": np.array([getattr(schedule.fit, f.name) for f in fields(FitSchedule)],
+                                 dtype=float),
+        "schedule_subsample": np.array(-1 if subsample is None else subsample),
+        # Text, because a seed may not fit in 64 bits.
+        "schedule_subsample_seed": np.array(str(schedule.subsample_seed)),
+    }
+
+
+def _schedule_from_payload(data) -> TrainSchedule:
+    on_split, on_batch = (bool(v) for v in data["schedule_flags"])
+    budget = {f.name: (int(v) if f.type == "int" else float(v))
+              for f, v in zip(fields(FitSchedule), data["schedule_fit"])}
+    subsample = int(data["schedule_subsample"])
+    return TrainSchedule(on_split, on_batch, FitSchedule(**budget),
+                         None if subsample < 0 else subsample,
+                         int(str(data["schedule_subsample_seed"])))

@@ -55,6 +55,23 @@ class TestConfig:
         cfg = ExperimentConfig.from_kv_text("sweep=100:500:200\n")
         assert cfg.sweep == (100, 500, 200)
 
+    @pytest.mark.parametrize("text, value", [
+        ("1", True), ("true", True), ("True", True), ("YES", True), (" yes ", True),
+        ("0", False), ("false", False), ("FALSE", False), ("No", False),
+    ])
+    def test_bool_words(self, text, value):
+        cfg = ExperimentConfig.from_kv_text(f"standardize_x={text}\n")
+        assert cfg.standardize_x is value
+
+    @pytest.mark.parametrize("text", ["ture", "on", "2", "", "y"])
+    def test_unknown_bool_text_rejected(self, text):
+        with pytest.raises(ContractViolationError, match="standardize_x"):
+            ExperimentConfig.from_kv_text(f"standardize_x={text}\n")
+
+    def test_every_schedule_is_gone(self):
+        with pytest.raises(ContractViolationError, match="unknown schedule"):
+            ExperimentConfig.from_kv_text("train_schedule=every\n")
+
 
 class TestRunExperiment:
     def test_record_shape_and_rmse(self):
@@ -318,12 +335,19 @@ class TestCli:
         assert rc == 0
         assert sorted({r.model for r in read_metrics(out)}) == ["fullgp", "splitting"]
 
-    @pytest.mark.parametrize("grid", ["m=ten", "turbo=1,2", "model=oracle"])
+    @pytest.mark.parametrize("grid", ["m=ten", "turbo=1,2", "model=oracle",
+                                      "standardize_x=1,ture"])
     def test_bad_grid_returns_error(self, tmp_path, capsys, grid):
         rc = cli.main(["grid", "--synthetic-n", "120", "--grid", grid,
                        "--out", str(tmp_path / "grid.csv")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_every_schedule_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--train-schedule", "every"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'every'" in capsys.readouterr().err
 
     def test_bad_config_returns_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"

@@ -12,7 +12,8 @@ from splitgp.kernels import (
     gram,
     gram_gradients,
     kernel_eval,
-    sq_dist,
+    scaled_rows,
+    scaled_sq_dist,
 )
 
 
@@ -214,7 +215,7 @@ class TestOneBufferGram:
         rng = np.random.default_rng(9)
         spec = make_spec([0.4, 2.5], sf2=0.8)
         x, centers = rng.normal(size=(1, 2)), rng.normal(size=(30, 2))
-        D = sq_dist(x, centers, spec)
+        D = scaled_sq_dist(*scaled_rows(x, spec), *scaled_rows(centers, spec))
         diff = (x - centers) / spec.lengthscales
         assert np.allclose(D[0], np.sum(diff * diff, axis=1), rtol=1e-12, atol=1e-14)
         assert np.argmin(D[0]) == np.argmax(cross_gram(x, centers, spec)[0])

@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splitgp.baselines import LocalGpWgen
+from splitgp import gp as gp_module
+from splitgp import model as model_module
+from splitgp.baselines import LocalGpWgen, Rbcm
 from splitgp.data import SeedPlan, synth_dataset
 from splitgp.exceptions import ContractViolationError, EmptyModelError
 from splitgp.gp import FitSchedule, GpPosterior, posterior_mean, posterior_variance
@@ -348,7 +350,7 @@ class TestSnapshot:
         assert any(c._posterior is not None for c in model.children) == warm
         model.save(tmp_path / "model.npz")
         loaded = SplittingGP.load(tmp_path / "model.npz")
-        loaded.schedule = model.schedule  # snapshots do not store the schedule
+        assert loaded.schedule == model.schedule
         expected = self._predict_then_update(model, X[100:], Y[100:])
         got = self._predict_then_update(loaded, X[100:], Y[100:])
         assert loaded.n_observations == model.n_observations == X.shape[0]
@@ -360,6 +362,38 @@ class TestSnapshot:
         else:
             assert got.tobytes() == expected.tobytes()
 
+    def test_never_model_keeps_its_schedule_across_load(self, tmp_path):
+        # A `never` model must not start refitting once loaded: the loaded
+        # stream matches the uninterrupted one with no help from the caller.
+        X, Y = self._stream(34)
+        model = quiet_model(15)
+        for t in range(100):
+            model.update(X[t], Y[t])
+        model.save(tmp_path / "model.npz")
+        loaded = SplittingGP.load(tmp_path / "model.npz")
+        assert loaded.schedule == TrainSchedule.never()
+        expected = self._predict_then_update(model, X[100:], Y[100:])
+        got = self._predict_then_update(loaded, X[100:], Y[100:])
+        assert loaded.last_fit is None and loaded.spec == model.spec
+        assert got.tobytes() == expected.tobytes()
+
+    def test_schedule_and_last_fit_round_trip(self, tmp_path):
+        X, Y = self._stream(35, n=60)
+        sched = TrainSchedule(on_split=False, on_batch=True,
+                              fit=FitSchedule(max_iters=4, grad_tol=1e-3, step_growth=1.25),
+                              fit_subsample=20, subsample_seed=2**70 + 3)
+        model = SplittingGP(25, train_schedule=sched)
+        model.update_batch(X, Y)
+        assert model.last_fit is not None
+        model.save(tmp_path / "model.npz")
+        loaded = SplittingGP.load(tmp_path / "model.npz")
+        assert loaded.schedule == sched
+        assert type(loaded.schedule.fit.max_iters) is int
+        got, want = loaded.last_fit, model.last_fit
+        assert got.spec == want.spec
+        assert (got.objective, got.iterations, got.converged, got.warning) == (
+            want.objective, want.iterations, want.converged, want.warning)
+
     def test_version_2_snapshot_rejected(self, tmp_path):
         model = quiet_model(5)
         model.update_batch(*self._stream(33, n=12))
@@ -369,6 +403,19 @@ class TestSnapshot:
         payload.update(version=np.array(2), estimator_mode=np.array("batch-svd"))
         np.savez(tmp_path / "old.npz", **payload)
         with pytest.raises(ContractViolationError, match="version 2"):
+            SplittingGP.load(tmp_path / "old.npz")
+
+    def test_version_3_snapshot_rejected(self, tmp_path):
+        # Version 3 has no schedule; loading it would silently refit a
+        # `never` model on every split and batch.
+        model = quiet_model(5)
+        model.update_batch(*self._stream(33, n=12))
+        model.save(tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz") as data:
+            payload = {k: v for k, v in data.items() if not k.startswith("schedule_")}
+        payload.update(version=np.array(3))
+        np.savez(tmp_path / "old.npz", **payload)
+        with pytest.raises(ContractViolationError, match="version 3"):
             SplittingGP.load(tmp_path / "old.npz")
 
 
@@ -399,12 +446,12 @@ class TestIncrementalUpdate:
         taken = {"cold": 0, "extended": 0, "jitter": 0, "pivot": 0}
         append, extended = ChildModel.append, GpPosterior.extended
 
-        def traced_append(self, x, y):
+        def traced_append(self, *args):
             taken["cold"] += self._posterior is None
-            append(self, x, y)
+            append(self, *args)
 
-        def traced_extended(self, x, y):
-            out = extended(self, x, y)
+        def traced_extended(self, *args):
+            out = extended(self, *args)
             key = "extended" if out is not None else "jitter" if self.jitter else "pivot"
             taken[key] += 1
             return out
@@ -599,3 +646,191 @@ class TestFactorStorage:
             assert _relative_gap(post.chol, fresh.chol) <= 1e-9
             assert _relative_gap(post.alpha, fresh.alpha) <= 1e-9
         assert len(capacities) >= 4
+
+
+class TestQueryReuse:
+    """An update that follows a predict of the same row reuses that
+    predict's prior-chain value and its solve l = L^-1 k; the result is
+    bitwise what computing them afresh gives."""
+
+    SPEC = make_spec([0.7, 1.1], sn2=0.02)
+
+    @staticmethod
+    def _stream(seed, n=240):
+        # Every third input repeats an earlier one.
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-2, 2, size=(n, 2))
+        X[2::3] = X[0:-2:3]
+        return X, np.sin(X).sum(axis=1) + 0.1 * rng.standard_normal(n)
+
+    FACTORIES = {
+        "splitting": lambda spec: SplittingGP(10, spec=spec,
+                                              train_schedule=TrainSchedule.never()),
+        "local": lambda spec: LocalGpWgen(0.3, spec=spec, train_schedule=TrainSchedule.never()),
+        "rbcm": lambda spec: Rbcm(3, seed=5, spec=spec, train_schedule=TrainSchedule.never()),
+    }
+
+    @staticmethod
+    def _children(model):
+        if isinstance(model, SplittingGP):
+            return model.children
+        if isinstance(model, LocalGpWgen):
+            return model.models
+        return [e for e in model.experts if e is not None]
+
+    @staticmethod
+    def _batch(model, grid):
+        if isinstance(model, Rbcm):
+            return np.concatenate(model.predict_batch(grid))
+        if isinstance(model, SplittingGP):
+            return np.concatenate([model.predict_mean_batch(grid),
+                                   model.predict_variance_batch(grid)])
+        return model.predict_mean_batch(grid)
+
+    @pytest.mark.parametrize("kind", ["splitting", "local", "rbcm"])
+    @pytest.mark.parametrize("seed", [51, 52])
+    def test_predict_then_update_matches_update_only(self, kind, seed):
+        # Both models cache every child's posterior before each update, so
+        # both extend the same factors.  One caches them by a predict of the
+        # row about to arrive; the other by a two-row batch mean, which
+        # leaves no single-row memo, so its updates build every kernel row
+        # and solve themselves.
+        X, Y = self._stream(seed)
+        probe = np.array([[0.3, -0.4], [-1.2, 0.8]])
+        reuse, fresh = self.FACTORIES[kind](self.SPEC), self.FACTORIES[kind](self.SPEC)
+        for t in range(X.shape[0]):
+            if t:
+                reuse.predict(X[t])
+                fresh.predict_mean_batch(probe)
+            reuse.ingest(X[t], Y[t])
+            fresh.ingest(X[t], Y[t])
+        if kind == "splitting":
+            assert max(len(c.prior.chain()) for c in reuse.children if c.prior) >= 3
+        pairs = list(zip(self._children(reuse), self._children(fresh), strict=True))
+        assert sum(a._posterior is not None for a, _ in pairs) >= 2
+        for a, b in pairs:
+            assert a.X.tobytes() == b.X.tobytes() and a.Y.tobytes() == b.Y.tobytes()
+            assert a.center.tobytes() == b.center.tobytes()
+            assert (a._posterior is None) == (b._posterior is None)
+            if a._posterior is not None:
+                assert a._posterior.chol.tobytes() == b._posterior.chol.tobytes()
+                assert a._posterior.alpha.tobytes() == b._posterior.alpha.tobytes()
+        grid = np.random.default_rng(seed).uniform(-2.5, 2.5, size=(25, 2))
+        assert self._batch(reuse, grid).tobytes() == self._batch(fresh, grid).tobytes()
+
+    @staticmethod
+    def _count_query_work(monkeypatch):
+        """Counts kernel evaluations in `model` (by prior nodes, and by the
+        weights of a predict) and in `gp` (by posteriors), and solves
+        L^-1 k; the solve of L^-1 Y that reserves storage is not one."""
+        counts = {"model_kernel": 0, "gp_kernel": 0, "solve": 0}
+        reserving = []
+        model_kernel, gp_kernel = model_module.scaled_cross_gram, gp_module.scaled_cross_gram
+        solve, reserve = GpPosterior._solve_lower, GpPosterior._reserve
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        def counted_solve(self, k):
+            counts["solve"] += not reserving
+            return solve(self, k)
+
+        def flagged_reserve(self):
+            reserving.append(1)
+            try:
+                return reserve(self)
+            finally:
+                reserving.pop()
+
+        monkeypatch.setattr(model_module, "scaled_cross_gram",
+                            counted("model_kernel", model_kernel))
+        monkeypatch.setattr(gp_module, "scaled_cross_gram",
+                            counted("gp_kernel", gp_kernel))
+        monkeypatch.setattr(GpPosterior, "_solve_lower", counted_solve)
+        monkeypatch.setattr(GpPosterior, "_reserve", flagged_reserve)
+        return counts
+
+    def _streamed(self, seed, schedule=None):
+        X, Y = self._stream(seed, n=150)
+        model = SplittingGP(10, spec=self.SPEC, train_schedule=schedule or TrainSchedule.never())
+        for t in range(X.shape[0]):
+            if t:
+                model.predict(X[t])
+            model.update(X[t], Y[t])
+        # A child with room for two more rows, and the point at its center,
+        # which routes to it.
+        child = next(c for c in model.children if c.n <= model.m - 2)
+        assert child.prior is not None
+        return model, child, child.center.copy()
+
+    @staticmethod
+    def _assert_matches_fresh_posterior(model, child):
+        post = child._posterior
+        assert post is not None and post.n == child.n  # extended, not cleared
+        fresh = GpPosterior(child.X, child.Y - child.prior.evaluate(child.X), model.spec)
+        assert _relative_gap(post.chol, fresh.chol) <= 1e-9
+        assert _relative_gap(post.alpha, fresh.alpha) <= 1e-9
+
+    def test_update_after_predict_of_same_row_builds_no_kernel_row(self, monkeypatch):
+        model, child, x = self._streamed(53)
+        n = child.n
+        counts = self._count_query_work(monkeypatch)
+        model.predict(x)
+        assert counts["model_kernel"] > 0 and counts["solve"] > 0
+        counts.update(dict.fromkeys(counts, 0))
+        model.update(x, 0.25)
+        assert child.n == n + 1 and child.X[-1].tobytes() == x.tobytes()
+        assert counts == {"model_kernel": 0, "gp_kernel": 0, "solve": 0}
+        self._assert_matches_fresh_posterior(model, child)
+
+    @pytest.mark.parametrize("before", ["other_row", "refit"])
+    def test_update_without_memo_computes_its_own_solve(self, monkeypatch, before):
+        schedule = TrainSchedule(on_split=False, on_batch=False, fit=FitSchedule(max_iters=3))
+        model, child, x = self._streamed(54, schedule)
+        model.predict(x)
+        if before == "refit":
+            spec = model.spec
+            model.refit()
+            assert model.spec != spec
+        model.predict(x + 0.5)  # caches every posterior, at another row
+        counts = self._count_query_work(monkeypatch)
+        model.update(x, 0.25)
+        assert counts["gp_kernel"] == 1 and counts["solve"] == 1
+        self._assert_matches_fresh_posterior(model, child)
+
+
+class TestChildStorage:
+    def test_views_survive_buffer_growth(self):
+        rng = np.random.default_rng(61)
+        X, Y = rng.uniform(-1, 1, size=(40, 2)), rng.normal(size=40)
+        child = ChildModel(X[:2], Y[:2])
+        views = []
+        for t in range(2, X.shape[0]):
+            views.append((child.X, child.Y, t))
+            child.append(X[t], Y[t])
+        assert child.n == X.shape[0]
+        assert np.array_equal(child.X, X) and np.array_equal(child.Y, Y)
+        for Xv, Yv, n in views:
+            assert np.array_equal(Xv, X[:n]) and np.array_equal(Yv, Y[:n])
+
+    def test_bounded_child_reserves_its_limit_once(self):
+        rng = np.random.default_rng(62)
+        X = rng.uniform(-1, 1, size=(11, 3))
+        child = ChildModel(X[:4], np.zeros(4), max_rows=11)
+        base = child.X.base
+        for t in range(4, 11):
+            child.append(X[t], 0.0)
+            assert child.X.base is base
+        assert np.array_equal(child.X, X)
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_center_is_bitwise_row_mean(self, ndim):
+        rng = np.random.default_rng(63)
+        X = rng.standard_normal((300, ndim)) * 10.0 ** rng.integers(-3, 4, size=(300, 1))
+        child = ChildModel(X[:5], np.zeros(5))
+        for t in range(5, X.shape[0]):
+            child.append(X[t], 0.0)
+            assert child.center.tobytes() == X[:t + 1].mean(axis=0).tobytes()
