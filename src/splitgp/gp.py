@@ -1,13 +1,13 @@
 """Exact single-GP inference.
 
 Posterior mean/variance, log marginal likelihood with its log-domain gradient,
-and gradient-ascent hyperparameter fitting over one or more data shards that
-share a kernel.  A posterior grows by one observation in O(n^2) by appending
-a row to its Cholesky factor (Seeger 2004, "Low rank updates for the Cholesky
-decomposition").  A factor that needed jitter, or a new pivot too small to
-trust, is not extended: the caller refactorizes in O(n^3), so small-lengthscale
-instabilities are not compounded.  Batch construction and fitting always
-factorize from scratch.
+and hyperparameter fitting by SciPy's L-BFGS-B over one or more data shards
+that share a kernel.  A posterior grows by one observation in O(n^2) by
+appending a row to its Cholesky factor (Seeger 2004, "Low rank updates for
+the Cholesky decomposition").  A factor that needed jitter, or a new pivot
+too small to trust, is not extended: the caller refactorizes in O(n^3), so
+small-lengthscale instabilities are not compounded.  Batch construction and
+fitting always factorize from scratch.
 
 Storage.  A freshly built posterior holds its factor as a full n x n array.
 Its first extension copies the factor, packed by rows, into storage reserved
@@ -50,22 +50,18 @@ VARIANCE_SLACK = 1e-10
 PIVOT_RTOL = 1e-10
 
 
-def _factorize(K: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of K, adding the smallest jitter that succeeds.
-
-    K is left unchanged, and the factor's upper triangle is zero.  Given
-    `out`, an F-ordered array of K's shape, the factor is formed in it rather
-    than in a fresh array; K must then be symmetric, as a Gram matrix is.
+def _factorize(fill, out: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of a symmetric K, with the smallest jitter that
+    succeeds, formed in `out`, F-ordered; its upper triangle is zero.
+    `fill(out.T)` writes K before every attempt: a failed one overwrites `out`.
     """
-    n = K.shape[0]
+    n = out.shape[0]
     for jitter in JITTER_LADDER:
+        fill(out.T)
+        if jitter:
+            out.flat[::n + 1] += jitter
         try:
-            M = K if jitter == 0.0 else K + jitter * np.eye(n)
-            if out is not None:
-                np.copyto(out.T, M)  # a contiguous copy: out.T is C-ordered like M
-                M = out
-            return cholesky(M, lower=True, overwrite_a=out is not None,
-                            check_finite=False), jitter
+            return cholesky(out, lower=True, overwrite_a=True, check_finite=False), jitter
         except LinAlgError:
             continue
     raise NumericalError(
@@ -106,9 +102,10 @@ class GpPosterior:
     matrix and the weight vector alpha = (K + sn2 I)^-1 Y.  `extended` returns
     a new posterior with one more observation.  A caller that has already
     built the noisy Gram matrix `gram(X, spec, add_noise=True)` passes it as
-    K; the posterior factorizes a copy and keeps no reference to it.  A caller
-    that holds the factor of a discarded posterior of the same size passes it
-    as `out`, and the new factor overwrites it instead of a fresh array.
+    K; the posterior factorizes a copy and keeps no reference to it (without
+    K, it builds the Gram matrix in place of its factor).  A caller that holds
+    the factor of a discarded posterior of the same size passes it as `out`,
+    and the new factor overwrites it instead of a fresh array.
 
     `max_rows` is the most observations the caller will extend this posterior
     to, when that is bounded; it caps the storage an extension reserves (see
@@ -147,17 +144,16 @@ class GpPosterior:
         self.spec = spec
         self.max_rows = max_rows
         if self.n:
+            for name, arr in (("Gram matrix", K), ("factor buffer", out)):
+                if arr is not None and arr.shape != (self.n, self.n):
+                    raise ContractViolationError(
+                        f"{name} has shape {arr.shape}, expected {(self.n, self.n)}")
+            out = np.empty((self.n, self.n), order="F") if out is None else out
             if K is None:
-                K = gram(X, spec, add_noise=True)
-            elif K.shape != (self.n, self.n):
-                raise ContractViolationError(
-                    f"Gram matrix has shape {K.shape}, expected {(self.n, self.n)}"
-                )
-            if out is not None and out.shape != (self.n, self.n):
-                raise ContractViolationError(
-                    f"factor buffer has shape {out.shape}, expected {(self.n, self.n)}"
-                )
-            self._L, self.jitter = _factorize(K, out)
+                fill = lambda dst: gram(X, spec, add_noise=True, out=dst)
+            else:
+                fill = lambda dst: np.copyto(dst, K)
+            self._L, self.jitter = _factorize(fill, out)
             self.alpha = cho_solve((self._L, True), Y, check_finite=False)
         else:
             self._L = np.zeros((0, 0))
@@ -381,21 +377,24 @@ def lml_gradient(post: GpPosterior, spec: KernelSpec,
     ])
 
 
+# Standard deviation of the log-normal prior that `fit` puts on each log
+# parameter, centred at its warm start.  Without it, the summed LML of
+# residual shards peaks at sf2 -> 0 and lengthscales -> infinity.
+PRIOR_SCALE = 0.5
+
+
 @dataclass
 class FitSchedule:
-    """Budget and stopping rules for gradient-ascent hyperparameter fitting."""
+    """Iteration budget of the L-BFGS-B hyperparameter fit."""
 
     max_iters: int = 50
-    grad_tol: float = 1e-5
-    initial_step: float = 0.25
-    max_step: float = 1.0
-    min_step: float = 1e-7
-    step_growth: float = 1.5
 
 
 @dataclass
 class FitResult:
-    """Outcome of a fit call.  `warning` flags an aborted numerical step."""
+    """Outcome of a fit call: the spec, the maximized objective (summed LML
+    plus log prior) there, SciPy's iteration count and convergence flag, and
+    `warning`, set when an evaluation failed numerically."""
 
     spec: KernelSpec
     objective: float
@@ -408,16 +407,13 @@ def _shard_lml(theta: np.ndarray, shards, spec: KernelSpec,
                spare: list | None = None) -> tuple[float, list]:
     """Summed LML at theta, with each shard's (posterior, noisy Gram matrix).
 
-    The Gram matrix is built once per shard and candidate: the posterior
-    factorizes it, and the gradient at an accepted candidate reuses it.
-    `spare` is such a list from a candidate the caller has discarded; its
-    Gram matrices and factors are overwritten, so that a line search reuses
-    the same n x n arrays rather than freeing and allocating them per
-    candidate, which would map and fault fresh pages each time.
+    The posterior factorizes the Gram matrix and the gradient reuses it.
+    `spare` is such a list from an earlier evaluation, whose arrays are
+    overwritten: a fit reuses one set of n x n arrays rather than mapping and
+    faulting fresh pages for every evaluation.
     """
     cand = spec.with_log_vector(theta)
-    fitted = []
-    total = 0.0
+    fitted, total = [], 0.0
     for i, (X, Y) in enumerate(shards):
         old_post, old_K = spare[i] if spare else (None, None)
         K = gram(X, cand, add_noise=True, out=old_K)
@@ -428,67 +424,52 @@ def _shard_lml(theta: np.ndarray, shards, spec: KernelSpec,
 
 
 def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitResult:
-    """Maximize the summed log marginal likelihood over data shards sharing spec.
-
-    Gradient ascent in the log domain with a backtracking step; only strictly
-    improving steps are accepted, so the objective never decreases.  On a
-    numerical failure the last feasible spec is returned with `warning` set.
+    """Maximize the summed log marginal likelihood over data shards sharing
+    spec, plus a log-normal prior of scale PRIOR_SCALE on each log parameter
+    centred at spec (MAP; Rasmussen & Williams 2006, 5.2), by SciPy's L-BFGS-B
+    (R&W 5.4.1).  A zero noise variance, whose log is -inf, is held at zero.
+    An evaluation that fails numerically reads +inf to the optimizer and sets
+    `warning`.  If the warm start fails, or nothing beats it, spec itself is
+    returned.
     """
+    from scipy.optimize import minimize  # about 0.2 s, so loaded on first use
+
     schedule = schedule or FitSchedule()
-    shards = [
-        (np.asarray(X, dtype=float), np.asarray(Y, dtype=float).ravel())
-        for X, Y in shards
-        if np.asarray(Y).size > 0
-    ]
+    shards = [(np.asarray(X, dtype=float), np.asarray(Y, dtype=float).ravel())
+              for X, Y in shards if np.asarray(Y).size > 0]
     if not shards:
         raise ContractViolationError("fit needs at least one non-empty shard")
 
     theta = spec.to_log_vector()
+    free = slice(None) if spec.noise_variance > 0.0 else slice(0, -1)
+    start = theta[free].copy()
+    buffers = None  # the first evaluation's arrays, overwritten by every later one
+    warning = False
+
+    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal buffers, warning
+        theta[free] = x
+        try:
+            if np.abs(x).max() >= 700.0:  # exp would overflow or underflow
+                raise NumericalError("log parameters out of range")
+            lml, buffers = _shard_lml(theta, shards, spec, buffers)
+            grad = sum(lml_gradient(post, post.spec, K) for post, K in buffers)
+        except NumericalError:
+            if buffers is None:
+                raise  # the warm start has no objective
+            warning = True
+            return np.inf, np.zeros_like(x)
+        pull = (x - start) / PRIOR_SCALE**2
+        return 0.5 * pull @ (x - start) - lml, pull - grad[free]
+
     try:
-        obj, fitted = _shard_lml(theta, shards, spec)
+        if schedule.max_iters < 1:  # SciPy would still take one step
+            return FitResult(spec, -negated(start)[0], 0, False, warning)
+        res = minimize(negated, start, jac=True, method="L-BFGS-B",
+                       options={"maxiter": schedule.max_iters})
     except NumericalError:
         return FitResult(spec, -np.inf, 0, converged=False, warning=True)
-
-    spare = None  # the arrays of the last discarded candidate
-    step = schedule.initial_step
-    converged = False
-    warning = False
-    moved = False
-    it = 0
-    for it in range(1, schedule.max_iters + 1):
-        try:
-            grad = np.zeros_like(theta)
-            for post, K in fitted:
-                grad += lml_gradient(post, post.spec, K)
-        except NumericalError:
-            warning = True
-            break
-        gmax = float(np.max(np.abs(grad)))
-        if gmax < schedule.grad_tol:
-            converged = True
-            break
-        direction = grad / gmax  # largest coordinate moves by `step` log units
-        accepted = False
-        s = step
-        while s >= schedule.min_step:
-            cand_fitted = spare
-            try:
-                cand_obj, cand_fitted = _shard_lml(theta + s * direction, shards, spec, spare)
-            except NumericalError:
-                cand_obj = -np.inf
-            if cand_obj > obj:
-                theta = theta + s * direction
-                # The replaced candidate's arrays are the next one's buffers.
-                obj, fitted, spare = cand_obj, cand_fitted, fitted
-                step = min(s * schedule.step_growth, schedule.max_step)
-                accepted = True
-                moved = True
-                break
-            spare = cand_fitted
-            s *= 0.5
-        if not accepted:
-            converged = True  # no ascent direction at line-search resolution
-            break
-
-    final = spec.with_log_vector(theta) if moved else spec
-    return FitResult(final, obj, it, converged, warning)
+    # L-BFGS-B returns an accepted iterate, never one worse than the start.
+    theta[free] = res.x
+    final = spec if np.array_equal(res.x, start) else spec.with_log_vector(theta)
+    return FitResult(final, -res.fun, res.nit, res.success, warning)

@@ -2,7 +2,7 @@
 
 One per-dimension lengthscale vector, a signal variance and a noise variance
 parameterize every GP in the package.  Positive parameters are mirrored into
-an unconstrained log-domain vector for gradient ascent.
+an unconstrained log-domain vector, on which `gp.fit` optimizes.
 """
 
 from __future__ import annotations

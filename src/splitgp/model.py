@@ -14,7 +14,7 @@ mean continuous in the input.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .kernels import (
 )
 from .partition import centroid, split
 
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 
 class PriorMeanNode:
@@ -604,8 +604,7 @@ def _schedule_to_payload(schedule: TrainSchedule) -> dict[str, np.ndarray]:
     subsample = schedule.fit_subsample
     return {
         "schedule_flags": np.array([schedule.on_split, schedule.on_batch]),
-        "schedule_fit": np.array([getattr(schedule.fit, f.name) for f in fields(FitSchedule)],
-                                 dtype=float),
+        "schedule_fit": np.array(schedule.fit.max_iters),
         "schedule_subsample": np.array(-1 if subsample is None else subsample),
         # Text, because a seed may not fit in 64 bits.
         "schedule_subsample_seed": np.array(str(schedule.subsample_seed)),
@@ -614,9 +613,7 @@ def _schedule_to_payload(schedule: TrainSchedule) -> dict[str, np.ndarray]:
 
 def _schedule_from_payload(data) -> TrainSchedule:
     on_split, on_batch = (bool(v) for v in data["schedule_flags"])
-    budget = {f.name: (int(v) if f.type == "int" else float(v))
-              for f, v in zip(fields(FitSchedule), data["schedule_fit"])}
     subsample = int(data["schedule_subsample"])
-    return TrainSchedule(on_split, on_batch, FitSchedule(**budget),
+    return TrainSchedule(on_split, on_batch, FitSchedule(int(data["schedule_fit"])),
                          None if subsample < 0 else subsample,
                          int(str(data["schedule_subsample_seed"])))

@@ -357,11 +357,12 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_stats_unloaded():
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+def test_import_leaves_module_unloaded(module):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = "import sys, splitgp; print('scipy.stats' in sys.modules)"
+    code = f"import sys, splitgp; print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "False"

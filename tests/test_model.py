@@ -347,6 +347,9 @@ class TestSnapshot:
             if warm and model.children:
                 model.predict(X[t])
             model.update(X[t], Y[t])
+        if warm:
+            # A refit clears every cache, so the warm model ends on a read.
+            model.predict(X[100])
         assert any(c._posterior is not None for c in model.children) == warm
         model.save(tmp_path / "model.npz")
         loaded = SplittingGP.load(tmp_path / "model.npz")
@@ -380,7 +383,7 @@ class TestSnapshot:
     def test_schedule_and_last_fit_round_trip(self, tmp_path):
         X, Y = self._stream(35, n=60)
         sched = TrainSchedule(on_split=False, on_batch=True,
-                              fit=FitSchedule(max_iters=4, grad_tol=1e-3, step_growth=1.25),
+                              fit=FitSchedule(max_iters=4),
                               fit_subsample=20, subsample_seed=2**70 + 3)
         model = SplittingGP(25, train_schedule=sched)
         model.update_batch(X, Y)
@@ -394,29 +397,32 @@ class TestSnapshot:
         assert (got.objective, got.iterations, got.converged, got.warning) == (
             want.objective, want.iterations, want.converged, want.warning)
 
-    def test_version_2_snapshot_rejected(self, tmp_path):
+    def _rejected(self, tmp_path, version, **payload_edits):
+        """Save a snapshot, relabel it `version` with the payload edits (None
+        deletes a key), and expect the load to refuse it."""
         model = quiet_model(5)
         model.update_batch(*self._stream(33, n=12))
         model.save(tmp_path / "model.npz")
         with np.load(tmp_path / "model.npz") as data:
-            payload = dict(data)
-        payload.update(version=np.array(2), estimator_mode=np.array("batch-svd"))
+            payload = {k: v for k, v in data.items() if k not in payload_edits}
+        payload.update({k: v for k, v in payload_edits.items() if v is not None},
+                       version=np.array(version))
         np.savez(tmp_path / "old.npz", **payload)
-        with pytest.raises(ContractViolationError, match="version 2"):
+        with pytest.raises(ContractViolationError, match=f"version {version}"):
             SplittingGP.load(tmp_path / "old.npz")
+
+    def test_version_2_snapshot_rejected(self, tmp_path):
+        self._rejected(tmp_path, 2, estimator_mode=np.array("batch-svd"))
 
     def test_version_3_snapshot_rejected(self, tmp_path):
         # Version 3 has no schedule; loading it would silently refit a
         # `never` model on every split and batch.
-        model = quiet_model(5)
-        model.update_batch(*self._stream(33, n=12))
-        model.save(tmp_path / "model.npz")
-        with np.load(tmp_path / "model.npz") as data:
-            payload = {k: v for k, v in data.items() if not k.startswith("schedule_")}
-        payload.update(version=np.array(3))
-        np.savez(tmp_path / "old.npz", **payload)
-        with pytest.raises(ContractViolationError, match="version 3"):
-            SplittingGP.load(tmp_path / "old.npz")
+        self._rejected(tmp_path, 3, schedule_flags=None, schedule_fit=None,
+                       schedule_subsample=None, schedule_subsample_seed=None)
+
+    def test_version_4_snapshot_rejected(self, tmp_path):
+        # Version 4 stores the six fields of the old line-search schedule.
+        self._rejected(tmp_path, 4, schedule_fit=np.array([50, 1e-5, 0.25, 1.0, 1e-7, 1.5]))
 
 
 def test_update_refits_on_split_per_schedule():
