@@ -354,7 +354,10 @@ class TestBufferReuse:
             assert np.array_equal(post.chol, post0.chol) and np.array_equal(K, K0)
             assert np.array_equal(post.alpha, post0.alpha)
 
-    def test_fit_allocates_one_candidate(self, monkeypatch):
+    # From a short and a long warm start alike, the optimizer's line search
+    # makes evaluations it rejects; those reuse the arrays too.
+    @pytest.mark.parametrize("start_lengthscale", [0.25, 4.0])
+    def test_fit_allocates_one_candidate(self, monkeypatch, start_lengthscale):
         rng = np.random.default_rng(21)
         X = rng.uniform(-2, 2, size=(90, 2))
         Y = np.sin(X[:, 0]) + rng.normal(0, 0.1, size=90)
@@ -363,7 +366,8 @@ class TestBufferReuse:
         gram_fn = gp_module.gram
         monkeypatch.setattr(gp_module, "gram", lambda *a, out=None, **k: fresh.append(
             out is None) or gram_fn(*a, out=out, **k))
-        result = fit(shards, make_spec([1.0, 1.0], sn2=0.1), FitSchedule(max_iters=10))
+        result = fit(shards, make_spec([start_lengthscale] * 2, sn2=0.1),
+                     FitSchedule(max_iters=10))
         assert result.iterations > 2
         # The first evaluation allocates; every later one overwrites its arrays.
         assert sum(fresh) == len(shards) < len(fresh)
