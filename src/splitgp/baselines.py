@@ -57,24 +57,24 @@ class FullGp:
     def n_observations(self) -> int:
         return 0 if self.X is None else self.X.shape[0]
 
-    def _append(self, x: np.ndarray, y: float) -> None:
-        x, y = check_observation(x, y, _ndim(self.spec))
+    def _store(self, X: np.ndarray, Y: np.ndarray) -> None:
+        """Append checked rows in one copy; the first seed the spec."""
         if self.spec is None:
-            self.spec = default_spec(np.asarray([y]), x.size)
-        row = x[None, :]
-        self.X = row if self.X is None else np.vstack([self.X, row])
-        self.Y = np.append(self.Y, y)
+            self.spec = default_spec(Y[:1], X.shape[1])
+        self.X = X.copy() if self.X is None else np.concatenate([self.X, X])
+        self.Y = np.concatenate([self.Y, Y])
         self._posterior = None
 
     def ingest(self, x: np.ndarray, y: float) -> None:
-        self._append(x, y)
+        x, y = check_observation(x, y, _ndim(self.spec))
+        self._store(x[None, :], np.array([y]))
 
     def ingest_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
         X, Y = check_batch(X, Y, _ndim(self.spec))
-        for i in range(X.shape[0]):
-            self._append(X[i], Y[i])
-        if X.shape[0] and self.schedule.on_batch:
-            self.refit()
+        if X.shape[0]:
+            self._store(X, Y)
+            if self.schedule.on_batch:
+                self.refit()
 
     def refit(self) -> FitResult:
         if self.n_observations == 0:

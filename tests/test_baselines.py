@@ -7,7 +7,7 @@ from splitgp.baselines import FullGp, LocalGpWgen, OnlineRegressor, Rbcm
 from splitgp.data import SeedPlan, synth_dataset
 from splitgp.exceptions import ContractViolationError, EmptyModelError
 from splitgp.gp import GpPosterior, posterior_mean, posterior_variance
-from splitgp.kernels import KernelSpec
+from splitgp.kernels import KernelSpec, default_spec
 from splitgp.model import SplittingGP, TrainSchedule
 
 
@@ -50,6 +50,24 @@ class TestFullGp:
         queries = rng.normal(size=(20, 2))
         direct = posterior_mean(post, queries, spec)
         assert np.abs(streamed.predict_mean_batch(queries) - direct).max() < 1e-12
+        # Batches, first into an empty model, store the same bits as rows.
+        batched = FullGp(spec=spec, **quiet())
+        for rows in (slice(0, 1), slice(1, 60), slice(60, 60), slice(60, 100)):
+            batch = X[rows].copy()
+            batched.ingest_batch(batch, Y[rows])
+            batch[:] = np.nan  # the model keeps no view of the caller's array
+        assert np.array_equal(batched.X, streamed.X) and np.array_equal(batched.Y, streamed.Y)
+        for a, b in ((batched.posterior(), streamed.posterior()), (batched.posterior(), post)):
+            assert np.array_equal(a.chol, b.chol) and np.array_equal(a.alpha, b.alpha)
+        # Without a spec, both seed it from the first response.
+        unseeded = FullGp(**quiet()), FullGp(**quiet())
+        for x, y in zip(X, Y):
+            row = x.copy()
+            unseeded[0].ingest(row, y)
+            row[:] = np.nan
+        unseeded[1].ingest_batch(X, Y)
+        assert unseeded[0].spec == unseeded[1].spec == default_spec(Y[:1], 2)
+        assert np.array_equal(unseeded[0].X, X) and np.array_equal(unseeded[1].X, X)
 
     def test_footprint_quadratic_term(self):
         rng = np.random.default_rng(2)

@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dtrtri
 
 import splitgp.gp as gp_module
-from splitgp.exceptions import ContractViolationError
+from splitgp.exceptions import ContractViolationError, NumericalError
 from splitgp.gp import (
     FitSchedule,
     GpPosterior,
@@ -244,6 +245,42 @@ class TestGradientOracle:
             bound = max(1e-8, 10.0 * np.finfo(float).eps * np.linalg.cond(K))
             assert self.gap(post, spec) <= bound
 
+    def test_jittered_duplicate_shard_against_exact_reference(self):
+        # The same shards as above, now against the trace identity evaluated
+        # at 40 digits, which bounds the error of the expanded lengthscale
+        # term itself rather than its gap to another floating-point formula.
+        # The reference takes the jittered Gram matrix the posterior
+        # factorized, as stored: at offset 1e3 that matrix is itself off the
+        # exact kernel by far more than eps, which is `gram`'s error, not
+        # the gradient's.
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 40
+        rng = np.random.default_rng(15)
+        spec = make_spec([1.0, 0.7], sf2=1.2, sn2=0.0)
+        for offset in (0.0, 1e3):
+            rows = np.repeat(np.arange(12), 2)
+            X = rng.uniform(-2, 2, size=(12, 2))[rows] + offset
+            Y = np.sin(X.sum(axis=1))
+            post = GpPosterior(X, Y, spec)
+            assert post.jitter > 0.0
+            n, d = X.shape
+            ls = [mp.mpf(v) for v in spec.lengthscales]
+            sq = [[[(mp.mpf(X[i, k]) - mp.mpf(X[j, k])) ** 2 / ls[k] ** 2 for k in range(d)]
+                   for j in range(n)] for i in range(n)]
+            K = gram(X, spec, add_noise=True)
+            K.flat[::n + 1] += post.jitter  # as the posterior's factorization does
+            K_f = mp.matrix(gram(X, spec).tolist())
+            K_inv = mp.matrix(K.tolist()) ** -1
+            alpha = K_inv * mp.matrix([mp.mpf(y) for y in Y])
+            P = [[(alpha[i] * alpha[j] - K_inv[i, j]) * K_f[i, j] for j in range(n)]
+                 for i in range(n)]
+            exact = [sum(P[i][j] * sq[i][j][k] for i in range(n) for j in range(n)) / 2
+                     for k in range(d)]
+            exact = np.array([float(v) for v in exact + [sum(map(sum, P)) / 2, 0]])
+            bound = 10.0 * np.finfo(float).eps * np.linalg.cond(K)
+            error = np.abs(lml_gradient(post, spec) - exact).max() / np.abs(exact).max()
+            assert error <= bound, (offset, error, bound)
+
     def test_reused_gram_gives_the_same_gradient(self):
         rng = np.random.default_rng(16)
         spec = make_spec([0.9, 1.1, 0.6], sf2=1.3, sn2=0.2)
@@ -254,6 +291,49 @@ class TestGradientOracle:
         assert np.array_equal(post.chol, fresh.chol)
         assert np.array_equal(post.alpha, fresh.alpha)
         assert np.array_equal(lml_gradient(post, spec, K), lml_gradient(post, spec))
+
+
+class TestInvertLower:
+    """`gp._invert_lower` against LAPACK `dtrtri` on Cholesky factors of
+    sizes around the block size and its multiples."""
+
+    @staticmethod
+    def factor(kind, n):
+        rng = np.random.default_rng(n)
+        if kind == "jittered":  # duplicate rows at sn2 = 0
+            spec = make_spec([0.9, 1.3], sf2=1.1, sn2=0.0)
+            X = rng.uniform(-2, 2, size=((n + 1) // 2, 2))[np.repeat(np.arange(n), 2)[:n]]
+            post = GpPosterior(X, rng.normal(size=n), spec)
+            assert (post.jitter > 0.0) == (n > 1)
+            return post.chol
+        spec = make_spec([0.9, 1.3], sf2=1.1, sn2=0.1)
+        X, Y = rng.normal(size=(n, 2)), rng.normal(size=n)
+        if kind == "plain":
+            return GpPosterior(X, Y, spec).chol
+        post = GpPosterior(X[:(n + 1) // 2], Y[:(n + 1) // 2], spec)
+        for i in range((n + 1) // 2, n):
+            post = post.extended(X[i], Y[i])
+        return post.chol
+
+    @pytest.mark.parametrize("kind", ["plain", "jittered", "grown"])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 300, 401])
+    def test_matches_dtrtri(self, kind, n):
+        L = self.factor(kind, n)
+        expected, info = dtrtri(L, lower=1)
+        assert info == 0
+        bound = 10.0 * np.finfo(float).eps * np.linalg.cond(L)
+        for order in "FC":  # a grown posterior's gradient inverts a C-ordered array
+            H = np.array(L, order=order)
+            gp_module._invert_lower(H)
+            assert np.abs(H - expected).max() <= bound * np.abs(expected).max(), order
+            assert np.all(np.triu(H, 1) == 0.0)
+
+    @pytest.mark.parametrize("pivot", [0, 40, 64, 100, 128])
+    def test_zero_pivot_raises(self, pivot):
+        L = self.factor("plain", 129)
+        L[pivot, pivot] = 0.0
+        with pytest.raises(NumericalError):
+            gp_module._invert_lower(np.array(L, order="F"))
 
 
 def test_fit_builds_one_gram_per_factorization(monkeypatch):
@@ -324,13 +404,20 @@ class TestBufferReuse:
             GpPosterior(np.zeros((3, 1)), np.zeros(3), make_spec([1.0]), None,
                         np.zeros((2, 2), order="F"))
 
-    def test_gradient_allocates_one_n_by_n_array(self):
+    # A grown posterior's `chol` unpacks into a fresh array, which the
+    # gradient then uses as its one n x n array instead of copying it again.
+    @pytest.mark.parametrize("kind", ["fresh", "grown"])
+    def test_gradient_allocates_one_n_by_n_array(self, kind):
         rng = np.random.default_rng(19)
         n = 400
         spec = make_spec([0.8, 1.4], sf2=1.2, sn2=0.1)
         X, Y = rng.normal(size=(n, 2)), rng.normal(size=n)
         K = gram(X, spec, add_noise=True)
-        post = GpPosterior(X, Y, spec, K)
+        if kind == "fresh":
+            post = GpPosterior(X, Y, spec, K)
+        else:
+            post = GpPosterior(X[:-1], Y[:-1], spec).extended(X[-1], Y[-1])
+            assert post is not None
         tracemalloc.start()
         try:
             lml_gradient(post, spec, K)
