@@ -18,7 +18,14 @@ row of each there, with no O(n^2) allocation or copy; the storage is copied
 to twice its size only when it is full.  Single-row solves read the packed factor in place through
 BLAS `dtpsv`; batch solves unpack it once per call.
 
-Validation.  Inputs are checked where they enter: `kernels.gram` and
+Gram matrices.  The Cholesky factor and K^-1 each occupy one triangle, so a
+posterior and the gradient read only the lower triangle of K, and build only
+that, with `kernels.gram_lower`.  Every O(n^2) or larger product of a fit
+runs in SciPy's BLAS, none in NumPy's: the two packages load separate
+OpenBLAS libraries, and when BLAS threads are not pinned, alternating
+between them makes their thread pools fight for the cores.
+
+Validation.  Inputs are checked where they enter: `kernels.gram_lower` and
 `kernels.scaled_rows` reject non-finite or wrong-width rows, `GpPosterior`
 non-finite responses.  Stored rows are checked once more when a posterior
 first scales them for kernel rows; query rows once per call.  The SciPy and
@@ -30,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
-from scipy.linalg.blas import dgemm, dger, dtpsv, dtrmm, dtrsv
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.linalg.blas import dsymv, dsyr, dtpsv, dtrmm, dtrsv
 from scipy.linalg.lapack import dlauum, dtpttr, dtrtri, dtrttp
 
 from .exceptions import ContractViolationError, NumericalError
-from .kernels import KernelSpec, gram, scaled_cross_gram, scaled_rows
+from .kernels import PANEL, KernelSpec, gram_lower, scaled_cross_gram, scaled_rows
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -104,11 +111,12 @@ def _invert_lower(L: np.ndarray, work: np.ndarray | None = None) -> None:
 def _factorize(fill, out: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a symmetric K, with the smallest jitter that
     succeeds, formed in `out`, F-ordered; its upper triangle is zero.
-    `fill(out.T)` writes K before every attempt: a failed one overwrites `out`.
+    `fill(out)` writes at least K's lower triangle before every attempt: a
+    failed one overwrites `out`.  Only that triangle is read.
     """
     n = out.shape[0]
     for jitter in JITTER_LADDER:
-        fill(out.T)
+        fill(out)
         if jitter:
             out.flat[::n + 1] += jitter
         try:
@@ -152,11 +160,14 @@ class GpPosterior:
     Immutable after construction; caches the Cholesky factor of the noisy Gram
     matrix and the weight vector alpha = (K + sn2 I)^-1 Y.  `extended` returns
     a new posterior with one more observation.  A caller that has already
-    built the noisy Gram matrix `gram(X, spec, add_noise=True)` passes it as
-    K; the posterior factorizes a copy and keeps no reference to it (without
-    K, it builds the Gram matrix in place of its factor).  A caller that holds
-    the factor of a discarded posterior of the same size passes it as `out`,
-    and the new factor overwrites it instead of a fresh array.
+    built the noisy Gram matrix, as `kernels.gram_lower(X, spec,
+    add_noise=True)` does, passes it as K; the posterior factorizes a copy
+    and keeps no reference to it (without K, it builds the Gram matrix with
+    `gram_lower` in place of its factor).  Only K[i, j] with i >= j is read:
+    the strict lower triangle and the diagonal, in either memory order.  A
+    caller that holds the factor of a discarded posterior of the same size
+    passes it as `out`, an F-contiguous array, and the new factor overwrites
+    it instead of a fresh array.
 
     `max_rows` is the most observations the caller will extend this posterior
     to, when that is bounded; it caps the storage an extension reserves (see
@@ -201,11 +212,16 @@ class GpPosterior:
                         f"{name} has shape {arr.shape}, expected {(self.n, self.n)}")
             out = np.empty((self.n, self.n), order="F") if out is None else out
             if K is None:
-                fill = lambda dst: gram(X, spec, add_noise=True, out=dst)
+                fill = lambda dst: gram_lower(X, spec, add_noise=True, out=dst)
             else:
-                fill = lambda dst: np.copyto(dst, K)
+                def fill(dst):  # K's lower triangle, by column panels
+                    for j in range(0, self.n, PANEL):
+                        dst[j:, j:j + PANEL] = K[j:, j:j + PANEL]
             self._L, self.jitter = _factorize(fill, out)
-            self.alpha = cho_solve((self._L, True), Y, check_finite=False)
+            # alpha = L^-T L^-1 Y; two BLAS `dtrsv` calls take less than half the
+            # time of `cho_solve`, whose LAPACK `dpotrs` works through `dtrsm`.
+            v = dtrsv(self._L, Y.copy(), lower=1, overwrite_x=1)
+            self.alpha = dtrsv(self._L, v, lower=1, trans=1, overwrite_x=1)
         else:
             self._L = np.zeros((0, 0))
             self.jitter = 0.0
@@ -399,43 +415,49 @@ def lml_gradient(post: GpPosterior, spec: KernelSpec,
     n x n array the call allocates: H is a copy of the cached factor, or,
     for a grown posterior, the array `chol` unpacks, which is already a
     copy.  `_invert_lower` overwrites L there with L^-1, and LAPACK `dlauum`
-    with one triangle T of L^-T L^-1, leaving the other zero, as L's is.
-    These, and the n x d product with H, run in SciPy's BLAS, not NumPy's:
-    the two packages load separate OpenBLAS libraries, and when BLAS threads
-    are not pinned, alternating between them makes their thread pools fight
-    for the cores (at n = 400 and two threads on a 2-vCPU Xeon, a gradient
-    took 8 ms with NumPy's n x d product in it, 1.5 ms without).  With
-    G = (alpha alpha^T / 2 - T) o K_f and its diagonal set to sf2 W_ii / 2,
-    P = G + G^T, so every term above is read off G, whichever triangle T
-    fills: P 1 is G's row plus column sums, x_d^T P x_d is 2 x_d^T G x_d and
-    sum(P) is 2 sum(G).  G is formed in place in H.  A jittered factor gives
-    the gradient of the jittered K, as the posterior's alpha does.
+    with one triangle of L^-T L^-1: the lower for a fresh factor, the upper
+    for a grown one.  Everything after works on that triangle alone, in
+    SciPy's BLAS (see the module docstring; at n = 400 and two threads on a
+    2-vCPU Xeon, a gradient took 8 ms with a NumPy n x d product in it,
+    1.5 ms without): BLAS `dsyr` subtracts alpha alpha^T, giving -W; the
+    product with K_f runs over the triangle in column panels, and the
+    diagonal is set to -sf2 W_ii, giving -P.  BLAS `dsymv` of that triangle
+    against 1 and against each centred column x_d gives P 1 and x_d^T P x_d,
+    and sum(P) is the sum of P 1.  These d + 1 `dsymv` calls took a third of
+    the time of one `dsymm` against [1 | X_c] at n = 500 and d = 2, and less
+    up to d = 8 (one BLAS thread, 2-vCPU Xeon): OpenBLAS's `dsymm` is slow
+    on so few columns.  A jittered factor gives the gradient of the jittered
+    K, as the posterior's alpha does.
 
-    K is the posterior's Gram matrix when the caller still holds it; only its
-    off-diagonal entries are read, so it may carry noise on the diagonal, and
-    it must be symmetric, as `kernels.gram` builds it.
+    K is the posterior's Gram matrix when the caller still holds it, in
+    either memory order; only K[i, j] with i > j is read, so it may carry
+    noise on the diagonal and anything above it.  Without K, the call builds
+    that triangle with `kernels.gram_lower`.
     """
     post._check_spec(spec)
     if post.n == 0:
         raise ContractViolationError("gradient needs at least one observation")
-    alpha = post.alpha
+    n, alpha = post.n, post.alpha
     if K is None:
-        K = gram(post.X, spec)
+        K = gram_lower(post.X, spec)
     fresh = post._store is None
+    lower = int(fresh)
     # A copy of a fresh factor holds L in its lower triangle; the F-ordered
     # transpose of a grown posterior's unpacked `chol` holds L^T in its upper.
     H = np.array(post.chol, order="F") if fresh else post.chol.T
     _invert_lower(H if fresh else H.T)
-    H = dlauum(H, lower=int(fresh), overwrite_c=1)[0]
+    H = dlauum(H, lower=lower, overwrite_c=1)[0]
     w_diag = alpha * alpha - H.diagonal()
-    H = dger(-0.5, alpha, alpha, a=H, overwrite_a=1)  # H = T - alpha alpha^T / 2
-    H *= K.T  # H = -G off the diagonal; K.T is K, in H's memory order
-    np.fill_diagonal(H, -0.5 * spec.signal_variance * w_diag)
-    p_rows = -(H.sum(axis=0) + H.sum(axis=1))  # P 1
+    H = dsyr(-1.0, alpha, lower=lower, a=H, overwrite_a=1)  # -W in the triangle
+    tri = H if fresh else H.T  # the triangle as a lower one, as K holds it
+    for j in range(0, n, PANEL):
+        tri[j:, j:j + PANEL] *= K[j:, j:j + PANEL]
+    np.fill_diagonal(H, -spec.signal_variance * w_diag)  # -P in the triangle
     Xc = post.X - post.X.mean(axis=0)
+    p_rows = dsymv(-1.0, H, np.ones(n), lower=lower)  # P 1
+    xPx = np.array([x @ dsymv(-1.0, H, x, lower=lower) for x in Xc.T])
     ls = spec.lengthscales
-    HXc = dgemm(1.0, H, Xc)
-    grad_ls = (p_rows @ (Xc * Xc) + 2.0 * np.einsum("ij,ij->j", Xc, HXc)) / (ls * ls)
+    grad_ls = (p_rows @ (Xc * Xc) - xPx) / (ls * ls)
     return np.concatenate([
         grad_ls,
         [0.5 * p_rows.sum(), 0.5 * spec.noise_variance * w_diag.sum()],
@@ -470,7 +492,8 @@ class FitResult:
 
 def _shard_lml(theta: np.ndarray, shards, spec: KernelSpec,
                spare: list | None = None) -> tuple[float, list]:
-    """Summed LML at theta, with each shard's (posterior, noisy Gram matrix).
+    """Summed LML at theta, with each shard's (posterior, noisy Gram matrix),
+    the Gram matrix built by `kernels.gram_lower`, so only its lower triangle.
 
     The posterior factorizes the Gram matrix and the gradient reuses it.
     `spare` is such a list from an earlier evaluation, whose arrays are
@@ -481,7 +504,7 @@ def _shard_lml(theta: np.ndarray, shards, spec: KernelSpec,
     fitted, total = [], 0.0
     for i, (X, Y) in enumerate(shards):
         old_post, old_K = spare[i] if spare else (None, None)
-        K = gram(X, cand, add_noise=True, out=old_K)
+        K = gram_lower(X, cand, add_noise=True, out=old_K)
         post = GpPosterior(X, Y, cand, K, None if old_post is None else old_post.chol)
         total += log_marginal_likelihood(post, cand)
         fitted.append((post, K))

@@ -212,13 +212,6 @@ class ChildModel:
                                           max_rows=self.max_rows)
         return self._posterior
 
-    def mean_at(self, Xstar: np.ndarray, spec: KernelSpec) -> np.ndarray:
-        """Per-child predictive mean: inherited prior plus the residual layer."""
-        Xstar = np.atleast_2d(Xstar)
-        mu, _ = self.posterior(spec).predict_scaled(*scaled_rows(Xstar, spec, "Xstar"),
-                                                    variance=False)
-        return _prior_values(self.prior, Xstar) + mu
-
     def footprint_bytes(self, ndim: int) -> int:
         # Gram entries + stored rows + responses + center, 8 bytes a scalar.
         return 8 * (self.n * self.n + self.n * ndim + self.n + ndim)

@@ -179,11 +179,15 @@ def test_criterion_4_continuity_contrast():
     def smooth(G):
         return model.predict_mean_batch(G)
 
+    def child_mean(child, G):  # inherited prior plus the residual layer
+        prior = 0.0 if child.prior is None else child.prior.evaluate(G)
+        return prior + posterior_mean(child.posterior(model.spec), G, model.spec)
+
     def nearest_only(G):
         centers = np.array([c.center for c in model.children])
         sims = cross_gram(G, centers, model.spec)
         pick = np.argmax(sims, axis=1)
-        means = np.column_stack([c.mean_at(G, model.spec) for c in model.children])
+        means = np.column_stack([child_mean(c, G) for c in model.children])
         return means[np.arange(G.shape[0]), pick]
 
     steps = [10.0 ** (-k) for k in range(1, 7)]

@@ -342,8 +342,9 @@ def test_fit_builds_one_gram_per_factorization(monkeypatch):
     Y = np.sin(X[:, 0]) + rng.normal(0, 0.1, size=60)
     shards = [(X[:30], Y[:30]), (X[30:], Y[30:])]
     grams, posteriors = [], []
-    gram_fn, init = gp_module.gram, GpPosterior.__init__
-    monkeypatch.setattr(gp_module, "gram", lambda *a, **k: grams.append(1) or gram_fn(*a, **k))
+    gram_fn, init = gp_module.gram_lower, GpPosterior.__init__
+    monkeypatch.setattr(gp_module, "gram_lower",
+                        lambda *a, **k: grams.append(1) or gram_fn(*a, **k))
     monkeypatch.setattr(GpPosterior, "__init__",
                         lambda self, *a, **k: posteriors.append(1) or init(self, *a, **k))
     result = fit(shards, make_spec([1.0, 1.0], sn2=0.1), FitSchedule(max_iters=10))
@@ -438,7 +439,8 @@ class TestBufferReuse:
         assert total == fresh_total
         for (post, K), (chol, K_buf), (post0, K0) in zip(fitted, buffers, fresh):
             assert np.shares_memory(post.chol, chol) and np.shares_memory(K, K_buf)
-            assert np.array_equal(post.chol, post0.chol) and np.array_equal(K, K0)
+            assert np.array_equal(post.chol, post0.chol)
+            assert np.array_equal(np.tril(K), np.tril(K0))  # the triangle a fit builds
             assert np.array_equal(post.alpha, post0.alpha)
 
     # From a short and a long warm start alike, the optimizer's line search
@@ -450,14 +452,80 @@ class TestBufferReuse:
         Y = np.sin(X[:, 0]) + rng.normal(0, 0.1, size=90)
         shards = [(X[:30], Y[:30]), (X[30:], Y[30:])]
         fresh = []
-        gram_fn = gp_module.gram
-        monkeypatch.setattr(gp_module, "gram", lambda *a, out=None, **k: fresh.append(
+        gram_fn = gp_module.gram_lower
+        monkeypatch.setattr(gp_module, "gram_lower", lambda *a, out=None, **k: fresh.append(
             out is None) or gram_fn(*a, out=out, **k))
         result = fit(shards, make_spec([start_lengthscale] * 2, sn2=0.1),
                      FitSchedule(max_iters=10))
         assert result.iterations > 2
         # The first evaluation allocates; every later one overwrites its arrays.
         assert sum(fresh) == len(shards) < len(fresh)
+
+
+class TestLowerTriangle:
+    """Only the strictly lower triangle of a Gram matrix is read, plus the
+    diagonal where a posterior factorizes it: NaN above the diagonal changes
+    no bit of any result."""
+
+    @staticmethod
+    def shard(kind):
+        rng = np.random.default_rng(26)
+        if kind == "jittered":  # duplicate rows at sn2 = 0
+            spec = make_spec([0.9, 1.3], sf2=1.1, sn2=0.0)
+            X = rng.uniform(-2, 2, size=(35, 2))[np.repeat(np.arange(35), 2)] + 1e3
+        else:
+            spec = make_spec([0.9, 1.3], sf2=1.1, sn2=0.1)
+            X = rng.normal(size=(70, 2))
+        return X, rng.normal(size=70), spec
+
+    @staticmethod
+    def nan_above(K):
+        K = K.copy(order="K")
+        K[np.triu_indices(K.shape[0], 1)] = np.nan
+        return K
+
+    @pytest.mark.parametrize("order", "CF")
+    @pytest.mark.parametrize("kind", ["plain", "jittered"])
+    def test_posterior_and_fresh_gradient(self, kind, order):
+        X, Y, spec = self.shard(kind)
+        K = np.array(gram(X, spec, add_noise=True), order=order)
+        full, part = GpPosterior(X, Y, spec, K), GpPosterior(X, Y, spec, self.nan_above(K))
+        assert (full.jitter > 0.0) == (kind == "jittered") and part.jitter == full.jitter
+        assert np.array_equal(part.chol, full.chol)
+        assert np.array_equal(part.alpha, full.alpha)
+        assert log_marginal_likelihood(part, spec) == log_marginal_likelihood(full, spec)
+        assert np.array_equal(lml_gradient(part, spec, self.nan_above(K)),
+                              lml_gradient(full, spec, K))
+
+    @pytest.mark.parametrize("order", "CF")
+    def test_grown_gradient(self, order):
+        X, Y, spec = self.shard("plain")
+        post = GpPosterior(X[:60], Y[:60], spec)
+        for i in range(60, 70):
+            post = post.extended(X[i], Y[i])
+        K = np.array(gram(X, spec), order=order)
+        grad = lml_gradient(post, spec, K)
+        assert np.all(np.isfinite(grad))
+        assert np.array_equal(lml_gradient(post, spec, self.nan_above(K)), grad)
+
+    def test_fit(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        X = rng.uniform(-2, 2, size=(80, 2))
+        Y = np.sin(X[:, 0]) + rng.normal(0, 0.1, size=80)
+        shards, spec = [(X[:35], Y[:35]), (X[35:], Y[35:])], make_spec([0.7, 1.5], sn2=0.1)
+        expected = fit(shards, spec, FitSchedule(max_iters=8))
+        build = gp_module.gram_lower
+
+        def nan_above(*args, **kwargs):
+            K = build(*args, **kwargs)
+            K[np.triu_indices(K.shape[0], 1)] = np.nan
+            return K
+
+        monkeypatch.setattr(gp_module, "gram_lower", nan_above)
+        result = fit(shards, spec, FitSchedule(max_iters=8))
+        assert result.iterations == expected.iterations > 2
+        assert result.objective == expected.objective
+        assert result.spec == expected.spec
 
 
 class TestFit:

@@ -11,6 +11,7 @@ from splitgp.kernels import (
     default_spec,
     gram,
     gram_gradients,
+    gram_lower,
     kernel_eval,
     scaled_rows,
     scaled_sq_dist,
@@ -219,3 +220,48 @@ class TestOneBufferGram:
         diff = (x - centers) / spec.lengthscales
         assert np.allclose(D[0], np.sum(diff * diff, axis=1), rtol=1e-12, atol=1e-14)
         assert np.argmin(D[0]) == np.argmax(cross_gram(x, centers, spec)[0])
+
+
+class TestGramLower:
+    """`gram_lower` builds one triangle; `gram` is that triangle mirrored."""
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129, 300])
+    def test_matches_textbook(self, n, d):
+        rng = np.random.default_rng(11)
+        spec = make_spec(rng.uniform(0.5, 2.0, size=d), sf2=1.3, sn2=0.4)
+        X = rng.normal(size=(n, d))
+        for add_noise in (False, True):
+            K = gram_lower(X, spec, add_noise=add_noise)
+            assert K.shape == (n, n) and K.flags.f_contiguous
+            expected = textbook_cross_gram(X, X, spec)
+            lower = np.tril_indices(n, -1)
+            assert np.all(np.abs(K[lower] - expected[lower]) <= 1e-12 * expected[lower])
+            assert np.all(np.diagonal(K) == (1.3 + 0.4 if add_noise else 1.3))
+
+    def test_is_the_lower_triangle_of_gram(self):
+        rng = np.random.default_rng(12)
+        ulp = 4 * np.spacing(1.6)
+        for (n, d), offset in itertools.product(((1, 1), (65, 3), (300, 8)), (0.0, 1e3)):
+            spec = make_spec(rng.uniform(0.3, 2.0, size=d), sf2=1.6, sn2=0.2)
+            X = rng.normal(size=(n, d)) + offset
+            for add_noise in (False, True):
+                lower = np.tril(gram_lower(X, spec, add_noise=add_noise))
+                assert np.all(np.abs(lower - np.tril(gram(X, spec, add_noise=add_noise))) <= ulp)
+
+    def test_into_given_buffer(self):
+        rng = np.random.default_rng(13)
+        spec = make_spec([0.7, 1.9, 1.1], sf2=1.4, sn2=0.2)
+        X = rng.normal(size=(130, 3)) + 1e3
+        for add_noise in (False, True):
+            buffer = np.full((130, 130), np.nan, order="F")
+            K = gram_lower(X, spec, add_noise=add_noise, out=buffer)
+            assert np.shares_memory(K, buffer)
+            assert np.array_equal(np.tril(buffer), np.tril(gram_lower(X, spec, add_noise)))
+
+    @pytest.mark.parametrize("buffer", [np.empty((5, 5)), np.empty((5, 4), order="F"),
+                                        np.empty((5, 5), dtype=np.float32, order="F")])
+    def test_bad_buffer_rejected(self, buffer):
+        X = np.random.default_rng(14).normal(size=(5, 2))
+        with pytest.raises(ContractViolationError):
+            gram_lower(X, make_spec([1.0, 1.0]), out=buffer)
