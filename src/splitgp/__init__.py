@@ -1,6 +1,6 @@
 """Streaming Gaussian-process regression with recursively split local models."""
 
-from .baselines import FullGp, LocalGpWgen, OnlineRegressor, Rbcm
+from .baselines import FullGp, LocalGpWgen, Rbcm
 from .bench import (
     ExperimentConfig,
     MetricRecord,
@@ -47,7 +47,7 @@ from .kernels import (
     gram_gradients,
     kernel_eval,
 )
-from .model import ChildModel, PredictionSummary, SplittingGP, TrainSchedule
+from .model import ChildModel, LocalGpPool, PredictionSummary, SplittingGP, TrainSchedule
 from .partition import (
     SplitResult,
     centroid,
@@ -69,10 +69,10 @@ __all__ = [
     "FullGp",
     "GpPosterior",
     "KernelSpec",
+    "LocalGpPool",
     "LocalGpWgen",
     "MetricRecord",
     "NumericalError",
-    "OnlineRegressor",
     "PredictionSummary",
     "Rbcm",
     "SeedPlan",

@@ -1,14 +1,17 @@
-"""The splitting-GP regressor.
+"""The local-GP pool and the splitting-GP regressor built on it.
 
-Observations stream in one at a time or in batches; each lands in the local
-model whose center is nearest in lengthscale-scaled distance, which is the most
-similar under the kernel even where every similarity underflows to zero.  A
-local model that grows past the splitting limit is bisected along its principal
-direction into two children.  Each child inherits the parent's predictive
-mean, frozen at split time, as its prior mean and models only the residuals
-against it, so a freshly split pair predicts like the parent did.
-Predictions aggregate *all* children with similarity weights, which keeps the
-mean continuous in the input.
+`LocalGpPool` holds local GPs under one shared kernel; a subclass supplies
+the router that places each row, and may replace the similarity combiner.
+
+In `SplittingGP`, observations stream in one at a time or in batches; each
+lands in the local model whose center is nearest in lengthscale-scaled
+distance, which is the most similar under the kernel even where every
+similarity underflows to zero.  A local model that grows past the splitting
+limit is bisected along its principal direction into two children.  Each
+child inherits the parent's predictive mean, frozen at split time, as its
+prior mean and models only the residuals against it, so a freshly split pair
+predicts like the parent did.  Predictions aggregate *all* children with
+similarity weights, which keeps the mean continuous in the input.
 """
 
 from __future__ import annotations
@@ -264,24 +267,21 @@ class PredictionSummary:
     uniform_fallback: bool = False
 
 
-class SplittingGP:
-    """Streaming GP regressor with similarity-routed local models.
+class LocalGpPool:
+    """A pool of local GPs under one shared kernel, with a router and a
+    combiner.
 
-    Parameters
-    ----------
-    split_limit : int
-        Maximum observations a local model may hold before it is bisected,
-        >= 2.
-    spec : KernelSpec, optional
-        Shared kernel; defaults are derived from the first data seen.
-    train_schedule : TrainSchedule, optional
+    A subclass supplies the router, `_route(x, y)`, which stores one checked
+    row in a child and returns True when that split a child.  The pool owns
+    everything else: row checks, seeding the spec from the first row, the
+    ingest loop, the kernel refit over the children's residuals, each
+    child's predictive moments at the query rows, and the combiner.  The
+    default combiner weights every child by its similarity k(c_j, x) to the
+    query row, normalized to sum to one; a subclass may replace it.
     """
 
-    def __init__(self, split_limit: int, spec: KernelSpec | None = None,
+    def __init__(self, spec: KernelSpec | None = None,
                  train_schedule: TrainSchedule | None = None):
-        if split_limit < 2:
-            raise ContractViolationError("split limit must be at least 2")
-        self.m = int(split_limit)
         self.spec = spec
         self.schedule = train_schedule or TrainSchedule()
         self.children: list[ChildModel] = []
@@ -305,21 +305,201 @@ class SplittingGP:
         """The children's centers as a `scaled_rows` pair under the spec."""
         return scaled_rows(np.array([c.center for c in self.children]), self.spec, "centers")
 
-    def _nearest_child(self, query: Query) -> int:
-        """Index of the child whose center is nearest to the query row in
-        scaled distance."""
-        return int(np.argmin(scaled_sq_dist(query.Xs, query.norms, *self._centers())[0]))
+    def _ingest_one(self, x: np.ndarray, y: float) -> bool:
+        """Check one observation and route it; True when it split a child."""
+        x, y = check_observation(x, y, None if self.spec is None else self.spec.ndim)
+        if self.spec is None:
+            self.spec = default_spec(np.asarray([y]), x.size)
+        return self._route(x, y)
+
+    def update(self, x: np.ndarray, y: float) -> None:
+        """Insert a single observation, refitting after a split per schedule."""
+        if self._ingest_one(x, y) and self.schedule.on_split:
+            self.refit()
+
+    def update_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
+        """Insert rows in order; the kernel is refit once at the end."""
+        X, Y = check_batch(X, Y, None if self.spec is None else self.spec.ndim)
+        if X.shape[0] == 0:
+            return
+        for i in range(X.shape[0]):
+            self._ingest_one(X[i], Y[i])
+        if self.schedule.on_batch:
+            self.refit()
+
+    def ingest(self, x: np.ndarray, y: float) -> None:
+        self.update(x, y)
+
+    def ingest_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
+        self.update_batch(X, Y)
+
+    # -- training ----------------------------------------------------------
+
+    def refit(self) -> FitResult:
+        """Re-optimize the shared kernel parameters on the residuals of the
+        non-empty children."""
+        shards = [(c.X, c.residuals()) for c in self.children if c.n > 0]
+        if not shards:
+            raise EmptyModelError("cannot fit an empty model")
+        result = fit(subsample_shards(shards, self.schedule), self.spec, self.schedule.fit)
+        self.spec = result.spec
+        self.last_fit = result
+        for child in self.children:
+            child.invalidate()
+        return result
+
+    # -- prediction --------------------------------------------------------
+
+    def _query(self, Xstar: np.ndarray) -> Query:
+        if not self.children:
+            raise EmptyModelError("model has no observations yet")
+        return Query.of(Xstar, self.spec)
+
+    def _prior_node_values(self, query: Query) -> dict[int, np.ndarray]:
+        """Every unique prior node's value at the query rows, keyed by the
+        node's id.
+
+        Ancestors come first, so each node is evaluated once, on top of its
+        parent's value.
+        """
+        values: dict[int, np.ndarray] = {}
+        for node in self.prior_nodes():
+            base = None if node.parent is None else values[id(node.parent)]
+            values[id(node)] = node.evaluate(query.X, base, query)
+        return values
+
+    def _moments(self, query: Query, children: list[ChildModel], mean: bool,
+                 variance: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Each child's posterior mean and latent variance at the query rows,
+        one column per child; None for what is not asked.
+
+        Each child builds one kernel row per query row for both moments, and
+        each prior node is evaluated once.
+        """
+        spec = self.spec
+        priors = self._prior_node_values(query) if mean else {}
+        shape = (query.X.shape[0], len(children))
+        means = np.empty(shape) if mean else None
+        variances = np.empty(shape) if variance else None
+        for j, child in enumerate(children):
+            mu, var = child.posterior(spec).predict_scaled(query.Xs, query.norms, mean, variance)
+            if mean:
+                means[:, j] = mu if child.prior is None else priors[id(child.prior)] + mu
+            if variance:
+                variances[:, j] = var
+        return means, variances
+
+    def _weights(self, query: Query) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-child similarity weights for a batch of query rows:
+        (weights, S, fallback)."""
+        sims = scaled_cross_gram(query.Xs, query.norms, *self._centers(),
+                                 self.spec.signal_variance)  # (B, C)
+        S = sims.sum(axis=1)
+        fallback = S <= 0.0
+        weights = np.empty_like(sims)
+        ok = ~fallback
+        weights[ok] = sims[ok] / S[ok, None]
+        if np.any(fallback):
+            warnings.warn(
+                "similarity normalizer underflowed to zero; using uniform weights",
+                RuntimeWarning,
+            )
+            weights[fallback] = 1.0 / self.n_children
+        return weights, S, fallback
+
+    def _combine(self, query: Query, mean: bool,
+                 variance: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The weighted mean and the variance under independence of the
+        children, sum_j w_j^2 v_j, at the query rows.  Every prediction entry
+        point comes through here, so a single-row `predict` and a one-row
+        batch do the same arithmetic."""
+        weights = self._weights(query)[0]
+        means, variances = self._moments(query, self.children, mean, variance)
+        return (
+            np.sum(weights * means, axis=1) if mean else None,
+            np.sum(weights * weights * variances, axis=1) if variance else None,
+        )
+
+    def predict_mean_batch(self, Xstar: np.ndarray) -> np.ndarray:
+        """Aggregate posterior mean over the children at query rows."""
+        return self._combine(self._query(Xstar), mean=True, variance=False)[0]
+
+    def predict_variance_batch(self, Xstar: np.ndarray) -> np.ndarray:
+        """Aggregate latent variance over the children at query rows."""
+        return self._combine(self._query(Xstar), mean=False, variance=True)[1]
+
+    def predict(self, x_star: np.ndarray) -> tuple[float, float]:
+        """(mean, variance) at a single point, given flat or as one row."""
+        query = self._query(np.asarray(x_star, dtype=float).ravel()[None, :])
+        mean, var = self._combine(query, mean=True, variance=True)
+        return float(mean[0]), float(var[0])
+
+    # -- accounting ----------------------------------------------------------
+
+    def prior_nodes(self) -> list[PriorMeanNode]:
+        """Unique frozen prior nodes reachable from the live children,
+        ancestors before descendants."""
+        seen: list[PriorMeanNode] = []
+        ids = set()
+        for child in self.children:
+            for node in reversed(child.prior.chain() if child.prior else []):
+                if id(node) not in ids:
+                    ids.add(id(node))
+                    seen.append(node)
+        return seen
+
+    def footprint(self) -> int:
+        """Bytes for the non-empty children's Gram entries, rows, responses
+        and centers, and the frozen prior expansions' rows and weights."""
+        ndim = self.ndim or 0
+        total = sum(c.footprint_bytes(ndim) for c in self.children if c.n > 0)
+        return total + sum(node.footprint_bytes() for node in self.prior_nodes())
+
+    memory_footprint = footprint  # the name perfbench's workloads read
+
+
+class SplittingGP(LocalGpPool):
+    """Streaming GP regressor with similarity-routed local models.
+
+    The router sends each row to the child with the nearest center and
+    bisects a child that passes the split limit.
+
+    Parameters
+    ----------
+    split_limit : int
+        Maximum observations a local model may hold before it is bisected,
+        >= 2.
+    spec : KernelSpec, optional
+        Shared kernel; defaults are derived from the first data seen.
+    train_schedule : TrainSchedule, optional
+    """
+
+    def __init__(self, split_limit: int, spec: KernelSpec | None = None,
+                 train_schedule: TrainSchedule | None = None):
+        if split_limit < 2:
+            raise ContractViolationError("split limit must be at least 2")
+        super().__init__(spec, train_schedule)
+        self.m = int(split_limit)
+
+    # perfbench/tracing.py wraps these methods where it finds them, in this
+    # class's own __dict__.
+    update = LocalGpPool.update
+    refit = LocalGpPool.refit
+    predict = LocalGpPool.predict
+    predict_mean_batch = LocalGpPool.predict_mean_batch
+    predict_variance_batch = LocalGpPool.predict_variance_batch
 
     def _new_child(self, X: np.ndarray, Y: np.ndarray, center: np.ndarray | None = None,
                    prior: PriorMeanNode | None = None) -> ChildModel:
         # A child holds at most m + 1 rows: the one past m triggers its split.
         return ChildModel(X, Y, center, prior, max_rows=self.m + 1)
 
-    def _ingest_one(self, x: np.ndarray, y: float) -> bool:
-        """Route one observation; returns True when it triggered a split."""
-        x, y = check_observation(x, y, None if self.spec is None else self.spec.ndim)
-        if self.spec is None:
-            self.spec = default_spec(np.asarray([y]), x.size)
+    def _nearest_child(self, query: Query) -> int:
+        """Index of the child whose center is nearest to the query row in
+        scaled distance."""
+        return int(np.argmin(scaled_sq_dist(query.Xs, query.norms, *self._centers())[0]))
+
+    def _route(self, x: np.ndarray, y: float) -> bool:
         if not self.children:
             self.children.append(self._new_child(x[None, :], [y], center=x.copy()))
             return False
@@ -344,180 +524,20 @@ class SplittingGP:
         self.children[idx] = self._new_child(*result.left, prior=node)
         self.children.append(self._new_child(*result.right, prior=node))
 
-    def update(self, x: np.ndarray, y: float) -> None:
-        """Insert a single observation, splitting and refitting per schedule."""
-        if self._ingest_one(x, y) and self.schedule.on_split:
-            self.refit()
-
-    def update_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
-        """Insert rows in order; the kernel is refit once at the end."""
-        X, Y = check_batch(X, Y, None if self.spec is None else self.spec.ndim)
-        if X.shape[0] == 0:
-            return
-        for i in range(X.shape[0]):
-            self._ingest_one(X[i], Y[i])
-        if self.schedule.on_batch:
-            self.refit()
-
-    def ingest(self, x: np.ndarray, y: float) -> None:
-        self.update(x, y)
-
-    def ingest_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
-        self.update_batch(X, Y)
-
-    # -- training ----------------------------------------------------------
-
-    def _fit_shards(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        shards = [(c.X, c.residuals()) for c in self.children if c.n > 0]
-        return subsample_shards(shards, self.schedule)
-
-    def refit(self) -> FitResult:
-        """Re-optimize the shared kernel parameters on the current children."""
-        if not self.children:
-            raise EmptyModelError("cannot fit an empty model")
-        result = fit(self._fit_shards(), self.spec, self.schedule.fit)
-        self.spec = result.spec
-        self.last_fit = result
-        for child in self.children:
-            child.invalidate()
-        return result
-
-    # -- prediction --------------------------------------------------------
-
-    def _query(self, Xstar: np.ndarray) -> Query:
-        self._require_children()
-        return Query.of(Xstar, self.spec)
-
-    def _weights(self, query: Query) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-child weights for a batch of query rows: (weights, S, fallback)."""
-        sims = scaled_cross_gram(query.Xs, query.norms, *self._centers(),
-                                 self.spec.signal_variance)  # (B, C)
-        S = sims.sum(axis=1)
-        fallback = S <= 0.0
-        weights = np.empty_like(sims)
-        ok = ~fallback
-        weights[ok] = sims[ok] / S[ok, None]
-        if np.any(fallback):
-            warnings.warn(
-                "similarity normalizer underflowed to zero; using uniform weights",
-                RuntimeWarning,
-            )
-            weights[fallback] = 1.0 / self.n_children
-        return weights, S, fallback
-
-    def _require_children(self):
-        if not self.children:
-            raise EmptyModelError("model has no observations yet")
-
-    def _prior_node_values(self, query: Query) -> dict[int, np.ndarray]:
-        """Every unique prior node's value at the query rows, keyed by the
-        node's id.
-
-        Ancestors come first, so each node is evaluated once, on top of its
-        parent's value.
-        """
-        values: dict[int, np.ndarray] = {}
-        for node in self.prior_nodes():
-            base = None if node.parent is None else values[id(node.parent)]
-            values[id(node)] = node.evaluate(query.X, base, query)
-        return values
-
-    def _aggregate(self, query: Query, weights: np.ndarray, mean: bool,
-                   variance: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Weighted mean and variance over the children at query rows; None
-        for what is not asked.
-
-        Each child builds one kernel row per query row for both moments, and
-        each prior node is evaluated once.  Every prediction entry point
-        comes through here, so a single-row `predict` and a one-row batch do
-        the same arithmetic.
-        """
-        spec = self.spec
-        priors = self._prior_node_values(query) if mean else {}
-        shape = (query.X.shape[0], self.n_children)
-        means = np.empty(shape) if mean else None
-        variances = np.empty(shape) if variance else None
-        for j, child in enumerate(self.children):
-            mu, var = child.posterior(spec).predict_scaled(query.Xs, query.norms, mean, variance)
-            if mean:
-                means[:, j] = mu if child.prior is None else priors[id(child.prior)] + mu
-            if variance:
-                variances[:, j] = var
-        return (
-            np.sum(weights * means, axis=1) if mean else None,
-            np.sum(weights * weights * variances, axis=1) if variance else None,
-        )
-
-    def predict_mean_batch(self, Xstar: np.ndarray) -> np.ndarray:
-        """Aggregate posterior mean over all children for query rows."""
-        query = self._query(Xstar)
-        weights, _, _ = self._weights(query)
-        return self._aggregate(query, weights, mean=True, variance=False)[0]
-
-    def predict_variance_batch(self, Xstar: np.ndarray) -> np.ndarray:
-        """Aggregate variance under independence of the child posteriors."""
-        query = self._query(Xstar)
-        weights, _, _ = self._weights(query)
-        return self._aggregate(query, weights, mean=False, variance=True)[1]
-
-    def _predict_one(self, x_star: np.ndarray,
-                     variance: bool) -> tuple[PredictionSummary, float | None]:
-        query = self._query(np.asarray(x_star, dtype=float).ravel()[None, :])
-        weights, S, fallback = self._weights(query)
-        mean, var = self._aggregate(query, weights, mean=True, variance=variance)
-        summary = PredictionSummary(
-            mean=float(mean[0]),
-            weights=weights[0],
-            normalizer=float(S[0]),
-            uniform_fallback=bool(fallback[0]),
-        )
-        return summary, None if var is None else float(var[0])
-
     def predict_mean(self, x_star: np.ndarray) -> PredictionSummary:
         """Weighted-average prediction at a single point, with its weights."""
-        return self._predict_one(x_star, variance=False)[0]
-
-    def predict_variance(self, x_star: np.ndarray) -> float:
-        self._require_children()
-        x_star = np.asarray(x_star, dtype=float).ravel()
-        return float(self.predict_variance_batch(x_star[None, :])[0])
-
-    def predict(self, x_star: np.ndarray) -> tuple[float, float]:
-        """(mean, variance) at a single point from one set of weights and one
-        kernel row per child."""
-        summary, var = self._predict_one(x_star, variance=True)
-        return summary.mean, var
+        query = self._query(np.asarray(x_star, dtype=float).ravel()[None, :])
+        weights, S, fallback = self._weights(query)
+        means = self._moments(query, self.children, mean=True, variance=False)[0]
+        return PredictionSummary(mean=float(np.sum(weights * means, axis=1)[0]),
+                                 weights=weights[0],
+                                 normalizer=float(S[0]), uniform_fallback=bool(fallback[0]))
 
     # -- accounting and persistence -----------------------------------------
-
-    def prior_nodes(self) -> list[PriorMeanNode]:
-        """Unique frozen prior nodes reachable from the live children,
-        ancestors before descendants."""
-        seen: list[PriorMeanNode] = []
-        ids = set()
-        for child in self.children:
-            for node in reversed(child.prior.chain() if child.prior else []):
-                if id(node) not in ids:
-                    ids.add(id(node))
-                    seen.append(node)
-        return seen
-
-    def memory_footprint(self) -> int:
-        """Bytes for per-child Gram entries, rows, responses and centers, plus
-        the rows and weights of the frozen prior expansions."""
-        if not self.children:
-            return 0
-        ndim = self.ndim or 0
-        total = sum(c.footprint_bytes(ndim) for c in self.children)
-        total += sum(node.footprint_bytes() for node in self.prior_nodes())
-        return total
 
     def gram_footprint(self) -> int:
         """Bytes of stored kernel-matrix entries alone (the dominant term)."""
         return 8 * sum(c.n * c.n for c in self.children)
-
-    def footprint(self) -> int:
-        return self.memory_footprint()
 
     def save(self, path) -> None:
         """Write a versioned snapshot: children, priors, kernel, split limit,

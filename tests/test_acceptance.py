@@ -360,7 +360,7 @@ def test_criterion_9_baseline_degeneracies():
     local_gap = float(np.abs(local.predict_mean_batch(queries) - ref).max())
     rbcm_gap = float(np.abs(committee.predict_mean_batch(queries) - ref).max())
     report(9, "w_gen->0 local GP and single-expert rBCM equal the full GP",
-           local.n_models == 1 and local_gap < 1e-10 and rbcm_gap < 1e-10,
+           local.n_children == 1 and local_gap < 1e-10 and rbcm_gap < 1e-10,
            f"local gap {local_gap:.1e}, rbcm gap {rbcm_gap:.1e}")
 
 

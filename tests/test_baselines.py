@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from splitgp.baselines import FullGp, LocalGpWgen, OnlineRegressor, Rbcm
+from splitgp.baselines import FullGp, LocalGpWgen, Rbcm
 from splitgp.data import SeedPlan, synth_dataset
 from splitgp.exceptions import ContractViolationError, EmptyModelError
 from splitgp.gp import GpPosterior, posterior_mean, posterior_variance
@@ -80,8 +80,8 @@ class TestLocalGpWgen:
     def test_first_observation_creates_model(self):
         model = LocalGpWgen(0.5, **quiet())
         model.ingest(np.array([0.3, 0.3]), 1.0)
-        assert model.n_models == 1
-        assert np.array_equal(model.models[0].center, [0.3, 0.3])
+        assert model.n_children == 1
+        assert np.array_equal(model.children[0].center, [0.3, 0.3])
 
     def test_tiny_wgen_reduces_to_full_gp(self):
         rng = np.random.default_rng(3)
@@ -93,7 +93,7 @@ class TestLocalGpWgen:
         for x, y in zip(X, Y):
             local.ingest(x, y)
             full.ingest(x, y)
-        assert local.n_models == 1
+        assert local.n_children == 1
         queries = rng.uniform(-1, 1, size=(30, 2))
         gap = np.abs(local.predict_mean_batch(queries) - full.predict_mean_batch(queries))
         assert gap.max() < 1e-10
@@ -104,7 +104,7 @@ class TestLocalGpWgen:
         model = LocalGpWgen(0.99, spec=spec, **quiet())
         model.ingest(np.array([0.0, 0.0]), 0.0)
         model.ingest(np.array([0.2, 0.0]), 1.0)
-        assert model.n_models == 2
+        assert model.n_children == 2
 
     def test_threshold_boundary_is_inclusive(self):
         spec = make_spec([1.0], sf2=1.0, sn2=0.1)
@@ -112,7 +112,7 @@ class TestLocalGpWgen:
         model = LocalGpWgen(w, spec=spec, **quiet())
         model.ingest(np.array([0.0]), 0.0)
         model.ingest(np.array([1.0]), 1.0)  # similarity exactly w_gen -> new model
-        assert model.n_models == 2
+        assert model.n_children == 2
 
     def test_threshold_uses_normalized_similarity(self):
         # Same data, inflated signal variance: model count must not change.
@@ -121,7 +121,7 @@ class TestLocalGpWgen:
             model = LocalGpWgen(0.5, spec=spec, **quiet())
             model.ingest(np.array([0.0, 0.0]), 0.0)
             model.ingest(np.array([2.0, 0.0]), 1.0)
-            assert model.n_models == 2
+            assert model.n_children == 2
 
     def test_predict_single_model_matches_posterior(self):
         rng = np.random.default_rng(4)
@@ -133,7 +133,7 @@ class TestLocalGpWgen:
         x = np.array([0.1])
         mean, var = model.predict(x)
         assert mean == pytest.approx(posterior_mean(post, x, spec), abs=1e-12)
-        assert var is None
+        assert var == pytest.approx(posterior_variance(post, x, spec), abs=1e-12)
 
     def test_predict_identical_models_reproduce_common_mean(self):
         rng = np.random.default_rng(5)
@@ -141,7 +141,7 @@ class TestLocalGpWgen:
         X, Y = rng.normal(size=(8, 1)), rng.normal(size=8)
         model = LocalGpWgen(0.9, spec=spec, **quiet())
         from splitgp.model import ChildModel
-        model.models = [
+        model.children = [
             ChildModel(X.copy(), Y.copy(), center=np.array([-1.0])),
             ChildModel(X.copy(), Y.copy(), center=np.array([1.0])),
         ]
@@ -153,7 +153,7 @@ class TestLocalGpWgen:
         spec = make_spec([1.0], sf2=1.0, sn2=0.0)
         model = LocalGpWgen(0.9, spec=spec, **quiet())
         from splitgp.model import ChildModel
-        model.models = [
+        model.children = [
             ChildModel(np.array([[-1.0]]), [2.0]),
             ChildModel(np.array([[2.0]]), [-1.0]),
         ]
@@ -198,14 +198,14 @@ class TestRbcm:
         b = Rbcm(4, seed=99, spec=make_spec([1.0, 1.0]), **quiet())
         a.ingest_batch(X, Y)
         b.ingest_batch(X, Y)
-        sizes = lambda m: [0 if e is None else e.n for e in m.experts]
+        sizes = lambda m: [0 if e is None else e.n for e in m.children]
         assert sizes(a) == sizes(b)
 
     def test_binomial_balance(self):
         rng = np.random.default_rng(8)
         model = Rbcm(10, seed=5, spec=make_spec([1.0]), **quiet())
         model.ingest_batch(rng.normal(size=(1000, 1)), rng.normal(size=1000))
-        for expert in model.experts:
+        for expert in model.children:
             assert expert is not None
             assert 50 <= expert.n <= 150  # 100 +- 5 sigma, sigma ~ 9.5
 
@@ -224,7 +224,7 @@ class TestRbcm:
         X, Y = rng.normal(size=(10, 1)), rng.normal(size=10)
         model = Rbcm(3, seed=0, spec=spec, **quiet())
         from splitgp.model import ChildModel
-        model.experts = [ChildModel(X.copy(), Y.copy()) for _ in range(3)]
+        model.children = [ChildModel(X.copy(), Y.copy()) for _ in range(3)]
         post = GpPosterior(X, Y, spec)
         x = np.array([0.4])
         mean, _ = model.predict(x)
@@ -237,7 +237,7 @@ class TestRbcm:
         X1, Y1 = rng.normal(size=(6, 1)), rng.normal(size=6)
         X2, Y2 = rng.normal(size=(9, 1)) + 1.0, rng.normal(size=9)
         from splitgp.model import ChildModel
-        model.experts = [ChildModel(X1, Y1), ChildModel(X2, Y2)]
+        model.children = [ChildModel(X1, Y1), ChildModel(X2, Y2)]
         x = np.array([0.5])
         mus, sigs = [], []
         for Xk, Yk in ((X1, Y1), (X2, Y2)):
@@ -264,17 +264,6 @@ class TestRbcm:
             Rbcm(0)
 
 
-def test_all_models_satisfy_online_regressor_protocol():
-    models = [
-        SplittingGP(10, train_schedule=TrainSchedule.never()),
-        FullGp(**quiet()),
-        LocalGpWgen(0.5, **quiet()),
-        Rbcm(2, **quiet()),
-    ]
-    for model in models:
-        assert isinstance(model, OnlineRegressor)
-
-
 def test_models_deterministic_given_seed_and_stream():
     seeds = SeedPlan(77)
     ds = synth_dataset(150, seeds)
@@ -291,12 +280,15 @@ def test_models_deterministic_given_seed_and_stream():
         assert np.array_equal(a.predict_mean_batch(queries), b.predict_mean_batch(queries))
 
 
-@pytest.mark.parametrize("build", [
+every_model = pytest.mark.parametrize("build", [
     lambda: SplittingGP(8, train_schedule=TrainSchedule.never()),
     lambda: FullGp(**quiet()),
     lambda: LocalGpWgen(0.5, **quiet()),
     lambda: Rbcm(2, seed=3, **quiet()),
 ], ids=["splitting", "fullgp", "local", "rbcm"])
+
+
+@every_model
 def test_bad_rows_rejected_at_ingest(build):
     ds = synth_dataset(20, SeedPlan(78))
     queries = ds.X[:5]
@@ -325,3 +317,12 @@ def test_bad_rows_rejected_at_ingest(build):
     reference.ingest(ds.X[0] + 0.05, 0.3)
     assert np.array_equal(model.predict_mean_batch(queries),
                           reference.predict_mean_batch(queries))
+
+
+@every_model
+def test_predict_accepts_a_one_row_array(build):
+    ds = synth_dataset(30, SeedPlan(79))
+    model = build()
+    model.ingest_batch(ds.X, ds.Y)
+    for x in (ds.X[3], np.array([0.15, -0.35])):
+        assert model.predict(x[None, :]) == model.predict(x)

@@ -143,7 +143,7 @@ class TestPredict:
             assert summary.mean == pytest.approx(posterior_mean(post, x, spec), abs=1e-12)
             assert summary.weights.shape == (1,)
             assert summary.weights[0] == pytest.approx(1.0, abs=1e-15)
-            assert model.predict_variance(x) == pytest.approx(
+            assert model.predict(x)[1] == pytest.approx(
                 posterior_variance(post, x, spec), abs=1e-12
             )
 
@@ -177,7 +177,7 @@ class TestPredict:
         assert summary.mean == pytest.approx(2.0, abs=1e-12)
         # Symmetric construction: equal child variances v give v/2.
         v = posterior_variance(model.children[0].posterior(spec), np.array([0.0]), spec)
-        assert model.predict_variance(np.array([0.0])) == pytest.approx(v / 2, abs=1e-12)
+        assert model.predict(np.array([0.0]))[1] == pytest.approx(v / 2, abs=1e-12)
 
     def test_three_child_variance_formula_oracle(self):
         spec = make_spec([1.0, 1.0], sf2=1.4, sn2=0.2)
@@ -193,8 +193,8 @@ class TestPredict:
             posterior_variance(c.posterior(spec), x, spec) for c in model.children
         ])
         expected = float(np.sum(weights ** 2 * variances))
-        assert model.predict_variance(x) == pytest.approx(expected, abs=1e-12)
-        assert model.predict_variance(x) <= variances.max() + 1e-15
+        assert model.predict(x)[1] == pytest.approx(expected, abs=1e-12)
+        assert model.predict(x)[1] <= variances.max() + 1e-15
 
     def test_weights_partition_of_unity(self):
         seeds = SeedPlan(5)
@@ -225,7 +225,7 @@ class TestPredict:
         model = quiet_model(15)
         model.update_batch(ds.X, ds.Y)
         x = np.array([0.1, -0.2])
-        expected = (model.predict_mean(x).mean, model.predict_variance(x))
+        expected = (model.predict_mean(x).mean, float(model.predict_variance_batch(x[None, :])[0]))
         calls = []
         weights = SplittingGP._weights
         monkeypatch.setattr(
@@ -642,12 +642,12 @@ class TestFactorStorage:
             if t >= 3:
                 model.predict(X[t])  # caches the posterior
             model.ingest(X[t], Y[t])
-            assert model.n_models == 1
-            post = model.models[0]._posterior
+            assert model.n_children == 1
+            post = model.children[0]._posterior
             if post is None or post._store is None:
                 continue
             capacities.add(post._store.Y.size)
-            fresh = GpPosterior(model.models[0].X, model.models[0].Y, spec)
+            fresh = GpPosterior(model.children[0].X, model.children[0].Y, spec)
             assert _relative_gap(post.Y, fresh.Y) <= 1e-9
             assert _relative_gap(post.chol, fresh.chol) <= 1e-9
             assert _relative_gap(post.alpha, fresh.alpha) <= 1e-9
@@ -677,21 +677,9 @@ class TestQueryReuse:
     }
 
     @staticmethod
-    def _children(model):
-        if isinstance(model, SplittingGP):
-            return model.children
-        if isinstance(model, LocalGpWgen):
-            return model.models
-        return [e for e in model.experts if e is not None]
-
-    @staticmethod
     def _batch(model, grid):
-        if isinstance(model, Rbcm):
-            return np.concatenate(model.predict_batch(grid))
-        if isinstance(model, SplittingGP):
-            return np.concatenate([model.predict_mean_batch(grid),
-                                   model.predict_variance_batch(grid)])
-        return model.predict_mean_batch(grid)
+        return np.concatenate([model.predict_mean_batch(grid),
+                               model.predict_variance_batch(grid)])
 
     @pytest.mark.parametrize("kind", ["splitting", "local", "rbcm"])
     @pytest.mark.parametrize("seed", [51, 52])
@@ -712,7 +700,7 @@ class TestQueryReuse:
             fresh.ingest(X[t], Y[t])
         if kind == "splitting":
             assert max(len(c.prior.chain()) for c in reuse.children if c.prior) >= 3
-        pairs = list(zip(self._children(reuse), self._children(fresh), strict=True))
+        pairs = list(zip(reuse.children, fresh.children, strict=True))
         assert sum(a._posterior is not None for a, _ in pairs) >= 2
         for a, b in pairs:
             assert a.X.tobytes() == b.X.tobytes() and a.Y.tobytes() == b.Y.tobytes()
