@@ -69,6 +69,8 @@ class ExperimentConfig:
             raise ContractViolationError("batch_size must be >= 1")
         if self.replicates < 1:
             raise ContractViolationError("replicates must be >= 1")
+        if self.fit_subsample < 0:
+            raise ContractViolationError("fit_subsample must be >= 0 (0: off)")
 
     def to_kv_text(self) -> str:
         lines = []

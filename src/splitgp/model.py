@@ -227,7 +227,7 @@ class TrainSchedule:
     `on_split` refits after a split during single-observation updates;
     `on_batch` refits once at the end of every batch.  `fit_subsample`, when
     set, caps the number of rows per shard used for the hyperparameter search
-    (seeded); posteriors always condition on all data.
+    (seeded) and is at least 1; posteriors always condition on all data.
     """
 
     on_split: bool = True
@@ -235,6 +235,10 @@ class TrainSchedule:
     fit: FitSchedule = field(default_factory=FitSchedule)
     fit_subsample: int | None = None
     subsample_seed: int = 0
+
+    def __post_init__(self):
+        if self.fit_subsample is not None and self.fit_subsample < 1:
+            raise ContractViolationError("fit_subsample must be None or >= 1")
 
     @classmethod
     def never(cls) -> "TrainSchedule":
@@ -277,7 +281,9 @@ class LocalGpPool:
     ingest loop, the kernel refit over the children's residuals, each
     child's predictive moments at the query rows, and the combiner.  The
     default combiner weights every child by its similarity k(c_j, x) to the
-    query row, normalized to sum to one; a subclass may replace it.
+    query row, normalized to sum to one; a subclass may replace it.  The
+    four regressors are subclasses: `SplittingGP`, and in `baselines`
+    `FullGp` (one child), `LocalGpWgen` and `Rbcm`.
     """
 
     def __init__(self, spec: KernelSpec | None = None,

@@ -29,15 +29,15 @@ class TestFullGp:
         post = GpPosterior(X, Y, spec)
         x = np.array([0.2, -0.5])
         mean, var = model.predict(x)
-        assert mean == pytest.approx(posterior_mean(post, x, spec), abs=1e-12)
-        assert var == pytest.approx(posterior_variance(post, x, spec), abs=1e-12)
+        # Both sides take the same predict_scaled path; the one child's
+        # similarity weight s / s is exactly 1.
+        assert mean == posterior_mean(post, x, spec)
+        assert var == posterior_variance(post, x, spec)
 
-    def test_empty_predicts_prior(self):
-        spec = make_spec([1.0], sf2=1.9)
-        model = FullGp(spec=spec, **quiet())
-        mean, var = model.predict(np.array([0.4]))
-        assert mean == 0.0
-        assert var == pytest.approx(1.9)
+    def test_predict_without_rows_rejected(self):
+        model = FullGp(spec=make_spec([1.0], sf2=1.9), **quiet())
+        with pytest.raises(EmptyModelError):
+            model.predict(np.array([0.4]))
 
     def test_streaming_equals_batch_construction(self):
         rng = np.random.default_rng(1)
@@ -56,8 +56,10 @@ class TestFullGp:
             batch = X[rows].copy()
             batched.ingest_batch(batch, Y[rows])
             batch[:] = np.nan  # the model keeps no view of the caller's array
-        assert np.array_equal(batched.X, streamed.X) and np.array_equal(batched.Y, streamed.Y)
-        for a, b in ((batched.posterior(), streamed.posterior()), (batched.posterior(), post)):
+        b_child, s_child = batched.children[0], streamed.children[0]
+        assert np.array_equal(b_child.X, s_child.X) and np.array_equal(b_child.Y, s_child.Y)
+        for a, b in ((b_child.posterior(spec), s_child.posterior(spec)),
+                     (b_child.posterior(spec), post)):
             assert np.array_equal(a.chol, b.chol) and np.array_equal(a.alpha, b.alpha)
         # Without a spec, both seed it from the first response.
         unseeded = FullGp(**quiet()), FullGp(**quiet())
@@ -67,13 +69,14 @@ class TestFullGp:
             row[:] = np.nan
         unseeded[1].ingest_batch(X, Y)
         assert unseeded[0].spec == unseeded[1].spec == default_spec(Y[:1], 2)
-        assert np.array_equal(unseeded[0].X, X) and np.array_equal(unseeded[1].X, X)
+        assert all(np.array_equal(model.children[0].X, X) for model in unseeded)
 
     def test_footprint_quadratic_term(self):
         rng = np.random.default_rng(2)
         model = FullGp(spec=make_spec([1.0, 1.0]), **quiet())
         model.ingest_batch(rng.normal(size=(10, 2)), rng.normal(size=10))
-        assert model.footprint() == 8 * (100 + 20 + 10)
+        # Gram entries, rows, responses and the child's center.
+        assert model.footprint() == 8 * (100 + 20 + 10 + 2)
 
 
 class TestLocalGpWgen:

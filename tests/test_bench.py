@@ -72,6 +72,13 @@ class TestConfig:
         with pytest.raises(ContractViolationError, match="unknown schedule"):
             ExperimentConfig.from_kv_text("train_schedule=every\n")
 
+    def test_negative_fit_subsample_rejected(self):
+        with pytest.raises(ContractViolationError, match="fit_subsample"):
+            ExperimentConfig(model="fullgp", fit_subsample=-5)
+        # 0 stays the "off" value.
+        cfg = ExperimentConfig(model="fullgp", fit_subsample=0)
+        assert make_model(cfg, SeedPlan(0), 0).schedule.fit_subsample is None
+
 
 class TestRunExperiment:
     def test_record_shape_and_rmse(self):
@@ -348,6 +355,13 @@ class TestCli:
             cli.main(["run", "--train-schedule", "every"])
         assert exc.value.code == 2
         assert "invalid choice: 'every'" in capsys.readouterr().err
+
+    def test_negative_fit_subsample_returns_error(self, tmp_path, capsys):
+        rc = cli.main(["run", "--model", "fullgp", "--synthetic-n", "60", "--fit-subsample", "-5",
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == 2
+        assert "fit_subsample" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
 
     def test_bad_config_returns_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"

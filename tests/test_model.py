@@ -435,6 +435,13 @@ def test_update_refits_on_split_per_schedule():
     assert model.last_fit is not None
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_fit_subsample_below_one_rejected(cap):
+    with pytest.raises(ContractViolationError, match="fit_subsample"):
+        TrainSchedule(fit_subsample=cap)
+    assert TrainSchedule(fit_subsample=1).fit_subsample == 1
+
+
 class TestIncrementalUpdate:
     """Appends to a child with a cached posterior extend its Cholesky factor;
     each result is checked against a fresh factorization of the same data."""

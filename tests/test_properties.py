@@ -1,5 +1,5 @@
-"""Property tests over the three local-GP pools: SplittingGP, LocalGpWgen
-and Rbcm.
+"""Property tests over the four local-GP pools: SplittingGP, FullGp,
+LocalGpWgen and Rbcm.
 
 Streams mix free rows with duplicates of earlier rows and rows on one line,
 and the queries include far-field rows, where every similarity underflows.
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from splitgp.baselines import LocalGpWgen, Rbcm
+from splitgp.baselines import FullGp, LocalGpWgen, Rbcm
 from splitgp.kernels import KernelSpec
 from splitgp.model import SplittingGP, TrainSchedule
 
@@ -45,11 +45,13 @@ def streams(draw):
 @st.composite
 def pools(draw):
     """(kind, factory) for a pool under the fixed kernel and no refits."""
-    kind = draw(st.sampled_from(("splitting", "local", "rbcm")))
+    kind = draw(st.sampled_from(("splitting", "fullgp", "local", "rbcm")))
     never = TrainSchedule.never()
     if kind == "splitting":
         m = draw(st.integers(2, 8))
         return kind, lambda: SplittingGP(m, spec=SPEC, train_schedule=never)
+    if kind == "fullgp":
+        return kind, lambda: FullGp(spec=SPEC, train_schedule=never)
     if kind == "local":
         w_gen = draw(st.sampled_from((0.05, 0.4, 0.9)))
         return kind, lambda: LocalGpWgen(w_gen, spec=SPEC, train_schedule=never)
@@ -77,6 +79,8 @@ def test_stream_invariants(pool, stream, Xq):
         assert model.n_observations == X.shape[0]
         if kind == "splitting":
             assert max(c.n for c in model.children) <= model.m
+        if kind == "fullgp":
+            assert model.n_children == 1
         if kind == "rbcm":
             assert model.n_children == model.n_experts
     assert rowwise.predict_mean_batch(Xq).tobytes() == batched.predict_mean_batch(Xq).tobytes()

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import splitgp  # noqa: F401  (loads every submodule)
+from splitgp.baselines import FullGp
+from splitgp.gp import FitSchedule
 from splitgp.model import SplittingGP, TrainSchedule
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -69,6 +71,9 @@ def test_traced_model_calls_are_recorded(tracing):
             model.ingest(x, y)
         model.predict_mean_batch(X[:5])
         model.predict_variance_batch(X[:5])
+        full = FullGp(train_schedule=TrainSchedule(fit=FitSchedule(max_iters=2)))
+        full.ingest_batch(X, Y)
+        full.predict_mean_batch(X[:5])
     finally:
         tracer.uninstall()
     counts = tracer.layer_metrics(wall_s=1.0, steps=10)
@@ -77,4 +82,7 @@ def test_traced_model_calls_are_recorded(tracing):
     assert counts["model.SplittingGP.predict_mean_batch.calls"] == 1
     assert counts["model.SplittingGP.predict_variance_batch.calls"] == 1
     assert counts["model.ChildModel.posterior.calls"] > 0
+    # The full GP's calls reach the tracer through its own rebinds.
+    for name in ("ingest_batch", "refit", "predict_mean_batch"):
+        assert counts[f"baselines.FullGp.{name}.calls"] == 1
     assert tracer.last_model is model
