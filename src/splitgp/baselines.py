@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import ContractViolationError
-from .kernels import KernelSpec, Query, scaled_cross_gram
+from .kernels import KernelSpec, Query
 from .model import ChildModel, LocalGpPool, TrainSchedule
 
 EXPERT_VARIANCE_FLOOR = 1e-300  # Rbcm floors expert variances here before log and 1/v
@@ -27,7 +27,7 @@ class FullGp(LocalGpPool):
     """Exact GP over the entire stream: a pool of one child.
 
     The router puts every row in the one child, which the first row
-    creates; the similarity combiner then gives that child weight 1.
+    creates; the similarity combiner then gives that child weight exactly 1.
     """
 
     # perfbench/tracing.py wraps these methods where it finds them, in this
@@ -47,12 +47,12 @@ class FullGp(LocalGpPool):
 class LocalGpWgen(LocalGpPool):
     """Threshold-based local GP (Nguyen-Tuong, Seeger & Peters 2009).
 
-    The router adds a row to the most similar child, or spawns a new child
-    centered on the row when no center is more similar than `w_gen`.  The
-    threshold is compared against the amplitude-normalized similarity
-    exp(-0.5 sum_d (x_d - c_d)^2 / l_d^2), so w_gen keeps its (0, 1] meaning
-    whatever the fitted signal variance is.  Predictions use the pool's
-    similarity combiner; the normalization cancels there.
+    The router adds a row to the nearest child, or spawns a new child
+    centered on the row when no center is more similar than `w_gen` under
+    the amplitude-normalized similarity exp(-d^2 / 2), that is, when the
+    squared scaled distance d^2 to the nearest center is not below
+    -2 log(w_gen).  So w_gen keeps its (0, 1] meaning whatever the fitted
+    signal variance is.  Predictions use the pool's similarity combiner.
     """
 
     def __init__(self, w_gen: float, spec: KernelSpec | None = None,
@@ -61,14 +61,14 @@ class LocalGpWgen(LocalGpPool):
             raise ContractViolationError("w_gen must lie in (0, 1]")
         super().__init__(spec, train_schedule)
         self.w_gen = float(w_gen)
+        self._radius2 = -2.0 * np.log(self.w_gen)
 
     def _route(self, x: np.ndarray, y: float) -> bool:
         if self.children:
             query = Query.of(x[None, :], self.spec)
-            sf2 = self.spec.signal_variance
-            sims = scaled_cross_gram(query.Xs, query.norms, *self._centers(), sf2)[0]
-            if np.max(sims / sf2) > self.w_gen:
-                self.children[int(np.argmax(sims))].append(x, y, query)
+            idx, d2 = self._nearest(query)
+            if d2 < self._radius2:
+                self.children[idx].append(x, y, query)
                 return False
         self.children.append(ChildModel(x[None, :], [y], center=x.copy()))
         return False

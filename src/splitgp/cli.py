@@ -11,6 +11,7 @@ import sys
 from dataclasses import fields
 
 from .bench import (
+    MODELS,
     SCHEDULES,
     ExperimentConfig,
     _coerce,
@@ -27,7 +28,7 @@ from .exceptions import ContractViolationError
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--model", choices=["splitting", "fullgp", "localgp", "rbcm"])
+    parser.add_argument("--model", choices=MODELS)
     parser.add_argument("--m", type=int, help="splitting limit")
     parser.add_argument("--wgen", dest="w_gen", type=float, help="local GP similarity threshold")
     parser.add_argument("--experts", type=int, help="rBCM expert count")

@@ -156,10 +156,9 @@ class Query(NamedTuple):
 _NORM_BLOCK = 8192
 
 
-def scaled_sq_dist(Xs: np.ndarray, a: np.ndarray, Zs: np.ndarray, b: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def scaled_sq_dist(Xs: np.ndarray, a: np.ndarray, Zs: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances between the rows of Xs and Zs, whose squared row
-    norms are a and b, in one buffer: `out` if given, else a fresh array.
+    norms are a and b, in one fresh buffer.
 
     Entry (i, j) is (a_i + b_j) - 2 G_ij, with G = Xs Zs^T the buffer.  It
     serves routing and cross-kernel rows; Gram matrices are built by
@@ -167,7 +166,7 @@ def scaled_sq_dist(Xs: np.ndarray, a: np.ndarray, Zs: np.ndarray, b: np.ndarray,
     is the largest similarity, also where every similarity underflows to
     zero.
     """
-    D = np.matmul(Xs, Zs.T, out=out)
+    D = Xs @ Zs.T
     D *= -2.0
     step = max(1, _NORM_BLOCK // max(b.size, 1))
     for i in range(0, a.size, step):

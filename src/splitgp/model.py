@@ -16,7 +16,6 @@ similarity weights, which keeps the mean continuous in the input.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,12 +262,11 @@ def subsample_shards(shards, schedule: TrainSchedule):
 
 @dataclass
 class PredictionSummary:
-    """Aggregate prediction with the per-child weights that produced it."""
+    """Aggregate prediction with the per-child weights that produced it:
+    one per child, non-negative, summing to one at every query."""
 
     mean: float
     weights: np.ndarray
-    normalizer: float
-    uniform_fallback: bool = False
 
 
 class LocalGpPool:
@@ -278,10 +276,11 @@ class LocalGpPool:
     A subclass supplies the router, `_route(x, y)`, which stores one checked
     row in a child and returns True when that split a child.  The pool owns
     everything else: row checks, seeding the spec from the first row, the
-    ingest loop, the kernel refit over the children's residuals, each
-    child's predictive moments at the query rows, and the combiner.  The
-    default combiner weights every child by its similarity k(c_j, x) to the
-    query row, normalized to sum to one; a subclass may replace it.  The
+    ingest loop, the nearest center, the kernel refit over the children's
+    residuals, each child's predictive moments at the query rows, and the
+    combiner.  The default combiner weights every child by its similarity
+    k(c_j, x) to the query row, normalized to sum to one, and far from every
+    center gives the weight to the nearest; a subclass may replace it.  The
     four regressors are subclasses: `SplittingGP`, and in `baselines`
     `FullGp` (one child), `LocalGpWgen` and `Rbcm`.
     """
@@ -311,25 +310,31 @@ class LocalGpPool:
         """The children's centers as a `scaled_rows` pair under the spec."""
         return scaled_rows(np.array([c.center for c in self.children]), self.spec, "centers")
 
-    def _ingest_one(self, x: np.ndarray, y: float) -> bool:
-        """Check one observation and route it; True when it split a child."""
-        x, y = check_observation(x, y, None if self.spec is None else self.spec.ndim)
-        if self.spec is None:
-            self.spec = default_spec(np.asarray([y]), x.size)
-        return self._route(x, y)
+    def _nearest(self, query: Query) -> tuple[int, float]:
+        """(index, squared scaled distance) of the child whose center is
+        nearest to the one query row, which is its most similar child."""
+        d2 = scaled_sq_dist(query.Xs, query.norms, *self._centers())[0]
+        idx = int(np.argmin(d2))
+        return idx, float(d2[idx])
 
     def update(self, x: np.ndarray, y: float) -> None:
         """Insert a single observation, refitting after a split per schedule."""
-        if self._ingest_one(x, y) and self.schedule.on_split:
+        x, y = check_observation(x, y, None if self.spec is None else self.spec.ndim)
+        if self.spec is None:
+            self.spec = default_spec(np.asarray([y]), x.size)
+        if self._route(x, y) and self.schedule.on_split:
             self.refit()
 
     def update_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
-        """Insert rows in order; the kernel is refit once at the end."""
+        """Insert rows in order, checked as one batch before the first is
+        stored; the kernel is refit once at the end."""
         X, Y = check_batch(X, Y, None if self.spec is None else self.spec.ndim)
         if X.shape[0] == 0:
             return
-        for i in range(X.shape[0]):
-            self._ingest_one(X[i], Y[i])
+        if self.spec is None:
+            self.spec = default_spec(Y[:1], X.shape[1])
+        for x, y in zip(X, Y):
+            self._route(x, y)
         if self.schedule.on_batch:
             self.refit()
 
@@ -395,23 +400,16 @@ class LocalGpPool:
                 variances[:, j] = var
         return means, variances
 
-    def _weights(self, query: Query) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-child similarity weights for a batch of query rows:
-        (weights, S, fallback)."""
-        sims = scaled_cross_gram(query.Xs, query.norms, *self._centers(),
-                                 self.spec.signal_variance)  # (B, C)
-        S = sims.sum(axis=1)
-        fallback = S <= 0.0
-        weights = np.empty_like(sims)
-        ok = ~fallback
-        weights[ok] = sims[ok] / S[ok, None]
-        if np.any(fallback):
-            warnings.warn(
-                "similarity normalizer underflowed to zero; using uniform weights",
-                RuntimeWarning,
-            )
-            weights[fallback] = 1.0 / self.n_children
-        return weights, S, fallback
+    def _weights(self, query: Query) -> np.ndarray:
+        """Per-child weights k(c_j, x) / sum_i k(c_i, x), one row per query
+        row: a softmax of -d_j^2 / 2 without the row's constants sf2 and
+        |x|^2, so no sum underflows and an overflowing |x|^2 does no harm."""
+        Zs, b = self._centers()
+        E = b - 2.0 * (query.Xs @ Zs.T)  # d_j^2 - |x|^2, (B, C)
+        E -= E.min(axis=1, keepdims=True)
+        np.exp(-0.5 * E, out=E)
+        E /= E.sum(axis=1, keepdims=True)
+        return E
 
     def _combine(self, query: Query, mean: bool,
                  variance: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -419,7 +417,7 @@ class LocalGpPool:
         children, sum_j w_j^2 v_j, at the query rows.  Every prediction entry
         point comes through here, so a single-row `predict` and a one-row
         batch do the same arithmetic."""
-        weights = self._weights(query)[0]
+        weights = self._weights(query)
         means, variances = self._moments(query, self.children, mean, variance)
         return (
             np.sum(weights * means, axis=1) if mean else None,
@@ -500,17 +498,12 @@ class SplittingGP(LocalGpPool):
         # A child holds at most m + 1 rows: the one past m triggers its split.
         return ChildModel(X, Y, center, prior, max_rows=self.m + 1)
 
-    def _nearest_child(self, query: Query) -> int:
-        """Index of the child whose center is nearest to the query row in
-        scaled distance."""
-        return int(np.argmin(scaled_sq_dist(query.Xs, query.norms, *self._centers())[0]))
-
     def _route(self, x: np.ndarray, y: float) -> bool:
         if not self.children:
             self.children.append(self._new_child(x[None, :], [y], center=x.copy()))
             return False
         query = Query.of(x[None, :], self.spec)
-        idx = self._nearest_child(query)
+        idx = self._nearest(query)[0]
         child = self.children[idx]
         child.append(x, y, query)
         if child.n > self.m:
@@ -533,11 +526,10 @@ class SplittingGP(LocalGpPool):
     def predict_mean(self, x_star: np.ndarray) -> PredictionSummary:
         """Weighted-average prediction at a single point, with its weights."""
         query = self._query(np.asarray(x_star, dtype=float).ravel()[None, :])
-        weights, S, fallback = self._weights(query)
+        weights = self._weights(query)
         means = self._moments(query, self.children, mean=True, variance=False)[0]
         return PredictionSummary(mean=float(np.sum(weights * means, axis=1)[0]),
-                                 weights=weights[0],
-                                 normalizer=float(S[0]), uniform_fallback=bool(fallback[0]))
+                                 weights=weights[0])
 
     # -- accounting and persistence -----------------------------------------
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,9 +31,18 @@ class TestFullGp:
         x = np.array([0.2, -0.5])
         mean, var = model.predict(x)
         # Both sides take the same predict_scaled path; the one child's
-        # similarity weight s / s is exactly 1.
+        # similarity weight exp(0) / exp(0) is exactly 1.
         assert mean == posterior_mean(post, x, spec)
         assert var == posterior_variance(post, x, spec)
+
+    def test_far_field_predict_raises_no_warning(self):
+        rng = np.random.default_rng(2)
+        model = FullGp(spec=make_spec([1.0, 1.0], sn2=0.2), **quiet())
+        model.ingest_batch(rng.normal(size=(10, 2)), rng.normal(size=10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, var = model.predict(np.array([1e3, 1e3]))
+        assert (mean, var) == (0.0, 1.0)  # the prior: every k(x_i, x) is 0
 
     def test_predict_without_rows_rejected(self):
         model = FullGp(spec=make_spec([1.0], sf2=1.9), **quiet())

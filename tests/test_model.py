@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -207,18 +208,44 @@ class TestPredict:
             assert abs(summary.weights.sum() - 1.0) <= 1e-12
             assert np.all(summary.weights >= 0.0)
 
-    def test_underflow_falls_back_to_uniform(self):
+    def test_far_field_weight_goes_to_nearest_child(self):
+        # Every similarity underflows to zero at the query; the weights still
+        # follow the scaled distances, so the nearer child takes them all.
         spec = make_spec([1e-3, 1e-3], sn2=0.01)
         model = quiet_model(50, spec=spec)
         model.children = [
             ChildModel(np.array([[0.0, 0.0]]), [1.0]),
             ChildModel(np.array([[0.1, 0.0]]), [2.0]),
         ]
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             summary = model.predict_mean(np.array([1e3, 1e3]))
-        assert summary.uniform_fallback
-        assert np.allclose(summary.weights, [0.5, 0.5])
-        assert summary.normalizer == 0.0
+        assert summary.weights.tolist() == [0.0, 1.0]
+        assert np.isfinite(summary.mean)
+
+    def test_weights_finite_where_the_query_norm_overflows(self):
+        # |x / l|^2 overflows to inf at this row; the weights never form it.
+        model = quiet_model(50, spec=make_spec([1.0, 1.0], sn2=0.01))
+        model.children = [
+            ChildModel(np.array([[0.0, 0.0]]), [1.0]),
+            ChildModel(np.array([[1.0, 0.0]]), [2.0]),
+        ]
+        with np.errstate(over="ignore"):  # scaling the query row overflows
+            summary = model.predict_mean(np.array([1e200, 0.0]))
+        assert summary.weights.tolist() == [0.0, 1.0]
+        assert summary.mean == 0.0
+
+    def test_mean_continuous_past_the_underflow_frontier(self):
+        # Past x = 4.86 every similarity to both centers underflows; the mean
+        # must keep following the nearer child B there instead of jumping.
+        spec = make_spec([0.1], sf2=1.0, sn2=0.01)
+        prior = PriorMeanNode(np.array([[0.0]]), np.array([1.0]), make_spec([100.0], sn2=0.01),
+                              None)
+        model = quiet_model(50, spec=spec)
+        model.children = [ChildModel(np.array([[0.0]]), [1.0], prior=prior),
+                          ChildModel(np.array([[1.0]]), [0.0])]
+        xs = np.linspace(3.0, 6.0, 300_001)[:, None]
+        assert np.abs(np.diff(model.predict_mean_batch(xs))).max() <= 1e-6
 
     def test_predict_computes_weights_once(self, monkeypatch):
         ds = synth_dataset(60, SeedPlan(5))
@@ -581,7 +608,6 @@ class TestSingleQueryPath:
         monkeypatch.setattr(PriorMeanNode, "evaluate", counted)
         return counts
 
-    @pytest.mark.filterwarnings("ignore:similarity normalizer underflowed")
     @pytest.mark.parametrize("seed", [41, 42])
     def test_single_point_matches_batch(self, seed):
         model, queries = self._streamed(seed)
@@ -593,7 +619,6 @@ class TestSingleQueryPath:
             assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
             assert abs(weights.sum() - 1.0) <= 1e-12
 
-    @pytest.mark.filterwarnings("ignore:similarity normalizer underflowed")
     def test_each_prior_node_evaluated_once_per_call(self, monkeypatch):
         model, queries = self._streamed(43)
         once = {id(node): 1 for node in model.prior_nodes()}

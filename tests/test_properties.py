@@ -7,7 +7,6 @@ The kernel is fixed and never refit, so each example stays cheap.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +16,6 @@ from splitgp.model import SplittingGP, TrainSchedule
 
 SPEC = KernelSpec(np.array([0.4, 0.9]), 1.0, 0.05)
 FAR = np.array([[40.0, -40.0], [1e3, 1e3]])
-
-pytestmark = pytest.mark.filterwarnings("ignore:similarity normalizer underflowed")
 
 coordinate = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -99,3 +96,15 @@ def test_single_row_predict_matches_batch(pool, stream, Xq):
         assert np.isfinite(var) and var >= 0.0
     variances = model.predict_variance_batch(Xq)
     assert np.all(np.isfinite(variances)) and np.all(variances >= 0.0)
+
+
+@PROPERTY_SETTINGS
+@given(pool=pools(), stream=streams(), Xq=queries)
+def test_weights_are_a_partition_of_unity(pool, stream, Xq):
+    _, build = pool
+    model = build()
+    model.update_batch(*stream)
+    weights = model._weights(model._query(Xq))
+    assert weights.shape == (Xq.shape[0], model.n_children)
+    assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
+    assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12
