@@ -7,8 +7,9 @@ router spawns a local model behind a similarity threshold.  These two predict
 with the pool's similarity weights.  Rbcm's router assigns rows to a fixed
 set of experts at random, and it combines them as a product of Gaussians.
 
-Like `SplittingGP`, each rejects a non-finite or wrong-width observation
-with `ContractViolationError` before it changes any state, and a batch is
+Like `SplittingGP`, each rejects a non-finite or wrong-width observation,
+or one that overflows when scaled by the lengthscales, with
+`ContractViolationError` before it changes any state, and a batch is
 checked whole before its first row is stored.
 """
 

@@ -34,7 +34,7 @@ BLAS calls here therefore skip their own finiteness scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
@@ -171,9 +171,11 @@ class GpPosterior:
 
     `max_rows` is the most observations the caller will extend this posterior
     to, when that is bounded; it caps the storage an extension reserves (see
-    the module docstring).  The rows scaled by the lengthscales, and their
-    norms, are built on the first kernel-row request, after a check of the
-    stored rows, so a posterior that only serves a fit never holds them.
+    the module docstring), and is the one field an owner may set later, as
+    a child does on adopting a fit's posterior.  The rows scaled by the
+    lengthscales, and their norms, are built on the first kernel-row
+    request, after a check of the stored rows, so a posterior that only
+    serves a fit never holds them.
     `chol` is the n x n lower factor; an extended posterior unpacks it into a
     fresh array on each read.
 
@@ -481,13 +483,15 @@ class FitSchedule:
 class FitResult:
     """Outcome of a fit call: the spec, the maximized objective (summed LML
     plus log prior) there, SciPy's iteration count and convergence flag, and
-    `warning`, set when an evaluation failed numerically."""
+    `warning`, set when an evaluation failed numerically.  `posteriors` are
+    `fit`'s shard posteriors at `spec`, or None; equality ignores them."""
 
     spec: KernelSpec
     objective: float
     iterations: int
     converged: bool
     warning: bool = False
+    posteriors: list[GpPosterior] | None = field(default=None, compare=False, repr=False)
 
 
 def _shard_lml(theta: np.ndarray, shards, spec: KernelSpec,
@@ -518,7 +522,9 @@ def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitRes
     (R&W 5.4.1).  A zero noise variance, whose log is -inf, is held at zero.
     An evaluation that fails numerically reads +inf to the optimizer and sets
     `warning`.  If the warm start fails, or nothing beats it, spec itself is
-    returned.
+    returned.  The result holds the last evaluation's shard posteriors,
+    bitwise what `GpPosterior(X, Y, result.spec)` builds, when it succeeded
+    at the returned spec; an evaluation overwrites the arrays of the last.
     """
     from scipy.optimize import minimize  # about 0.2 s, so loaded on first use
 
@@ -533,10 +539,12 @@ def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitRes
     start = theta[free].copy()
     buffers = None  # the first evaluation's arrays, overwritten by every later one
     warning = False
+    last = None  # a copy of x at the latest evaluation, while that one succeeded
 
     def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal buffers, warning
+        nonlocal buffers, warning, last
         theta[free] = x
+        last = None
         try:
             if np.abs(x).max() >= 700.0:  # exp would overflow or underflow
                 raise NumericalError("log parameters out of range")
@@ -547,12 +555,19 @@ def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitRes
                 raise  # the warm start has no objective
             warning = True
             return np.inf, np.zeros_like(x)
+        last = x.copy()
         pull = (x - start) / PRIOR_SCALE**2
         return 0.5 * pull @ (x - start) - lml, pull - grad[free]
 
+    def kept(x: np.ndarray, final: KernelSpec) -> list[GpPosterior] | None:
+        """The last evaluation's posteriors, if it succeeded at x under final."""
+        if last is None or last.tobytes() != x.tobytes() or buffers[0][0].spec != final:
+            return None
+        return [post for post, _ in buffers]
+
     try:
         if schedule.max_iters < 1:  # SciPy would still take one step
-            return FitResult(spec, -negated(start)[0], 0, False, warning)
+            return FitResult(spec, -negated(start)[0], 0, False, warning, kept(start, spec))
         res = minimize(negated, start, jac=True, method="L-BFGS-B",
                        options={"maxiter": schedule.max_iters})
     except NumericalError:
@@ -560,4 +575,4 @@ def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitRes
     # L-BFGS-B returns an accepted iterate, never one worse than the start.
     theta[free] = res.x
     final = spec if np.array_equal(res.x, start) else spec.with_log_vector(theta)
-    return FitResult(final, -res.fun, res.nit, res.success, warning)
+    return FitResult(final, -res.fun, res.nit, res.success, warning, kept(res.x, final))

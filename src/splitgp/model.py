@@ -16,6 +16,7 @@ similarity weights, which keeps the mean continuous in the input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,6 +135,16 @@ def check_batch(X: np.ndarray, Y: np.ndarray, ndim: int | None) -> tuple[np.ndar
     return X, Y
 
 
+def check_scaled(X: np.ndarray, spec: KernelSpec) -> None:
+    """ContractViolationError when 4 |x / l|^2 overflows for a row of X, as a
+    squared distance sums two such norms and twice their rows' product.  Python
+    floats overflow to inf without a warning, and beat NumPy on one row."""
+    ls = spec.lengthscales.tolist()
+    for row in X.tolist():
+        if not 4.0 * sum((v / l) * (v / l) for v, l in zip(row, ls)) < math.inf:
+            raise ContractViolationError("observation overflows when scaled by the lengthscales")
+
+
 class ChildModel:
     """One local GP: its data, its center, its inherited prior mean, and a
     lazy posterior cache over the residuals.
@@ -153,7 +164,9 @@ class ChildModel:
     l = L^-1 k are that predict's memos, so no kernel row is built at all.
     Otherwise, or when `GpPosterior.extended` declines, the cache is cleared
     and the next use rebuilds it in O(n^3).  The owning model validates each
-    row before it reaches `append`.
+    row before it reaches `append`.  A refit may leave the fit's posterior
+    of all the rows in a slot apart: `posterior(spec)` takes it at its spec
+    instead of rebuilding, and an append or `invalidate` drops it unextended.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, center: np.ndarray | None = None,
@@ -173,6 +186,7 @@ class ChildModel:
         self.max_rows = max_rows
         self._residuals: np.ndarray | None = None
         self._posterior: GpPosterior | None = None
+        self._adopted: GpPosterior | None = None
 
     @property
     def n(self) -> int:
@@ -182,7 +196,7 @@ class ChildModel:
         """Store one row; `query`, when given, is x as a checked and scaled
         one-row `Query`."""
         x, y = np.asarray(x, dtype=float).ravel(), float(y)
-        post = self._posterior
+        post, self._adopted = self._posterior, None
         if post is not None:
             if query is None:
                 query = Query.of(x[None, :], post.spec, "x")
@@ -200,7 +214,7 @@ class ChildModel:
         self._residuals = None if post is None else post.Y
 
     def invalidate(self) -> None:
-        self._posterior = None
+        self._posterior = self._adopted = None
 
     def residuals(self) -> np.ndarray:
         """Responses minus the inherited prior mean; what the local GP models."""
@@ -210,8 +224,9 @@ class ChildModel:
 
     def posterior(self, spec: KernelSpec) -> GpPosterior:
         if self._posterior is None or self._posterior.spec != spec:
-            self._posterior = GpPosterior(self.X, self.residuals(), spec,
-                                          max_rows=self.max_rows)
+            adopted, self._adopted = self._adopted, None
+            self._posterior = adopted if adopted is not None and adopted.spec == spec else (
+                GpPosterior(self.X, self.residuals(), spec, max_rows=self.max_rows))
         return self._posterior
 
     def footprint_bytes(self, ndim: int) -> int:
@@ -318,10 +333,12 @@ class LocalGpPool:
         return idx, float(d2[idx])
 
     def update(self, x: np.ndarray, y: float) -> None:
-        """Insert a single observation, refitting after a split per schedule."""
+        """Insert a single observation, refitting after a split per schedule.
+        A row that `check_scaled` rejects under the spec changes nothing."""
         x, y = check_observation(x, y, None if self.spec is None else self.spec.ndim)
-        if self.spec is None:
-            self.spec = default_spec(np.asarray([y]), x.size)
+        spec = default_spec(np.asarray([y]), x.size) if self.spec is None else self.spec
+        check_scaled(x[None, :], spec)
+        self.spec = spec
         if self._route(x, y) and self.schedule.on_split:
             self.refit()
 
@@ -331,8 +348,9 @@ class LocalGpPool:
         X, Y = check_batch(X, Y, None if self.spec is None else self.spec.ndim)
         if X.shape[0] == 0:
             return
-        if self.spec is None:
-            self.spec = default_spec(Y[:1], X.shape[1])
+        spec = default_spec(Y[:1], X.shape[1]) if self.spec is None else self.spec
+        check_scaled(X, spec)
+        self.spec = spec
         for x, y in zip(X, Y):
             self._route(x, y)
         if self.schedule.on_batch:
@@ -348,15 +366,22 @@ class LocalGpPool:
 
     def refit(self) -> FitResult:
         """Re-optimize the shared kernel parameters on the residuals of the
-        non-empty children."""
-        shards = [(c.X, c.residuals()) for c in self.children if c.n > 0]
-        if not shards:
+        non-empty children.  Every cached posterior is dropped; a child whose
+        rows the fit saw whole, not cut by `fit_subsample`, adopts the one the
+        fit returns for it, if any.  `last_fit` keeps no posterior."""
+        live = [c for c in self.children if c.n > 0]
+        if not live:
             raise EmptyModelError("cannot fit an empty model")
-        result = fit(subsample_shards(shards, self.schedule), self.spec, self.schedule.fit)
+        shards = subsample_shards([(c.X, c.residuals()) for c in live], self.schedule)
+        result = fit(shards, self.spec, self.schedule.fit)
+        posteriors, result.posteriors = result.posteriors or [], None
         self.spec = result.spec
         self.last_fit = result
         for child in self.children:
             child.invalidate()
+        for child, post in zip(live, posteriors):
+            if post.n == child.n:
+                post.max_rows, child._adopted = child.max_rows, post
         return result
 
     # -- prediction --------------------------------------------------------

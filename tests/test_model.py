@@ -6,9 +6,9 @@ import pytest
 
 from splitgp import gp as gp_module
 from splitgp import model as model_module
-from splitgp.baselines import LocalGpWgen, Rbcm
+from splitgp.baselines import FullGp, LocalGpWgen, Rbcm
 from splitgp.data import SeedPlan, synth_dataset
-from splitgp.exceptions import ContractViolationError, EmptyModelError
+from splitgp.exceptions import ContractViolationError, EmptyModelError, NumericalError
 from splitgp.gp import FitSchedule, GpPosterior, posterior_mean, posterior_variance
 from splitgp.kernels import KernelSpec, gram, kernel_eval
 from splitgp.model import ChildModel, PriorMeanNode, SplittingGP, TrainSchedule
@@ -71,6 +71,16 @@ class TestUpdate:
         model.update(np.array([0.0, 0.0]), 0.0)
         with pytest.raises(ContractViolationError):
             model.update(np.array([0.0, 0.0]), float("inf"))
+
+    def test_overflowing_row_rejected_before_the_spec_is_seeded(self):
+        # At unit lengthscales |x|^2 = 1e400 overflows; the pool warns nothing
+        # and keeps no spec seeded from the rejected row.
+        model = quiet_model(5)
+        with pytest.raises(ContractViolationError, match="overflows"):
+            model.update(np.array([1e200, 0.0]), 1.0)
+        with pytest.raises(ContractViolationError, match="overflows"):
+            model.update_batch(np.array([[0.0, 0.0], [0.0, -1e200]]), [1.0, 2.0])
+        assert model.spec is None and model.n_observations == 0
 
     def test_identical_inputs_split_by_arrival_rank(self):
         model = quiet_model(10)
@@ -860,3 +870,115 @@ class TestChildStorage:
         for t in range(5, X.shape[0]):
             child.append(X[t], 0.0)
             assert child.center.tobytes() == X[:t + 1].mean(axis=0).tobytes()
+
+
+class TestRefitAdoption:
+    """A refit hands each child whose rows the fit saw whole the posterior
+    of the fit's last evaluation, so the first read after it rebuilds
+    nothing; the adopted factor is bitwise the one a rebuild makes."""
+
+    BATCH_FIT = TrainSchedule(on_split=False, on_batch=True, fit=FitSchedule(max_iters=5))
+
+    FACTORIES = {
+        "splitting": lambda schedule: SplittingGP(12, train_schedule=schedule),
+        "local": lambda schedule: LocalGpWgen(0.3, train_schedule=schedule),
+        "rbcm": lambda schedule: Rbcm(3, seed=5, train_schedule=schedule),
+        "fullgp": lambda schedule: FullGp(train_schedule=schedule),
+    }
+
+    @staticmethod
+    def _data(seed, n=60):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-2, 2, size=(n, 2))
+        return X, np.sin(X).sum(axis=1) + 0.1 * rng.standard_normal(n)
+
+    @pytest.mark.parametrize("kind", ["splitting", "local", "rbcm", "fullgp"])
+    def test_adopted_factor_is_bitwise_the_rebuilt_one(self, monkeypatch, kind):
+        model = self.FACTORIES[kind](self.BATCH_FIT)
+        model.update_batch(*self._data(71))
+        live = [c for c in model.children if c.n > 0]
+        assert len(live) >= (1 if kind == "fullgp" else 2)
+        assert model.last_fit.posteriors is None
+        for c in live:
+            post = c._adopted
+            assert post is not None and c._posterior is None
+            assert post.spec == model.spec and post.max_rows == c.max_rows
+            fresh = GpPosterior(c.X, c.residuals(), model.spec, max_rows=c.max_rows)
+            assert post.chol.tobytes() == fresh.chol.tobytes()
+            assert post.alpha.tobytes() == fresh.alpha.tobytes()
+        init, built = GpPosterior.__init__, []
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GpPosterior, "__init__", counted)
+        model.predict_mean_batch(self._data(72, 5)[0])
+        assert not built
+        assert all(c._posterior is not None and c._adopted is None for c in live)
+
+    def test_child_cut_by_fit_subsample_adopts_nothing(self):
+        cap = 8
+        schedule = TrainSchedule(on_split=False, on_batch=True, fit=FitSchedule(max_iters=5),
+                                 fit_subsample=cap)
+        model = SplittingGP(12, train_schedule=schedule)
+        model.update_batch(*self._data(73))
+        sizes = {c.n <= cap for c in model.children}
+        assert sizes == {True, False}
+        for c in model.children:
+            assert (c._adopted is not None) == (c.n <= cap)
+        full = FullGp(train_schedule=schedule)
+        full.update_batch(*self._data(73))
+        assert full.children[0]._adopted is None
+
+    def test_nothing_adopted_when_the_last_evaluation_failed(self, monkeypatch):
+        # From the third on, every evaluation fails once it has rewritten the
+        # arrays of the one before.  L-BFGS-B returns an iterate it accepted
+        # before that, at whose spec the fit's posteriors were built, but
+        # they now hold the factors of a later point.
+        shard_lml, calls = gp_module._shard_lml, []
+
+        def failing(*args):
+            out = shard_lml(*args)
+            calls.append(1)
+            if len(calls) >= 3:
+                raise NumericalError("injected")
+            return out
+
+        monkeypatch.setattr(gp_module, "_shard_lml", failing)
+        model = SplittingGP(12, train_schedule=self.BATCH_FIT)
+        model.update_batch(*self._data(74))
+        assert len(calls) > 3 and model.last_fit.warning and model.last_fit.iterations > 0
+        assert all(c._adopted is None for c in model.children)
+
+    def test_update_only_stream_extends_no_factor(self, monkeypatch):
+        # Refits on split adopt posteriors; the appends that follow drop
+        # them instead of growing them.
+        extended, calls = GpPosterior.extended, []
+
+        def counted(self, *args):
+            calls.append(1)
+            return extended(self, *args)
+
+        monkeypatch.setattr(GpPosterior, "extended", counted)
+        schedule = TrainSchedule(on_split=True, on_batch=False, fit=FitSchedule(max_iters=3))
+        model = SplittingGP(10, train_schedule=schedule)
+        adopted = 0
+        for x, y in zip(*self._data(75, 80)):
+            model.update(x, y)
+            adopted += sum(c._adopted is not None for c in model.children)
+        assert not calls
+        assert model.n_children >= 4 and adopted > 0
+
+    def test_adopted_factor_grows_within_max_rows(self):
+        model = SplittingGP(12, train_schedule=self.BATCH_FIT)
+        model.update_batch(*self._data(76))
+        # A child past half its limit, whose storage at twice its rows
+        # would pass max_rows = 13, and the row at its center.
+        child = next(c for c in model.children if 7 <= c.n <= 11)
+        x = child.center.copy()
+        model.predict(x)  # takes the adopted posterior as the cache
+        model.update(x, 0.25)
+        post = child._posterior
+        assert post is not None and post.n == child.n and post._store is not None
+        assert post._store.Y.size <= child.max_rows

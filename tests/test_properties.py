@@ -7,10 +7,12 @@ The kernel is fixed and never refit, so each example stays cheap.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from splitgp.baselines import FullGp, LocalGpWgen, Rbcm
+from splitgp.exceptions import ContractViolationError
 from splitgp.kernels import KernelSpec
 from splitgp.model import SplittingGP, TrainSchedule
 
@@ -108,3 +110,50 @@ def test_weights_are_a_partition_of_unity(pool, stream, Xq):
     assert weights.shape == (Xq.shape[0], model.n_children)
     assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
     assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+@st.composite
+def bad_rows(draw):
+    """An observation (x, y) that every pool rejects: a non-finite entry, a
+    row of the wrong width, or a row whose squared norm scaled by SPEC's
+    lengthscales overflows."""
+    kind = draw(st.sampled_from(("non-finite x", "non-finite y", "width", "overflow")))
+    x, y = [draw(coordinate), draw(coordinate)], draw(coordinate)
+    if kind == "non-finite x":
+        x[draw(st.integers(0, 1))] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    elif kind == "non-finite y":
+        y = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    elif kind == "width":
+        x = x[:1] if draw(st.booleans()) else x + [draw(coordinate)]
+    else:
+        x[draw(st.integers(0, 1))] = draw(st.sampled_from((1.0, -1.0))) * draw(
+            st.floats(1e155, 1e308))
+    return np.array(x), y
+
+
+def _readout(model, Xq):
+    return (model.n_observations, model.predict_mean_batch(Xq).tobytes(),
+            model.predict_variance_batch(Xq).tobytes())
+
+
+@PROPERTY_SETTINGS
+@given(pool=pools(), stream=streams(), bad=bad_rows(), at=st.integers(0, 3), Xq=queries)
+def test_bad_rows_are_rejected_and_change_nothing(pool, stream, bad, at, Xq):
+    _, build = pool
+    model = build()
+    model.update_batch(*stream)
+    before = _readout(model, Xq)
+    x, y = bad
+    with pytest.raises(ContractViolationError):
+        model.update(x, y)
+    assert _readout(model, Xq) == before
+    # In a batch, the bad row sits among good rows, or every row has its width.
+    X, Y = stream[0][:3], stream[1][:3]
+    at = min(at, X.shape[0])
+    if x.size == X.shape[1]:
+        Xb, Yb = np.insert(X, at, x, axis=0), np.insert(Y, at, y)
+    else:
+        Xb, Yb = np.tile(x, (at + 1, 1)), np.full(at + 1, y)
+    with pytest.raises(ContractViolationError):
+        model.update_batch(Xb, Yb)
+    assert _readout(model, Xq) == before
