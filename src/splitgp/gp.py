@@ -11,12 +11,12 @@ fitting always factorize from scratch.
 
 Storage.  A freshly built posterior holds its factor as a full n x n array.
 Its first extension copies the factor, packed by rows, into storage reserved
-for twice the current rows, or for the most rows the posterior's owner
-expects when that is fewer, together with the rows, their lengthscale-scaled
-copies and norms, the responses and v = L^-1 Y.  Each later append writes one
+for twice the current rows, or for the caller's limit when that is fewer,
+with the rows' lengthscale-scaled copies and norms, the responses and
+v = L^-1 Y; the input rows stay the caller's.  Each later append writes one
 row of each there, with no O(n^2) allocation or copy; the storage is copied
-to twice its size only when it is full.  Single-row solves read the packed factor in place through
-BLAS `dtpsv`; batch solves unpack it once per call.
+to twice its size only when it is full.  Single-row solves read the packed
+factor in place through BLAS `dtpsv`; batch solves unpack it once per call.
 
 Gram matrices.  The Cholesky factor and K^-1 each occupy one triangle, so a
 posterior and the gradient read only the lower triangle of K, and build only
@@ -142,11 +142,10 @@ class _Storage:
     posterior that wrote the last row may append in place.
     """
 
-    __slots__ = ("packed", "X", "Xs", "norms", "Y", "v", "rows")
+    __slots__ = ("packed", "Xs", "norms", "Y", "v", "rows")
 
     def __init__(self, capacity: int, ndim: int):
         self.packed = np.empty(_packed_size(capacity))
-        self.X = np.empty((capacity, ndim))
         self.Xs = np.empty((capacity, ndim))
         self.norms = np.empty(capacity)
         self.Y = np.empty(capacity)
@@ -157,9 +156,10 @@ class _Storage:
 class GpPosterior:
     """A GP conditioned on (X, Y) under a fixed kernel spec.
 
-    Immutable after construction; caches the Cholesky factor of the noisy Gram
-    matrix and the weight vector alpha = (K + sn2 I)^-1 Y.  `extended` returns
-    a new posterior with one more observation.  A caller that has already
+    Immutable after construction, apart from lazy caches; caches the Cholesky
+    factor of the noisy Gram matrix and alpha = (K + sn2 I)^-1 Y, and keeps X
+    as given, so the caller must not write those rows.  `extended` returns a
+    new posterior with one more observation.  A caller that has already
     built the noisy Gram matrix, as `kernels.gram_lower(X, spec,
     add_noise=True)` does, passes it as K; the posterior factorizes a copy
     and keeps no reference to it (without K, it builds the Gram matrix with
@@ -169,13 +169,9 @@ class GpPosterior:
     passes it as `out`, an F-contiguous array, and the new factor overwrites
     it instead of a fresh array.
 
-    `max_rows` is the most observations the caller will extend this posterior
-    to, when that is bounded; it caps the storage an extension reserves (see
-    the module docstring), and is the one field an owner may set later, as
-    a child does on adopting a fit's posterior.  The rows scaled by the
-    lengthscales, and their norms, are built on the first kernel-row
-    request, after a check of the stored rows, so a posterior that only
-    serves a fit never holds them.
+    The rows scaled by the lengthscales, and their norms, are built on the
+    first kernel-row request, after a check of the stored rows, so a
+    posterior that only serves a fit never holds them.
     `chol` is the n x n lower factor; an extended posterior unpacks it into a
     fresh array on each read.
 
@@ -187,8 +183,7 @@ class GpPosterior:
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
-                 K: np.ndarray | None = None, out: np.ndarray | None = None,
-                 max_rows: int | None = None):
+                 K: np.ndarray | None = None, out: np.ndarray | None = None):
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(-1, spec.ndim) if X.size else X.reshape(0, spec.ndim)
@@ -206,7 +201,6 @@ class GpPosterior:
         self.X = X
         self.Y = Y
         self.spec = spec
-        self.max_rows = max_rows
         if self.n:
             for name, arr in (("Gram matrix", K), ("factor buffer", out)):
                 if arr is not None and arr.shape != (self.n, self.n):
@@ -287,19 +281,18 @@ class GpPosterior:
         np.maximum(var, 0.0, out=var)
         return mu, var
 
-    def _reserve(self) -> _Storage:
-        """Storage holding this posterior's n rows with room for more."""
+    def _reserve(self, limit: int | None) -> _Storage:
+        """Storage holding this posterior's n rows, sized 2n, or `limit` if n < limit < 2n."""
         n = self.n
         capacity = 2 * n
-        if self.max_rows is not None and n < self.max_rows < capacity:
-            capacity = self.max_rows
+        if limit is not None and n < limit < capacity:
+            capacity = limit
         store = _Storage(capacity, self.spec.ndim)
         size = _packed_size(n)
         if self._store is None:
             store.packed[:size] = dtrttp(self._L.T, uplo="U")[0]
         else:
             store.packed[:size] = self._store.packed[:size]
-        store.X[:n] = self.X
         store.Xs[:n], store.norms[:n] = self.scaled_rows()
         store.Y[:n] = self.Y
         if self._v is None:
@@ -309,19 +302,22 @@ class GpPosterior:
         store.rows = n
         return store
 
-    def extended(self, x: np.ndarray, y: float,
+    def extended(self, X: np.ndarray, y: float, limit: int | None = None,
                  scaled: tuple[np.ndarray, np.ndarray] | None = None) -> "GpPosterior | None":
-        """This posterior conditioned on one more observation (x, y), in O(n^2).
+        """This posterior conditioned on one more observation, in O(n^2): X is
+        its n rows then the new row x, which the result keeps as its rows, and
+        y is x's response.  `limit` caps the storage an extension reserves
+        (see the module docstring); `scaled` is x's `scaled_rows` pair under
+        this posterior's spec when the caller holds it.
 
         Appends the row [l^T d] to the factor, with l = L^-1 k(X, x) and
         d^2 = sf2 + sn2 - l.l, extends v = L^-1 Y by (y - l.v) / d and
-        back-substitutes alpha = L^-T v.  `scaled` is x's `scaled_rows` pair
-        under this posterior's spec when the caller holds it.  When x is the
-        row of the last single-row variance query, l is that query's; then
-        the step is the back-substitution and O(n) bookkeeping.  Returns
-        None, leaving the caller to refactorize, when there is no factor,
-        when it needed jitter, or when any pivot, old or new, is not above
-        PIVOT_RTOL of sf2 + sn2: a nearly singular factor is not built upon.
+        back-substitutes alpha = L^-T v.  When x is the row of the last
+        single-row variance query, l is that query's; then the step is the
+        back-substitution and O(n) bookkeeping.  Returns None, leaving the
+        caller to refactorize, when there is no factor, when it needed
+        jitter, or when any pivot, old or new, is not above PIVOT_RTOL of
+        sf2 + sn2: a nearly singular factor is not built upon.
         """
         if self.jitter != 0.0 or not self.n:
             return None
@@ -330,8 +326,10 @@ class GpPosterior:
         # A grown factor's pivots all passed this test as they were added.
         if self._store is None and not np.min(np.diagonal(self._L)) ** 2 > min_pivot:
             return None
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        xs, a = scaled_rows(x, self.spec, "x") if scaled is None else scaled
+        n = self.n
+        if X.shape[0] != n + 1:
+            raise ContractViolationError(f"X has {X.shape[0]} rows, expected {n + 1}")
+        xs, a = scaled_rows(X[n:], self.spec, "x") if scaled is None else scaled
         if self._memo is not None and self._memo[0] == xs.tobytes():
             l = self._memo[1]
         else:
@@ -340,20 +338,20 @@ class GpPosterior:
         d2 = prior_var - l @ l
         if not d2 > min_pivot:
             return None
-        n, d, y = self.n, float(np.sqrt(d2)), float(y)
+        d, y = float(np.sqrt(d2)), float(y)
         store = self._store
         if store is None or store.rows != n or store.Y.size == n:
-            store = self._reserve()
+            store = self._reserve(limit)
         start = _packed_size(n)
         store.packed[start:start + n] = l
         store.packed[start + n] = d
-        store.X[n], store.Xs[n], store.norms[n], store.Y[n] = x[0], xs[0], a[0], y
+        store.Xs[n], store.norms[n], store.Y[n] = xs[0], a[0], y
         store.v[n] = (y - l @ store.v[:n]) / d
         store.rows = n + 1
 
         out = object.__new__(GpPosterior)  # __init__ would refactorize
         n += 1
-        out.X, out.Y, out.spec, out.max_rows = store.X[:n], store.Y[:n], self.spec, self.max_rows
+        out.X, out.Y, out.spec = X, store.Y[:n], self.spec
         out._L, out.jitter, out._store = None, 0.0, store
         out._scaled = (store.Xs[:n], store.norms[:n])
         out._v, out._memo = store.v[:n], None

@@ -39,10 +39,11 @@ SNAPSHOT_VERSION = 5
 class PriorMeanNode:
     """A frozen kernel expansion recording a parent's predictive mean.
 
-    Created when a local model splits: the parent's residual weights and data
-    are copied with the kernel spec current at that moment, chained to the
-    parent's own prior.  Nodes never change afterwards, so children can be
-    refit without touching their inherited mean.  Because a node is frozen
+    Created when a local model splits: it takes the parent's residual weights
+    and rows, which the dropped parent never writes again, with the kernel
+    spec current at that moment, chained to the parent's own prior.  Nodes
+    never change afterwards, so children can be refit without touching their
+    inherited mean.  Because a node is frozen
     with its own spec, it keeps its rows scaled by that spec's lengthscales,
     with their squared norms, from its first evaluation on.  The rows are
     checked when that cache is built, which covers rows read from a
@@ -107,26 +108,16 @@ def _prior_values(prior: PriorMeanNode | None, X: np.ndarray,
     return prior.evaluate(np.atleast_2d(X), None, query)
 
 
-def check_observation(x: np.ndarray, y: float, ndim: int | None) -> tuple[np.ndarray, float]:
-    """(x as a flat float row, y as a float), or ContractViolationError when
-    either is not finite or x does not have `ndim` entries (None: any)."""
-    x, y = np.asarray(x, dtype=float).ravel(), float(y)
-    if not np.all(np.isfinite(x)) or not np.isfinite(y):
-        raise ContractViolationError("observation contains non-finite values")
-    if ndim is not None and x.size != ndim:
-        raise ContractViolationError(f"observation has {x.size} dimensions, spec expects {ndim}")
-    return x, y
-
-
 def check_batch(X: np.ndarray, Y: np.ndarray, ndim: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """`check_observation` for every row of a batch at once, before any is
-    stored, so that a rejected batch leaves the model unchanged."""
+    """(X as float rows, Y flat), or ContractViolationError when their counts
+    differ, an entry is not finite or a row does not have `ndim` entries
+    (None: any); a rejected batch is rejected before any row is stored."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float).ravel()
     if X.shape[0] != Y.shape[0]:
         raise ContractViolationError("batch X rows and Y entries must match")
     if X.shape[0]:
-        if not np.all(np.isfinite(X)) or not np.all(np.isfinite(Y)):
+        if not (np.isfinite(X).all() and np.isfinite(Y).all()):
             raise ContractViolationError("batch contains non-finite values")
         if ndim is not None and X.shape[1] != ndim:
             raise ContractViolationError(
@@ -135,11 +126,11 @@ def check_batch(X: np.ndarray, Y: np.ndarray, ndim: int | None) -> tuple[np.ndar
     return X, Y
 
 
-def check_scaled(X: np.ndarray, spec: KernelSpec) -> None:
+def check_scaled(X: np.ndarray, lengthscales: np.ndarray) -> None:
     """ContractViolationError when 4 |x / l|^2 overflows for a row of X, as a
     squared distance sums two such norms and twice their rows' product.  Python
     floats overflow to inf without a warning, and beat NumPy on one row."""
-    ls = spec.lengthscales.tolist()
+    ls = lengthscales.tolist()
     for row in X.tolist():
         if not 4.0 * sum((v / l) * (v / l) for v, l in zip(row, ls)) < math.inf:
             raise ContractViolationError("observation overflows when scaled by the lengthscales")
@@ -152,16 +143,18 @@ class ChildModel:
     The rows and responses live in a buffer reserved for `max_rows` rows
     when the owner bounds the child's size (a `SplittingGP` child holds at
     most m + 1), else doubled when full; `X` and `Y` are views of its first
-    n rows, which an append never writes.  The center is a running row sum
-    divided by n, which for inputs of two or more columns is bitwise
+    n rows, which an append never writes.  A cached posterior's rows are
+    such a view, so the child holds each row once.  The center is a running
+    row sum divided by n, which for inputs of two or more columns is bitwise
     `X.mean(axis=0)`: NumPy sums axis 0 of a C-ordered array row by row.
 
-    An append to a child whose posterior is cached costs O(n^2): the prior
-    chain is evaluated at the new row only and the cached Cholesky factor
-    grows by one row, in place in storage the posterior reserves on its first
-    extension and doubles when full, capped at `max_rows`.  When the append
-    follows a predict of the same row, the chain's value and the solve
-    l = L^-1 k are that predict's memos, so no kernel row is built at all.
+    An append to a child whose posterior is cached costs O(n^2): the row goes
+    into the buffer, the prior chain is evaluated at it only, and the cached
+    Cholesky factor grows by one row over the new view, in place in storage
+    the posterior reserves on its first extension and doubles when full,
+    capped at the buffer's length.  When the append follows a predict of
+    the same row, the chain's value and the solve l = L^-1 k are that
+    predict's memos, so no kernel row is built at all.
     Otherwise, or when `GpPosterior.extended` declines, the cache is cleared
     and the next use rebuilds it in O(n^3).  The owning model validates each
     row before it reaches `append`.  A refit may leave the fit's posterior
@@ -196,12 +189,6 @@ class ChildModel:
         """Store one row; `query`, when given, is x as a checked and scaled
         one-row `Query`."""
         x, y = np.asarray(x, dtype=float).ravel(), float(y)
-        post, self._adopted = self._posterior, None
-        if post is not None:
-            if query is None:
-                query = Query.of(x[None, :], post.spec, "x")
-            prior = _prior_values(self.prior, query.X, query)
-            post = post.extended(x, y - prior[0], query.scaled(post.spec))
         n = self.n
         if n == self._Xbuf.shape[0]:
             self._Xbuf = np.concatenate([self._Xbuf, np.empty_like(self._Xbuf)])
@@ -210,6 +197,13 @@ class ChildModel:
         self.X, self.Y = self._Xbuf[:n + 1], self._Ybuf[:n + 1]
         self._sum += x
         self.center = self._sum / (n + 1)
+        post, self._adopted = self._posterior, None
+        if post is not None:
+            if query is None:
+                query = Query.of(self.X[n:], post.spec, "x")
+            prior = _prior_values(self.prior, query.X, query)
+            post = post.extended(self.X, y - prior[0], self._Xbuf.shape[0],
+                                 query.scaled(post.spec))
         self._posterior = post
         self._residuals = None if post is None else post.Y
 
@@ -226,7 +220,7 @@ class ChildModel:
         if self._posterior is None or self._posterior.spec != spec:
             adopted, self._adopted = self._adopted, None
             self._posterior = adopted if adopted is not None and adopted.spec == spec else (
-                GpPosterior(self.X, self.residuals(), spec, max_rows=self.max_rows))
+                GpPosterior(self.X, self.residuals(), spec))
         return self._posterior
 
     def footprint_bytes(self, ndim: int) -> int:
@@ -306,6 +300,7 @@ class LocalGpPool:
         self.schedule = train_schedule or TrainSchedule()
         self.children: list[ChildModel] = []
         self.last_fit: FitResult | None = None
+        self._node_lengthscales = np.inf  # elementwise minimum over frozen nodes
 
     # -- ingestion ---------------------------------------------------------
 
@@ -333,28 +328,30 @@ class LocalGpPool:
         return idx, float(d2[idx])
 
     def update(self, x: np.ndarray, y: float) -> None:
-        """Insert a single observation, refitting after a split per schedule.
-        A row that `check_scaled` rejects under the spec changes nothing."""
-        x, y = check_observation(x, y, None if self.spec is None else self.spec.ndim)
-        spec = default_spec(np.asarray([y]), x.size) if self.spec is None else self.spec
-        check_scaled(x[None, :], spec)
-        self.spec = spec
-        if self._route(x, y) and self.schedule.on_split:
+        """Insert a single observation: a one-row batch through the checks
+        and routing of `update_batch`, refit after a split per schedule.  y
+        may be a float or a one-entry array; a rejected row changes nothing."""
+        split = any(self._add_rows(np.asarray(x, dtype=float).reshape(1, -1), y))
+        if split and self.schedule.on_split:
             self.refit()
 
     def update_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
         """Insert rows in order, checked as one batch before the first is
         stored; the kernel is refit once at the end."""
+        if self._add_rows(X, Y) and self.schedule.on_batch:
+            self.refit()
+
+    def _add_rows(self, X: np.ndarray, Y: np.ndarray) -> list[bool]:
+        """Check the rows as one batch, under the spec's lengthscales and every
+        frozen node's, seed the spec from the first row if unset, and route
+        them in order; True for each row that split a child."""
         X, Y = check_batch(X, Y, None if self.spec is None else self.spec.ndim)
         if X.shape[0] == 0:
-            return
+            return []
         spec = default_spec(Y[:1], X.shape[1]) if self.spec is None else self.spec
-        check_scaled(X, spec)
+        check_scaled(X, np.minimum(spec.lengthscales, self._node_lengthscales))
         self.spec = spec
-        for x, y in zip(X, Y):
-            self._route(x, y)
-        if self.schedule.on_batch:
-            self.refit()
+        return [self._route(x, y) for x, y in zip(X, Y)]
 
     def ingest(self, x: np.ndarray, y: float) -> None:
         self.update(x, y)
@@ -368,7 +365,8 @@ class LocalGpPool:
         """Re-optimize the shared kernel parameters on the residuals of the
         non-empty children.  Every cached posterior is dropped; a child whose
         rows the fit saw whole, not cut by `fit_subsample`, adopts the one the
-        fit returns for it, if any.  `last_fit` keeps no posterior."""
+        fit returns for it, if any, as it is; an append takes the bound of its
+        storage from the child's buffer.  `last_fit` keeps no posterior."""
         live = [c for c in self.children if c.n > 0]
         if not live:
             raise EmptyModelError("cannot fit an empty model")
@@ -381,7 +379,7 @@ class LocalGpPool:
             child.invalidate()
         for child, post in zip(live, posteriors):
             if post.n == child.n:
-                post.max_rows, child._adopted = child.max_rows, post
+                child._adopted = post
         return result
 
     # -- prediction --------------------------------------------------------
@@ -536,14 +534,16 @@ class SplittingGP(LocalGpPool):
             return True
         return False
 
+    def _freeze(self, X: np.ndarray, alpha: np.ndarray, spec: KernelSpec,
+                parent: PriorMeanNode | None) -> PriorMeanNode:
+        """A new prior node, whose lengthscales join every later row's check."""
+        self._node_lengthscales = np.minimum(self._node_lengthscales, spec.lengthscales)
+        return PriorMeanNode(X, alpha, spec, parent)
+
     def _split_child(self, idx: int) -> None:
+        # The child is dropped with its buffer full: nothing writes X or alpha again.
         child = self.children[idx]
-        node = PriorMeanNode(
-            child.X.copy(),
-            child.posterior(self.spec).alpha.copy(),
-            self.spec,
-            child.prior,
-        )
+        node = self._freeze(child.X, child.posterior(self.spec).alpha, self.spec, child.prior)
         result = split(child.X, child.Y, child.center)
         self.children[idx] = self._new_child(*result.left, prior=node)
         self.children.append(self._new_child(*result.right, prior=node))
@@ -613,7 +613,7 @@ class SplittingGP(LocalGpPool):
             nodes: list[PriorMeanNode] = []
             for i in range(int(data["n_nodes"])):
                 parent_idx = int(data[f"node_{i}_parent"])
-                nodes.append(PriorMeanNode(
+                nodes.append(model._freeze(
                     data[f"node_{i}_X"],
                     data[f"node_{i}_alpha"],
                     _spec_from_array(data[f"node_{i}_spec"]),

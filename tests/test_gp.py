@@ -226,7 +226,7 @@ class TestGradientOracle:
         X, Y = rng.normal(size=(40, 2)), rng.normal(size=40)
         post = GpPosterior(X[:30], Y[:30], spec)
         for i in range(30, 40):
-            post = post.extended(X[i], Y[i])
+            post = post.extended(X[:i + 1], Y[i])
         assert self.gap(post, spec) <= 1e-8
 
     def test_jittered_duplicate_shard(self):
@@ -312,7 +312,7 @@ class TestInvertLower:
             return GpPosterior(X, Y, spec).chol
         post = GpPosterior(X[:(n + 1) // 2], Y[:(n + 1) // 2], spec)
         for i in range((n + 1) // 2, n):
-            post = post.extended(X[i], Y[i])
+            post = post.extended(X[:i + 1], Y[i])
         return post.chol
 
     @pytest.mark.parametrize("kind", ["plain", "jittered", "grown"])
@@ -417,7 +417,7 @@ class TestBufferReuse:
         if kind == "fresh":
             post = GpPosterior(X, Y, spec, K)
         else:
-            post = GpPosterior(X[:-1], Y[:-1], spec).extended(X[-1], Y[-1])
+            post = GpPosterior(X[:-1], Y[:-1], spec).extended(X, Y[-1])
             assert post is not None
         tracemalloc.start()
         try:
@@ -502,7 +502,7 @@ class TestLowerTriangle:
         X, Y, spec = self.shard("plain")
         post = GpPosterior(X[:60], Y[:60], spec)
         for i in range(60, 70):
-            post = post.extended(X[i], Y[i])
+            post = post.extended(X[:i + 1], Y[i])
         K = np.array(gram(X, spec), order=order)
         grad = lml_gradient(post, spec, K)
         assert np.all(np.isfinite(grad))
@@ -682,9 +682,9 @@ def test_branching_extensions_stay_independent():
     rng = np.random.default_rng(26)
     spec = make_spec([0.9, 1.3], sf2=1.2, sn2=0.05)
     X, Y = rng.normal(size=(24, 2)), rng.normal(size=24)
-    base = GpPosterior(X[:20], Y[:20], spec).extended(X[20], Y[20])
-    first = base.extended(X[21], Y[21]).extended(X[22], Y[22])
-    second = base.extended(X[23], Y[23])
+    base = GpPosterior(X[:20], Y[:20], spec).extended(X[:21], Y[20])
+    first = base.extended(X[:22], Y[21]).extended(X[:23], Y[22])
+    second = base.extended(X[np.r_[np.arange(21), 23]], Y[23])
     for post, rows in ((base, np.arange(21)), (first, np.arange(23)),
                        (second, np.r_[np.arange(21), 23])):
         fresh = GpPosterior(X[rows], Y[rows], spec)

@@ -82,6 +82,31 @@ class TestUpdate:
             model.update_batch(np.array([[0.0, 0.0], [0.0, -1e200]]), [1.0, 2.0])
         assert model.spec is None and model.n_observations == 0
 
+    def test_row_overflowing_under_a_frozen_node_rejected(self, tmp_path):
+        # A node frozen at l = 1 scales the rows of the children below it by
+        # its own lengthscale; after the spec moves to l = 100, as a refit
+        # towards longer lengthscales leaves it, 5e154 is safe under the spec
+        # but |x / l|^2 overflows under the node's.  A loaded model keeps the
+        # node's bound.
+        model = quiet_model(3)
+        for x in (0.0, 0.1, 0.2, 0.3):
+            model.update(np.array([x]), x)
+        assert len(model.prior_nodes()) == 1
+        model.spec = make_spec([100.0], model.spec.signal_variance, model.spec.noise_variance)
+        model.save(tmp_path / "model.npz")
+        Xq = np.array([[0.05], [0.25]])
+        for m in (model, SplittingGP.load(tmp_path / "model.npz")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                before = (m.n_observations, m.predict_mean_batch(Xq).tobytes(),
+                          m.predict_variance_batch(Xq).tobytes())
+                with pytest.raises(ContractViolationError, match="overflows"):
+                    m.update(np.array([5e154]), 0.0)
+                with pytest.raises(ContractViolationError, match="overflows"):
+                    m.update_batch(np.array([[0.15], [5e154]]), [0.0, 0.0])
+                assert (m.n_observations, m.predict_mean_batch(Xq).tobytes(),
+                        m.predict_variance_batch(Xq).tobytes()) == before
+
     def test_identical_inputs_split_by_arrival_rank(self):
         model = quiet_model(10)
         x = np.array([0.3, -0.7])
@@ -774,10 +799,10 @@ class TestQueryReuse:
             counts["solve"] += not reserving
             return solve(self, k)
 
-        def flagged_reserve(self):
+        def flagged_reserve(self, *args):
             reserving.append(1)
             try:
-                return reserve(self)
+                return reserve(self, *args)
             finally:
                 reserving.pop()
 
@@ -902,8 +927,8 @@ class TestRefitAdoption:
         for c in live:
             post = c._adopted
             assert post is not None and c._posterior is None
-            assert post.spec == model.spec and post.max_rows == c.max_rows
-            fresh = GpPosterior(c.X, c.residuals(), model.spec, max_rows=c.max_rows)
+            assert post.spec == model.spec
+            fresh = GpPosterior(c.X, c.residuals(), model.spec)
             assert post.chol.tobytes() == fresh.chol.tobytes()
             assert post.alpha.tobytes() == fresh.alpha.tobytes()
         init, built = GpPosterior.__init__, []

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from splitgp.baselines import FullGp, LocalGpWgen, Rbcm
 from splitgp.exceptions import ContractViolationError
+from splitgp.gp import GpPosterior
 from splitgp.kernels import KernelSpec
 from splitgp.model import SplittingGP, TrainSchedule
 
@@ -115,9 +116,10 @@ def test_weights_are_a_partition_of_unity(pool, stream, Xq):
 @st.composite
 def bad_rows(draw):
     """An observation (x, y) that every pool rejects: a non-finite entry, a
-    row of the wrong width, or a row whose squared norm scaled by SPEC's
-    lengthscales overflows."""
-    kind = draw(st.sampled_from(("non-finite x", "non-finite y", "width", "overflow")))
+    row of the wrong width, a y of two entries, or a row whose squared norm
+    scaled by SPEC's lengthscales overflows."""
+    kind = draw(st.sampled_from(("non-finite x", "non-finite y", "width", "two-entry y",
+                                 "overflow")))
     x, y = [draw(coordinate), draw(coordinate)], draw(coordinate)
     if kind == "non-finite x":
         x[draw(st.integers(0, 1))] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
@@ -125,6 +127,8 @@ def bad_rows(draw):
         y = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
     elif kind == "width":
         x = x[:1] if draw(st.booleans()) else x + [draw(coordinate)]
+    elif kind == "two-entry y":
+        y = np.array([y, draw(coordinate)])
     else:
         x[draw(st.integers(0, 1))] = draw(st.sampled_from((1.0, -1.0))) * draw(
             st.floats(1e155, 1e308))
@@ -157,3 +161,25 @@ def test_bad_rows_are_rejected_and_change_nothing(pool, stream, bad, at, Xq):
     with pytest.raises(ContractViolationError):
         model.update_batch(Xb, Yb)
     assert _readout(model, Xq) == before
+
+
+@PROPERTY_SETTINGS
+@given(pool=pools(), stream=streams())
+def test_grown_factors_match_a_full_refactorization(pool, stream):
+    # A predict before each update caches the posteriors, so the update
+    # grows the routed child's factor instead of dropping it.
+    _, build = pool
+    model = build()
+    for x, y in zip(*stream):
+        if model.n_children:
+            model.predict(x)
+        model.update(x, y)
+        for c in model.children:
+            post = c._posterior
+            if post is None or post._store is None:  # not grown
+                continue
+            prior = 0.0 if c.prior is None else c.prior.evaluate(c.X)
+            fresh = GpPosterior(c.X, c.Y - prior, model.spec)
+            for got, want in ((post.chol, fresh.chol), (post.alpha, fresh.alpha)):
+                assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+            assert np.shares_memory(post.X, c.X)
