@@ -12,11 +12,13 @@ fitting always factorize from scratch.
 Storage.  A freshly built posterior holds its factor as a full n x n array.
 Its first extension copies the factor, packed by rows, into storage reserved
 for twice the current rows, or for the caller's limit when that is fewer,
-with the rows' lengthscale-scaled copies and norms, the responses and
-v = L^-1 Y; the input rows stay the caller's.  Each later append writes one
-row of each there, with no O(n^2) allocation or copy; the storage is copied
-to twice its size only when it is full.  Single-row solves read the packed
-factor in place through BLAS `dtpsv`; batch solves unpack it once per call.
+with the rows' augmented scaled form (`kernels.scaled_rows`: each row scaled
+by the lengthscales, with its squared norm), the responses and v = L^-1 Y;
+the input rows stay the caller's.  Each later append writes one row of each
+there, with no O(n^2) allocation or copy; the storage is copied to twice its
+size only when it is full.  A kernel block reads the first n augmented rows
+in place.  Single-row solves read the packed factor in place through BLAS
+`dtpsv`; batch solves unpack it once per call.
 
 Gram matrices.  The Cholesky factor and K^-1 each occupy one triangle, so a
 posterior and the gradient read only the lower triangle of K, and build only
@@ -25,11 +27,12 @@ runs in SciPy's BLAS, none in NumPy's: the two packages load separate
 OpenBLAS libraries, and when BLAS threads are not pinned, alternating
 between them makes their thread pools fight for the cores.
 
-Validation.  Inputs are checked where they enter: `kernels.gram_lower` and
-`kernels.scaled_rows` reject non-finite or wrong-width rows, `GpPosterior`
-non-finite responses.  Stored rows are checked once more when a posterior
-first scales them for kernel rows; query rows once per call.  The SciPy and
-BLAS calls here therefore skip their own finiteness scans.
+Validation.  Inputs are checked where they enter: `kernels.gram_lower`,
+`kernels.scaled_rows` and `kernels.Query` reject non-finite or wrong-width
+rows, `GpPosterior` non-finite responses.  Stored rows are checked once more
+when a posterior first scales them for kernel rows; query rows once per
+call.  The SciPy and BLAS calls here therefore skip their own finiteness
+scans.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from scipy.linalg.blas import dsymv, dsyr, dtpsv, dtrmm, dtrsv
 from scipy.linalg.lapack import dlauum, dtpttr, dtrtri, dtrttp
 
 from .exceptions import ContractViolationError, NumericalError
-from .kernels import PANEL, KernelSpec, gram_lower, scaled_cross_gram, scaled_rows
+from .kernels import (PANEL, KernelSpec, Query, gram_lower, scaled_cross_gram, scaled_rows,
+                      stored_side)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -142,12 +146,11 @@ class _Storage:
     posterior that wrote the last row may append in place.
     """
 
-    __slots__ = ("packed", "Xs", "norms", "Y", "v", "rows")
+    __slots__ = ("packed", "scaled", "Y", "v", "rows")
 
     def __init__(self, capacity: int, ndim: int):
         self.packed = np.empty(_packed_size(capacity))
-        self.Xs = np.empty((capacity, ndim))
-        self.norms = np.empty(capacity)
+        self.scaled = np.empty((capacity, ndim + 2))
         self.Y = np.empty(capacity)
         self.v = np.empty(capacity)
         self.rows = 0
@@ -169,16 +172,16 @@ class GpPosterior:
     passes it as `out`, an F-contiguous array, and the new factor overwrites
     it instead of a fresh array.
 
-    The rows scaled by the lengthscales, and their norms, are built on the
+    The rows' augmented scaled form (`kernels.scaled_rows`) is built on the
     first kernel-row request, after a check of the stored rows, so a
-    posterior that only serves a fit never holds them.
+    posterior that only serves a fit never holds it.
     `chol` is the n x n lower factor; an extended posterior unpacks it into a
     fresh array on each read.
 
-    A single-row variance query leaves a one-entry memo: the scaled row's
-    bytes and its l = L^-1 k.  `extended` at that row reuses l instead of
-    building the kernel row and solving again, which is safe because the
-    posterior never changes.  A posterior starts with no memo, an extended
+    A single-row variance query leaves a one-entry memo: the bytes of the
+    query's augmented row and its l = L^-1 k.  `extended` at that row reuses
+    l instead of building the kernel row and solving again, which is safe
+    because the posterior never changes.  A posterior starts with no memo, an extended
     one included.
     """
 
@@ -223,7 +226,7 @@ class GpPosterior:
             self.jitter = 0.0
             self.alpha = np.zeros(0)
         self._store: _Storage | None = None  # set on the first extension
-        self._scaled: tuple[np.ndarray, np.ndarray] | None = None
+        self._scaled: np.ndarray | None = None
         self._v: np.ndarray | None = None  # L^-1 Y, kept once the factor grows
         self._memo: tuple[bytes, np.ndarray] | None = None  # (row bytes, L^-1 k)
 
@@ -238,8 +241,9 @@ class GpPosterior:
         n = self.n
         return dtpttr(n, self._store.packed[:_packed_size(n)], uplo="U")[0].T
 
-    def scaled_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stored rows as `kernels.scaled_rows` gives them, built once."""
+    def scaled_rows(self) -> np.ndarray:
+        """The stored rows as `kernels.scaled_rows` gives them, built once; a
+        grown posterior's are the first n rows of its storage."""
         if self._scaled is None:
             self._scaled = scaled_rows(self.X, self.spec)
         return self._scaled
@@ -250,30 +254,31 @@ class GpPosterior:
             return dtrsv(self._L, k, lower=1, overwrite_x=1)
         return dtpsv(self.n, self._store.packed, k, lower=0, trans=1, overwrite_x=1)
 
-    def predict_scaled(self, Xs: np.ndarray, a: np.ndarray, mean: bool = True,
+    def predict_scaled(self, Xa: np.ndarray, mean: bool = True,
                        variance: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Posterior mean and noise-free latent variance at query rows given
-        as their `kernels.scaled_rows` pair under this posterior's spec;
-        None for what is not asked.
+        as their `kernels.Query.aug` under this posterior's spec; None for
+        what is not asked.
 
         One kernel row per query row serves both.  A single row is solved
         against the factor where it is stored, and its solve is memoized for
         `extended`; more rows are solved against `chol` in one call.
         """
         sf2 = self.spec.signal_variance
-        B = Xs.shape[0]
+        B = Xa.shape[0]
         if not self.n:
             return (np.zeros(B) if mean else None), (np.full(B, sf2) if variance else None)
-        K = scaled_cross_gram(Xs, a, *self.scaled_rows(), sf2)
+        K = scaled_cross_gram(Xa, self.scaled_rows(), sf2)
         mu = K @ self.alpha if mean else None
         if not variance:
             return mu, None
         if B == 1:
             l = self._solve_lower(K[0])
-            self._memo = (Xs.tobytes(), l)
+            self._memo = (Xa.tobytes(), l)
             var = np.array([sf2 - l @ l])
         else:
-            V = solve_triangular(self.chol, K.T, lower=True, check_finite=False)
+            V = solve_triangular(self.chol, K.T, lower=True, overwrite_b=True,
+                                 check_finite=False)
             var = sf2 - np.sum(V * V, axis=0)
         low = var.min() if var.size else 0.0
         if low < -VARIANCE_SLACK:
@@ -293,7 +298,7 @@ class GpPosterior:
             store.packed[:size] = dtrttp(self._L.T, uplo="U")[0]
         else:
             store.packed[:size] = self._store.packed[:size]
-        store.Xs[:n], store.norms[:n] = self.scaled_rows()
+        store.scaled[:n] = self.scaled_rows()
         store.Y[:n] = self.Y
         if self._v is None:
             store.v[:n] = self._solve_lower(self.Y.copy())
@@ -303,12 +308,13 @@ class GpPosterior:
         return store
 
     def extended(self, X: np.ndarray, y: float, limit: int | None = None,
-                 scaled: tuple[np.ndarray, np.ndarray] | None = None) -> "GpPosterior | None":
+                 scaled: np.ndarray | None = None) -> "GpPosterior | None":
         """This posterior conditioned on one more observation, in O(n^2): X is
         its n rows then the new row x, which the result keeps as its rows, and
         y is x's response.  `limit` caps the storage an extension reserves
-        (see the module docstring); `scaled` is x's `scaled_rows` pair under
-        this posterior's spec when the caller holds it.
+        (see the module docstring); `scaled` is x as a one-row
+        `kernels.Query.aug` under this posterior's spec when the caller holds
+        it.
 
         Appends the row [l^T d] to the factor, with l = L^-1 k(X, x) and
         d^2 = sf2 + sn2 - l.l, extends v = L^-1 Y by (y - l.v) / d and
@@ -329,11 +335,11 @@ class GpPosterior:
         n = self.n
         if X.shape[0] != n + 1:
             raise ContractViolationError(f"X has {X.shape[0]} rows, expected {n + 1}")
-        xs, a = scaled_rows(X[n:], self.spec, "x") if scaled is None else scaled
-        if self._memo is not None and self._memo[0] == xs.tobytes():
+        xa = Query.of(X[n:], self.spec, "x").aug if scaled is None else scaled
+        if self._memo is not None and self._memo[0] == xa.tobytes():
             l = self._memo[1]
         else:
-            l = self._solve_lower(scaled_cross_gram(xs, a, *self.scaled_rows(),
+            l = self._solve_lower(scaled_cross_gram(xa, self.scaled_rows(),
                                                     self.spec.signal_variance)[0])
         d2 = prior_var - l @ l
         if not d2 > min_pivot:
@@ -345,7 +351,7 @@ class GpPosterior:
         start = _packed_size(n)
         store.packed[start:start + n] = l
         store.packed[start + n] = d
-        store.Xs[n], store.norms[n], store.Y[n] = xs[0], a[0], y
+        store.scaled[n], store.Y[n] = stored_side(xa)[0], y
         store.v[n] = (y - l @ store.v[:n]) / d
         store.rows = n + 1
 
@@ -353,7 +359,7 @@ class GpPosterior:
         n += 1
         out.X, out.Y, out.spec = X, store.Y[:n], self.spec
         out._L, out.jitter, out._store = None, 0.0, store
-        out._scaled = (store.Xs[:n], store.norms[:n])
+        out._scaled = store.scaled[:n]
         out._v, out._memo = store.v[:n], None
         out.alpha = dtpsv(n, store.packed, out._v.copy(), lower=0, trans=0, overwrite_x=1)
         return out
@@ -368,14 +374,14 @@ class GpPosterior:
 def posterior_mean(post: GpPosterior, x_star: np.ndarray, spec: KernelSpec):
     """Posterior mean at one point (scalar in, scalar out) or a batch of rows."""
     post._check_spec(spec)
-    mu, _ = post.predict_scaled(*scaled_rows(x_star, spec, "x_star"), variance=False)
+    mu, _ = post.predict_scaled(Query.of(x_star, spec, "x_star").aug, variance=False)
     return float(mu[0]) if np.ndim(x_star) == 1 else mu
 
 
 def posterior_variance(post: GpPosterior, x_star: np.ndarray, spec: KernelSpec):
     """Posterior variance (noise-free latent) at one point or a batch of rows."""
     post._check_spec(spec)
-    _, var = post.predict_scaled(*scaled_rows(x_star, spec, "x_star"), mean=False)
+    _, var = post.predict_scaled(Query.of(x_star, spec, "x_star").aug, mean=False)
     return float(var[0]) if np.ndim(x_star) == 1 else var
 
 

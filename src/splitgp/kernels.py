@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dsyr2k
+from scipy.linalg.blas import dgemm, dsyr2k
 
 from .exceptions import ContractViolationError
 
@@ -114,46 +114,68 @@ def kernel_eval(x: np.ndarray, x_prime: np.ndarray, spec: KernelSpec) -> float:
     return float(cross_gram(x, x_prime, spec)[0, 0])
 
 
-def _scale(X: np.ndarray, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
-    Xs = X / spec.lengthscales
-    return Xs, np.sum(Xs * Xs, axis=1)
+def _scale(X: np.ndarray, spec: KernelSpec, norm_col: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, a): the rows X / lengthscales augmented to width d + 2, with -a / 2
+    in column `norm_col` (d or d + 1) and 1 in the other, a the squared norms
+    of the scaled rows.  A is C-ordered, so A[:, :d] is a view of the scaled
+    rows."""
+    n, d = X.shape
+    A = np.empty((n, d + 2))
+    Xs = np.divide(X, spec.lengthscales, out=A[:, :d])
+    a = np.sum(Xs * Xs, axis=1)
+    A[:, d:] = 1.0
+    A[:, norm_col] = -0.5 * a
+    return A, a
 
 
-def scaled_rows(X: np.ndarray, spec: KernelSpec, arg: str = "X") -> tuple[np.ndarray, np.ndarray]:
-    """Rows X / lengthscales, after `_check_rows`, with their squared norms.
+def scaled_rows(X: np.ndarray, spec: KernelSpec, arg: str = "X") -> np.ndarray:
+    """Stored rows for `scaled_cross_gram`: after `_check_rows`, each row x
+    becomes [x / l, 1, -|x / l|^2 / 2] in a C-ordered (n, d + 2) array.
 
-    The pair is one side of `scaled_cross_gram`.  An object whose rows and
-    spec never change computes it once and keeps it.
+    An object whose rows and spec never change builds this once and keeps
+    it; rows appended later are written into it one at a time, and a prefix
+    of the rows is itself a valid argument.
     """
-    return _scale(_check_rows(X, spec, arg), spec)
+    return _scale(_check_rows(X, spec, arg), spec, spec.ndim + 1)[0]
+
+
+def stored_side(Xa: np.ndarray) -> np.ndarray:
+    """Rows given as their query side (`Query.aug`) in the layout of
+    `scaled_rows`, without scaling them again: a fresh array."""
+    d = Xa.shape[1] - 2
+    Za = np.empty_like(Xa)
+    Za[:, :d], Za[:, d], Za[:, d + 1] = Xa[:, :d], Xa[:, d + 1], Xa[:, d]
+    return Za
 
 
 class Query(NamedTuple):
     """Query rows checked once and scaled once under `spec`, so that every
-    consumer of one call shares one `scaled_rows` pair (Xs, norms)."""
+    consumer of one call shares them.
+
+    `aug` is the query side of `scaled_cross_gram`: each row x as
+    [x / l, -|x / l|^2 / 2, 1] in a C-ordered (B, d + 2) array.  `Xs` is a
+    view of its first d columns, and `norms` holds the squared norms |x / l|^2
+    exactly; routing reads those two.
+    """
 
     X: np.ndarray
     Xs: np.ndarray
     norms: np.ndarray
+    aug: np.ndarray
     spec: KernelSpec
 
     @classmethod
     def of(cls, X: np.ndarray, spec: KernelSpec, arg: str = "Xstar") -> "Query":
         X = _check_rows(X, spec, arg)
-        return cls(X, *_scale(X, spec), spec)
+        aug, norms = _scale(X, spec, spec.ndim)
+        return cls(X, aug[:, :spec.ndim], norms, aug, spec)
 
-    def scaled(self, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
-        """The rows' `scaled_rows` pair under `spec`: the kept one when spec
-        equals the query's, else scaled afresh."""
+    def scaled(self, spec: KernelSpec) -> np.ndarray:
+        """The rows' `aug` under `spec`: the kept one when spec equals the
+        query's, else built afresh."""
         if spec == self.spec:
-            return self.Xs, self.norms
-        return scaled_rows(self.X, spec, "Xstar")
-
-
-# Entries per block of `scaled_sq_dist`'s norm sum, so that its temporary
-# stays at 64 KiB.  A temporary as large as the result would be a second large
-# allocation on every call, and each large allocation maps fresh pages.
-_NORM_BLOCK = 8192
+            return self.aug
+        return Query.of(self.X, spec).aug
 
 
 def scaled_sq_dist(Xs: np.ndarray, a: np.ndarray, Zs: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,42 +183,43 @@ def scaled_sq_dist(Xs: np.ndarray, a: np.ndarray, Zs: np.ndarray, b: np.ndarray)
     norms are a and b, in one fresh buffer.
 
     Entry (i, j) is (a_i + b_j) - 2 G_ij, with G = Xs Zs^T the buffer.  It
-    serves routing and cross-kernel rows; Gram matrices are built by
-    `gram_lower`.  The kernel is sf2 * exp(-D / 2), so the smallest distance
-    is the largest similarity, also where every similarity underflows to
-    zero.
+    serves routing, one query row against the centers; kernel blocks are
+    built by `scaled_cross_gram` and Gram matrices by `gram_lower`.  The
+    kernel is sf2 * exp(-D / 2), so the smallest distance is the largest
+    similarity, also where every similarity underflows to zero.
     """
     D = Xs @ Zs.T
     D *= -2.0
-    step = max(1, _NORM_BLOCK // max(b.size, 1))
-    for i in range(0, a.size, step):
-        D[i:i + step] += np.add.outer(a[i:i + step], b)
+    D += np.add.outer(a, b)
     np.maximum(D, 0.0, out=D)
     return D
 
 
-def _rbf(D: np.ndarray, sf2: float) -> np.ndarray:
-    """sf2 * exp(-D / 2), overwriting the squared distances D."""
-    D *= -0.5
-    np.exp(D, out=D)
-    D *= sf2
-    return D
+def scaled_cross_gram(Xa: np.ndarray, Za: np.ndarray, sf2: float) -> np.ndarray:
+    """k(X, Z) from the query side Xa of X (`Query.aug`) and the stored rows
+    Za of Z (`scaled_rows`), both under the spec whose signal variance is
+    sf2: a fresh (B, p) array whose transpose is F-contiguous.
 
-
-def scaled_cross_gram(Xs: np.ndarray, a: np.ndarray, Zs: np.ndarray, b: np.ndarray,
-                      sf2: float) -> np.ndarray:
-    """k(X, Z) from the `scaled_rows` pairs (Xs, a) of X and (Zs, b) of Z,
-    both under the spec whose signal variance is sf2; a fresh (n, p) array.
-
-    The one place the kernel formula is applied to rows: `cross_gram` calls
-    it, and so do the objects that keep their stored rows pre-scaled.
+    The one place the kernel formula is applied to rows.  One SciPy BLAS
+    `dgemm` writes Za Xa^T = -D / 2 into an F-ordered (p, B) array, D the
+    scaled squared distances, since [x, -a / 2, 1] . [z, 1, -b / 2] =
+    x.z - a / 2 - b / 2.  Then min(., 0), exp and the scaling by sf2 run
+    over it in place, and its transpose is returned: K[0] is contiguous and
+    K.T goes to BLAS and LAPACK without a copy.  Both arguments are
+    C-ordered, so their transposes reach BLAS without a copy too.  A query
+    row whose |x / l|^2 overflowed has -inf in its norm column and gets an
+    exact zero row.
     """
-    return _rbf(scaled_sq_dist(Xs, a, Zs, b), sf2)
+    K = dgemm(1.0, Za.T, Xa.T, trans_a=1)
+    np.minimum(K, 0.0, out=K)
+    np.exp(K, out=K)
+    K *= sf2
+    return K.T
 
 
 def cross_gram(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Noise-free kernel matrix k(X, Z) of shape (n, p), a fresh array."""
-    return scaled_cross_gram(*scaled_rows(X, spec, "X"), *scaled_rows(Z, spec, "Z"),
+    return scaled_cross_gram(Query.of(X, spec, "X").aug, scaled_rows(Z, spec, "Z"),
                              spec.signal_variance)
 
 
@@ -222,7 +245,8 @@ def gram_lower(X: np.ndarray, spec: KernelSpec, add_noise: bool = False,
     squared norms a.  Then min(., 0), exp and the scaling by sf2 run over
     the triangle in column panels of PANEL columns.
     """
-    Xs, a = scaled_rows(X, spec)
+    Xs = _check_rows(X, spec, "X") / spec.lengthscales
+    a = np.sum(Xs * Xs, axis=1)
     n, d = Xs.shape
     if out is None:
         out = np.empty((n, n), order="F")

@@ -43,12 +43,12 @@ class PriorMeanNode:
     and rows, which the dropped parent never writes again, with the kernel
     spec current at that moment, chained to the parent's own prior.  Nodes
     never change afterwards, so children can be refit without touching their
-    inherited mean.  Because a node is frozen
-    with its own spec, it keeps its rows scaled by that spec's lengthscales,
-    with their squared norms, from its first evaluation on.  The rows are
-    checked when that cache is built, which covers rows read from a
-    snapshot.  A query comes either as a `Query`, whose scaled rows are used
-    when its spec is the node's, or as bare rows, checked on the call.
+    inherited mean.  Because a node is frozen with its own spec, it keeps its
+    rows in the augmented scaled form of `kernels.scaled_rows` under that
+    spec from its first evaluation on.  The rows are checked when that cache
+    is built, which covers rows read from a snapshot.  A query comes either
+    as a `Query`, whose `aug` is used when its spec is the node's, or as
+    bare rows, checked on the call.
 
     A single-row evaluation leaves a one-entry memo of the row's bytes and
     the chain's value there, so the append that follows a predict of the
@@ -63,7 +63,7 @@ class PriorMeanNode:
         self.alpha = alpha
         self.spec = spec
         self.parent = parent
-        self._scaled: tuple[np.ndarray, np.ndarray] | None = None
+        self._scaled: np.ndarray | None = None
         self._memo: tuple[bytes, np.ndarray] | None = None
 
     def evaluate(self, Xstar: np.ndarray, base: np.ndarray | None = None,
@@ -80,9 +80,8 @@ class PriorMeanNode:
             base = self.parent.evaluate(Xstar, None, query) if self.parent is not None else 0.0
         if self._scaled is None:
             self._scaled = scaled_rows(self.X, self.spec)
-        scaled = (query.scaled(self.spec) if query is not None
-                  else scaled_rows(Xstar, self.spec, "Xstar"))
-        value = base + scaled_cross_gram(*scaled, *self._scaled,
+        aug = query.scaled(self.spec) if query is not None else Query.of(Xstar, self.spec).aug
+        value = base + scaled_cross_gram(aug, self._scaled,
                                          self.spec.signal_variance) @ self.alpha
         if key is not None:
             value.flags.writeable = False  # every later hit returns this array
@@ -176,7 +175,6 @@ class ChildModel:
         self._sum = np.add.accumulate(X)[-1].copy() if n else np.zeros(X.shape[1])
         self.center = centroid(self.X) if center is None else np.asarray(center, dtype=float)
         self.prior = prior
-        self.max_rows = max_rows
         self._residuals: np.ndarray | None = None
         self._posterior: GpPosterior | None = None
         self._adopted: GpPosterior | None = None
@@ -316,14 +314,15 @@ class LocalGpPool:
     def ndim(self) -> int | None:
         return self.children[0].X.shape[1] if self.children else None
 
-    def _centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """The children's centers as a `scaled_rows` pair under the spec."""
-        return scaled_rows(np.array([c.center for c in self.children]), self.spec, "centers")
+    def _centers(self) -> Query:
+        """The children's centers, scaled under the spec."""
+        return Query.of(np.array([c.center for c in self.children]), self.spec, "centers")
 
     def _nearest(self, query: Query) -> tuple[int, float]:
         """(index, squared scaled distance) of the child whose center is
         nearest to the one query row, which is its most similar child."""
-        d2 = scaled_sq_dist(query.Xs, query.norms, *self._centers())[0]
+        centers = self._centers()
+        d2 = scaled_sq_dist(query.Xs, query.norms, centers.Xs, centers.norms)[0]
         idx = int(np.argmin(d2))
         return idx, float(d2[idx])
 
@@ -416,7 +415,7 @@ class LocalGpPool:
         means = np.empty(shape) if mean else None
         variances = np.empty(shape) if variance else None
         for j, child in enumerate(children):
-            mu, var = child.posterior(spec).predict_scaled(query.Xs, query.norms, mean, variance)
+            mu, var = child.posterior(spec).predict_scaled(query.aug, mean, variance)
             if mean:
                 means[:, j] = mu if child.prior is None else priors[id(child.prior)] + mu
             if variance:
@@ -427,8 +426,8 @@ class LocalGpPool:
         """Per-child weights k(c_j, x) / sum_i k(c_i, x), one row per query
         row: a softmax of -d_j^2 / 2 without the row's constants sf2 and
         |x|^2, so no sum underflows and an overflowing |x|^2 does no harm."""
-        Zs, b = self._centers()
-        E = b - 2.0 * (query.Xs @ Zs.T)  # d_j^2 - |x|^2, (B, C)
+        centers = self._centers()
+        E = centers.norms - 2.0 * (query.Xs @ centers.Xs.T)  # d_j^2 - |x|^2, (B, C)
         E -= E.min(axis=1, keepdims=True)
         np.exp(-0.5 * E, out=E)
         E /= E.sum(axis=1, keepdims=True)

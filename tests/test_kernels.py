@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ import pytest
 from splitgp.exceptions import ContractViolationError
 from splitgp.kernels import (
     KernelSpec,
+    Query,
     cross_gram,
     default_spec,
     gram,
     gram_gradients,
     gram_lower,
     kernel_eval,
+    scaled_cross_gram,
     scaled_rows,
     scaled_sq_dist,
 )
@@ -216,10 +219,53 @@ class TestOneBufferGram:
         rng = np.random.default_rng(9)
         spec = make_spec([0.4, 2.5], sf2=0.8)
         x, centers = rng.normal(size=(1, 2)), rng.normal(size=(30, 2))
-        D = scaled_sq_dist(*scaled_rows(x, spec), *scaled_rows(centers, spec))
+        q, c = Query.of(x, spec), Query.of(centers, spec)
+        D = scaled_sq_dist(q.Xs, q.norms, c.Xs, c.norms)
         diff = (x - centers) / spec.lengthscales
         assert np.allclose(D[0], np.sum(diff * diff, axis=1), rtol=1e-12, atol=1e-14)
         assert np.argmin(D[0]) == np.argmax(cross_gram(x, centers, spec)[0])
+
+
+class TestCrossGramBlock:
+    """`scaled_cross_gram` builds a block in one GEMM over augmented rows."""
+
+    @staticmethod
+    def _block(X, Z, spec):
+        return scaled_cross_gram(Query.of(X, spec).aug, scaled_rows(Z, spec),
+                                 spec.signal_variance)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("p", [0, 1, 65, 300])
+    @pytest.mark.parametrize("B", [0, 1, 3, 700])
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_matches_textbook(self, d, B, p, offset):
+        # The GEMM sums terms as large as |x / l|^2 / 2 and |z / l|^2 / 2, so
+        # its rounding error in -D / 2 scales with them, as `gram_lower`'s
+        # does: 1e-14 relative per unit of 1 + a_i + b_j.
+        rng = np.random.default_rng(15)
+        spec = make_spec(rng.uniform(0.5, 2.0, size=d), sf2=1.3)
+        X, Z = rng.normal(size=(B, d)) + offset, rng.normal(size=(p, d)) + offset
+        K = self._block(X, Z, spec)
+        assert K.shape == (B, p) and K.T.flags.f_contiguous
+        a = np.sum((X / spec.lengthscales) ** 2, axis=1)
+        b = np.sum((Z / spec.lengthscales) ** 2, axis=1)
+        expected = textbook_cross_gram(X, Z, spec)
+        assert np.all(np.abs(K - expected) <= 1e-14 * (1.0 + a[:, None] + b) * expected)
+
+    def test_overflowing_query_norm_gives_exact_zeros(self):
+        rng = np.random.default_rng(16)
+        spec = make_spec([1.0, 0.5], sf2=1.3)
+        X = np.array([[0.3, -0.2], [1e200, 0.0], [0.0, -1e160]])
+        Z = rng.normal(size=(40, 2))
+        with np.errstate(over="ignore"):  # |x / l|^2 overflows to inf
+            query = Query.of(X, spec)
+        assert np.isinf(query.norms[1:]).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = scaled_cross_gram(query.aug, scaled_rows(Z, spec), 1.3)
+        assert np.all(K[1:] == 0.0) and not np.isnan(K).any()
+        expected = textbook_cross_gram(X[:1], Z, spec)
+        assert np.all(np.abs(K[:1] - expected) <= 1e-14 * expected)
 
 
 class TestGramLower:

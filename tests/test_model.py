@@ -696,6 +696,28 @@ class TestFactorStorage:
         fresh = GpPosterior(child.X, child.Y, model.spec)
         assert _relative_gap(post.alpha, fresh.alpha) <= 1e-9
 
+    def test_single_row_predict_copies_no_stored_rows(self):
+        # A kernel row reads the posterior's augmented rows, n x (d + 2),
+        # where they are kept, for a fresh factor and for a grown one.
+        rng = np.random.default_rng(46)
+        n, d = 500, 8
+        X = rng.uniform(-2, 2, size=(n + 3, d))
+        Y = np.sin(X).sum(axis=1) + 0.1 * rng.standard_normal(n + 3)
+        model = quiet_model(600, spec=make_spec(np.full(d, 1.5), sn2=0.05))
+        model.update_batch(X[:n], Y[:n])
+        for t in (n, n + 1):
+            model.predict(X[t])  # caches the posterior and its scaled rows
+            tracemalloc.start()
+            try:
+                model.predict(X[t + 1])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < n * d * 8 / 2
+            model.update(X[t], Y[t])
+        post = model.children[0]._posterior
+        assert post is not None and post.n == n + 2 and post._store is not None
+
     def test_unbounded_child_grows_past_its_storage(self):
         # A LocalGpWgen model has no size limit, so its storage doubles when
         # full; each boundary crossing is checked against a fresh factor.
@@ -999,11 +1021,11 @@ class TestRefitAdoption:
         model = SplittingGP(12, train_schedule=self.BATCH_FIT)
         model.update_batch(*self._data(76))
         # A child past half its limit, whose storage at twice its rows
-        # would pass max_rows = 13, and the row at its center.
+        # would pass its buffer of m + 1 = 13 rows, and the row at its center.
         child = next(c for c in model.children if 7 <= c.n <= 11)
         x = child.center.copy()
         model.predict(x)  # takes the adopted posterior as the cache
         model.update(x, 0.25)
         post = child._posterior
         assert post is not None and post.n == child.n and post._store is not None
-        assert post._store.Y.size <= child.max_rows
+        assert post._store.Y.size <= child._Xbuf.shape[0]
