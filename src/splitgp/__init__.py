@@ -45,7 +45,6 @@ from .kernels import (
     default_spec,
     gram,
     gram_gradients,
-    kernel_eval,
 )
 from .model import ChildModel, LocalGpPool, PredictionSummary, SplittingGP, TrainSchedule
 from .partition import (
@@ -90,7 +89,6 @@ __all__ = [
     "grid_search",
     "gram",
     "gram_gradients",
-    "kernel_eval",
     "kfold",
     "lml_gradient",
     "load_csv",

@@ -165,7 +165,6 @@ CSV_COLUMNS = (
     "model", "m", "w_gen", "experts", "n_obs", "replicate", "fold",
     "mse", "rmse", "memory_kb", "train_time_s", "predict_time_s", "failed",
 )
-TIMING_COLUMNS = ("train_time_s", "predict_time_s")
 
 
 def _schedule_for(cfg: ExperimentConfig, seeds: SeedPlan, replicate: int) -> TrainSchedule:
@@ -294,7 +293,7 @@ def _ingest_range(model, train: Dataset, start: int, stop: int, batch_size: int)
     for lo in range(start, stop, batch_size):
         hi = min(lo + batch_size, stop)
         if batch_size == 1:
-            model.ingest(train.X[lo], train.Y[lo])
+            model.update(train.X[lo], train.Y[lo])
         else:
             model.ingest_batch(train.X[lo:hi], train.Y[lo:hi])
     return stop

@@ -550,7 +550,7 @@ def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitRes
         theta[free] = x
         last = None
         try:
-            if np.abs(x).max() >= 700.0:  # exp would overflow or underflow
+            if not np.abs(x).max() < 700.0:  # exp would overflow or underflow, or x is NaN
                 raise NumericalError("log parameters out of range")
             lml, buffers = _shard_lml(theta, shards, spec, buffers)
             grad = sum(lml_gradient(post, post.spec, K) for post, K in buffers)
@@ -576,7 +576,9 @@ def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitRes
                        options={"maxiter": schedule.max_iters})
     except NumericalError:
         return FitResult(spec, -np.inf, 0, converged=False, warning=True)
-    # L-BFGS-B returns an accepted iterate, never one worse than the start.
+    if not np.isfinite(res.x).all():  # SciPy kept a step to NaN: nothing beat the start
+        return FitResult(spec, -negated(start)[0], res.nit, False, True, kept(start, spec))
+    # Otherwise L-BFGS-B returns an accepted iterate, never one worse than the start.
     theta[free] = res.x
     final = spec if np.array_equal(res.x, start) else spec.with_log_vector(theta)
     return FitResult(final, -res.fun, res.nit, res.success, warning, kept(res.x, final))

@@ -109,11 +109,6 @@ def _check_rows(X: np.ndarray, spec: KernelSpec, arg: str) -> np.ndarray:
     return X
 
 
-def kernel_eval(x: np.ndarray, x_prime: np.ndarray, spec: KernelSpec) -> float:
-    """Evaluate k(x, x') for a single pair of points."""
-    return float(cross_gram(x, x_prime, spec)[0, 0])
-
-
 def _scale(X: np.ndarray, spec: KernelSpec, norm_col: int) -> tuple[np.ndarray, np.ndarray]:
     """(A, a): the rows X / lengthscales augmented to width d + 2, with -a / 2
     in column `norm_col` (d or d + 1) and 1 in the other, a the squared norms
@@ -155,7 +150,7 @@ class Query(NamedTuple):
     `aug` is the query side of `scaled_cross_gram`: each row x as
     [x / l, -|x / l|^2 / 2, 1] in a C-ordered (B, d + 2) array.  `Xs` is a
     view of its first d columns, and `norms` holds the squared norms |x / l|^2
-    exactly; routing reads those two.
+    exactly; the pool's center scores read those two.
     """
 
     X: np.ndarray
@@ -176,23 +171,6 @@ class Query(NamedTuple):
         if spec == self.spec:
             return self.aug
         return Query.of(self.X, spec).aug
-
-
-def scaled_sq_dist(Xs: np.ndarray, a: np.ndarray, Zs: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of Xs and Zs, whose squared row
-    norms are a and b, in one fresh buffer.
-
-    Entry (i, j) is (a_i + b_j) - 2 G_ij, with G = Xs Zs^T the buffer.  It
-    serves routing, one query row against the centers; kernel blocks are
-    built by `scaled_cross_gram` and Gram matrices by `gram_lower`.  The
-    kernel is sf2 * exp(-D / 2), so the smallest distance is the largest
-    similarity, also where every similarity underflows to zero.
-    """
-    D = Xs @ Zs.T
-    D *= -2.0
-    D += np.add.outer(a, b)
-    np.maximum(D, 0.0, out=D)
-    return D
 
 
 def scaled_cross_gram(Xa: np.ndarray, Za: np.ndarray, sf2: float) -> np.ndarray:

@@ -5,13 +5,14 @@ the router that places each row, and may replace the similarity combiner.
 
 In `SplittingGP`, observations stream in one at a time or in batches; each
 lands in the local model whose center is nearest in lengthscale-scaled
-distance, which is the most similar under the kernel even where every
-similarity underflows to zero.  A local model that grows past the splitting
-limit is bisected along its principal direction into two children.  Each
-child inherits the parent's predictive mean, frozen at split time, as its
-prior mean and models only the residuals against it, so a freshly split pair
-predicts like the parent did.  Predictions aggregate *all* children with
-similarity weights, which keeps the mean continuous in the input.
+distance, read from the scores the similarity weights use, so the most
+similar under the kernel even where every similarity underflows to zero.  A
+local model that grows past the splitting limit is bisected along its
+principal direction into two children.  Each child inherits the parent's
+predictive mean, frozen at split time, as its prior mean and models only the
+residuals against it, so a freshly split pair predicts like the parent did.
+Predictions aggregate *all* children with similarity weights, which keeps
+the mean continuous in the input.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ import numpy as np
 
 from .exceptions import ContractViolationError, EmptyModelError
 from .gp import FitResult, FitSchedule, GpPosterior, fit
-from .kernels import (
-    KernelSpec,
-    Query,
-    default_spec,
-    scaled_cross_gram,
-    scaled_rows,
-    scaled_sq_dist,
-)
+from .kernels import KernelSpec, Query, default_spec, scaled_cross_gram, scaled_rows
 from .partition import centroid, split
 
 SNAPSHOT_VERSION = 5
@@ -288,6 +282,8 @@ class LocalGpPool:
     combiner.  The default combiner weights every child by its similarity
     k(c_j, x) to the query row, normalized to sum to one, and far from every
     center gives the weight to the nearest; a subclass may replace it.  The
+    nearest center and the weights read one score per center, `_scores`, so
+    a row routed to its nearest center lands where its weight is largest.  The
     four regressors are subclasses: `SplittingGP`, and in `baselines`
     `FullGp` (one child), `LocalGpWgen` and `Rbcm`.
     """
@@ -318,13 +314,21 @@ class LocalGpPool:
         """The children's centers, scaled under the spec."""
         return Query.of(np.array([c.center for c in self.children]), self.spec, "centers")
 
+    def _scores(self, query: Query) -> np.ndarray:
+        """|c_j|^2 - 2 x.c_j for each query row x and center c_j, (B, C): the
+        squared scaled distance d_j^2 less the row's own |x|^2, which no
+        comparison between centers needs and which, far from every center,
+        would absorb the cross term.  Routing and the weights read these."""
+        centers = self._centers()
+        return centers.norms - 2.0 * (query.Xs @ centers.Xs.T)
+
     def _nearest(self, query: Query) -> tuple[int, float]:
         """(index, squared scaled distance) of the child whose center is
-        nearest to the one query row, which is its most similar child."""
-        centers = self._centers()
-        d2 = scaled_sq_dist(query.Xs, query.norms, centers.Xs, centers.norms)[0]
-        idx = int(np.argmin(d2))
-        return idx, float(d2[idx])
+        nearest to the one query row, the lowest score, which is the child
+        the weights favour most."""
+        scores = self._scores(query)[0]
+        idx = int(np.argmin(scores))
+        return idx, max(float(scores[idx]) + float(query.norms[0]), 0.0)
 
     def update(self, x: np.ndarray, y: float) -> None:
         """Insert a single observation: a one-row batch through the checks
@@ -351,9 +355,6 @@ class LocalGpPool:
         check_scaled(X, np.minimum(spec.lengthscales, self._node_lengthscales))
         self.spec = spec
         return [self._route(x, y) for x, y in zip(X, Y)]
-
-    def ingest(self, x: np.ndarray, y: float) -> None:
-        self.update(x, y)
 
     def ingest_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
         self.update_batch(X, Y)
@@ -424,10 +425,10 @@ class LocalGpPool:
 
     def _weights(self, query: Query) -> np.ndarray:
         """Per-child weights k(c_j, x) / sum_i k(c_i, x), one row per query
-        row: a softmax of -d_j^2 / 2 without the row's constants sf2 and
-        |x|^2, so no sum underflows and an overflowing |x|^2 does no harm."""
-        centers = self._centers()
-        E = centers.norms - 2.0 * (query.Xs @ centers.Xs.T)  # d_j^2 - |x|^2, (B, C)
+        row: a softmax of minus half the `_scores`, which leave out the row's
+        constants sf2 and |x|^2, so no sum underflows and an overflowing
+        |x|^2 does no harm."""
+        E = self._scores(query)
         E -= E.min(axis=1, keepdims=True)
         np.exp(-0.5 * E, out=E)
         E /= E.sum(axis=1, keepdims=True)

@@ -7,7 +7,7 @@ import pytest
 from splitgp.baselines import FullGp, LocalGpWgen, Rbcm
 from splitgp.data import SeedPlan, synth_dataset
 from splitgp.exceptions import ContractViolationError, EmptyModelError
-from splitgp.gp import GpPosterior, posterior_mean, posterior_variance
+from splitgp.gp import FitSchedule, GpPosterior, posterior_mean, posterior_variance
 from splitgp.kernels import KernelSpec, default_spec
 from splitgp.model import SplittingGP, TrainSchedule
 
@@ -55,7 +55,7 @@ class TestFullGp:
         X, Y = rng.normal(size=(100, 2)), rng.normal(size=100)
         streamed = FullGp(spec=spec, **quiet())
         for x, y in zip(X, Y):
-            streamed.ingest(x, y)
+            streamed.update(x, y)
         post = GpPosterior(X, Y, spec)
         queries = rng.normal(size=(20, 2))
         direct = posterior_mean(post, queries, spec)
@@ -75,7 +75,7 @@ class TestFullGp:
         unseeded = FullGp(**quiet()), FullGp(**quiet())
         for x, y in zip(X, Y):
             row = x.copy()
-            unseeded[0].ingest(row, y)
+            unseeded[0].update(row, y)
             row[:] = np.nan
         unseeded[1].ingest_batch(X, Y)
         assert unseeded[0].spec == unseeded[1].spec == default_spec(Y[:1], 2)
@@ -92,7 +92,7 @@ class TestFullGp:
 class TestLocalGpWgen:
     def test_first_observation_creates_model(self):
         model = LocalGpWgen(0.5, **quiet())
-        model.ingest(np.array([0.3, 0.3]), 1.0)
+        model.update(np.array([0.3, 0.3]), 1.0)
         assert model.n_children == 1
         assert np.array_equal(model.children[0].center, [0.3, 0.3])
 
@@ -104,8 +104,8 @@ class TestLocalGpWgen:
         local = LocalGpWgen(1e-15, spec=spec, **quiet())
         full = FullGp(spec=spec, **quiet())
         for x, y in zip(X, Y):
-            local.ingest(x, y)
-            full.ingest(x, y)
+            local.update(x, y)
+            full.update(x, y)
         assert local.n_children == 1
         queries = rng.uniform(-1, 1, size=(30, 2))
         gap = np.abs(local.predict_mean_batch(queries) - full.predict_mean_batch(queries))
@@ -115,16 +115,16 @@ class TestLocalGpWgen:
         # Under unit lengthscales k < 0.99 once the distance exceeds 0.1418.
         spec = make_spec([1.0, 1.0], sf2=1.0, sn2=0.1)
         model = LocalGpWgen(0.99, spec=spec, **quiet())
-        model.ingest(np.array([0.0, 0.0]), 0.0)
-        model.ingest(np.array([0.2, 0.0]), 1.0)
+        model.update(np.array([0.0, 0.0]), 0.0)
+        model.update(np.array([0.2, 0.0]), 1.0)
         assert model.n_children == 2
 
     def test_threshold_boundary_is_inclusive(self):
         spec = make_spec([1.0], sf2=1.0, sn2=0.1)
         w = math.exp(-0.5)
         model = LocalGpWgen(w, spec=spec, **quiet())
-        model.ingest(np.array([0.0]), 0.0)
-        model.ingest(np.array([1.0]), 1.0)  # similarity exactly w_gen -> new model
+        model.update(np.array([0.0]), 0.0)
+        model.update(np.array([1.0]), 1.0)  # similarity exactly w_gen -> new model
         assert model.n_children == 2
 
     def test_threshold_uses_normalized_similarity(self):
@@ -132,8 +132,8 @@ class TestLocalGpWgen:
         for sf2 in (1.0, 25.0):
             spec = make_spec([1.0, 1.0], sf2=sf2, sn2=0.1)
             model = LocalGpWgen(0.5, spec=spec, **quiet())
-            model.ingest(np.array([0.0, 0.0]), 0.0)
-            model.ingest(np.array([2.0, 0.0]), 1.0)
+            model.update(np.array([0.0, 0.0]), 0.0)
+            model.update(np.array([2.0, 0.0]), 1.0)
             assert model.n_children == 2
 
     def test_predict_single_model_matches_posterior(self):
@@ -198,8 +198,8 @@ class TestRbcm:
         committee = Rbcm(1, seed=0, spec=spec, **quiet())
         full = FullGp(spec=spec, **quiet())
         for x, y in zip(X, Y):
-            committee.ingest(x, y)
-            full.ingest(x, y)
+            committee.update(x, y)
+            full.update(x, y)
         queries = rng.uniform(-1, 1, size=(25, 2))
         gap = np.abs(committee.predict_mean_batch(queries) - full.predict_mean_batch(queries))
         assert gap.max() < 1e-10
@@ -225,8 +225,8 @@ class TestRbcm:
     def test_no_information_reverts_to_prior(self):
         spec = make_spec([1.0], sf2=2.5, sn2=0.1)
         model = Rbcm(2, seed=0, spec=spec, **quiet())
-        model.ingest(np.array([0.0]), 1.0)
-        model.ingest(np.array([0.1]), 1.1)
+        model.update(np.array([0.0]), 1.0)
+        model.update(np.array([0.1]), 1.1)
         mean, var = model.predict(np.array([1e6]))  # far away: no data effect
         assert mean == pytest.approx(0.0, abs=1e-9)
         assert var == pytest.approx(2.5, rel=1e-9)
@@ -266,6 +266,22 @@ class TestRbcm:
         mean, var = model.predict(x)
         assert mean == pytest.approx(mean_expected, abs=1e-12)
         assert var == pytest.approx(var_expected, abs=1e-12)
+
+    def test_fit_that_steps_to_nan_keeps_the_warm_start(self):
+        # The far row makes the lengthscale gradient about 1e184 at the warm
+        # start, and L-BFGS-B's next point is NaN.
+        X = np.random.default_rng(0).uniform(-1, 1, (20, 2))
+        X[3] = [1e100, 0.0]
+        Y = np.random.default_rng(1).normal(size=20)
+        model = Rbcm(3, seed=0, train_schedule=TrainSchedule(fit=FitSchedule(3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model.update_batch(X, Y)
+            mean, var = model.predict_mean_batch(X), model.predict_variance_batch(X)
+        assert model.last_fit.warning and not model.last_fit.converged
+        assert model.spec == model.last_fit.spec
+        assert np.array_equal(model.spec.lengthscales, [1.0, 1.0])
+        assert np.isfinite(mean).all() and np.isfinite(var).all()
 
     def test_all_empty_rejected(self):
         model = Rbcm(3, seed=0, spec=make_spec([1.0]), **quiet())
@@ -318,7 +334,7 @@ def test_bad_rows_rejected_at_ingest(build):
     ]
     for x, y in bad:
         with pytest.raises(ContractViolationError):
-            model.ingest(x, y)
+            model.update(x, y)
         with pytest.raises(ContractViolationError):
             model.ingest_batch(np.vstack([ds.X[:2], x]) if x.size == 2 else x[None, :],
                                np.append(ds.Y[:2], y) if x.size == 2 else [y])
@@ -326,8 +342,8 @@ def test_bad_rows_rejected_at_ingest(build):
     assert np.array_equal(model.predict_mean_batch(queries),
                           reference.predict_mean_batch(queries))
     # Both go on alike: a rejected row drew nothing from a seeded assignment.
-    model.ingest(ds.X[0] + 0.05, 0.3)
-    reference.ingest(ds.X[0] + 0.05, 0.3)
+    model.update(ds.X[0] + 0.05, 0.3)
+    reference.update(ds.X[0] + 0.05, 0.3)
     assert np.array_equal(model.predict_mean_batch(queries),
                           reference.predict_mean_batch(queries))
 

@@ -14,11 +14,10 @@ from splitgp.kernels import (
     gram,
     gram_gradients,
     gram_lower,
-    kernel_eval,
     scaled_cross_gram,
     scaled_rows,
-    scaled_sq_dist,
 )
+from splitgp.model import ChildModel, SplittingGP, TrainSchedule
 
 
 def make_spec(ls, sf2=1.0, sn2=0.1):
@@ -28,29 +27,30 @@ def make_spec(ls, sf2=1.0, sn2=0.1):
 class TestEval:
     def test_zero_distance_gives_signal_variance(self):
         spec = make_spec([1.0, 1.0], sf2=2.0)
-        assert kernel_eval([0.3, -0.7], [0.3, -0.7], spec) == pytest.approx(2.0, abs=1e-15)
+        assert cross_gram([0.3, -0.7], [0.3, -0.7], spec)[0, 0] == pytest.approx(2.0, abs=1e-15)
 
     def test_unit_distance_analytic(self):
         spec = make_spec([1.0, 1.0])
-        assert kernel_eval([0.0, 0.0], [1.0, 0.0], spec) == pytest.approx(math.exp(-0.5), rel=1e-12)
+        value = cross_gram([0.0, 0.0], [1.0, 0.0], spec)[0, 0]
+        assert value == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_huge_lengthscale_suppresses_dimension(self):
         spec = make_spec([1.0, 1e12])
-        value = kernel_eval([0.0, 5.0], [1.0, -5.0], spec)
+        value = cross_gram([0.0, 5.0], [1.0, -5.0], spec)[0, 0]
         assert value == pytest.approx(math.exp(-0.5), rel=1e-9)
 
     def test_dimension_mismatch_raises(self):
         spec = make_spec([1.0, 1.0])
         with pytest.raises(ContractViolationError):
-            kernel_eval([0.0], [1.0], spec)
+            cross_gram([0.0], [1.0], spec)
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(0)
         spec = make_spec([0.7, 1.3, 2.0], sf2=1.7)
         for _ in range(50):
             x, z = rng.normal(size=3), rng.normal(size=3)
-            k_xz = kernel_eval(x, z, spec)
-            assert k_xz == pytest.approx(kernel_eval(z, x, spec), rel=1e-14)
+            k_xz = cross_gram(x, z, spec)[0, 0]
+            assert k_xz == pytest.approx(cross_gram(z, x, spec)[0, 0], rel=1e-14)
             assert 0.0 < k_xz <= spec.signal_variance
             if not np.array_equal(x, z):
                 assert k_xz < spec.signal_variance
@@ -61,8 +61,8 @@ class TestEval:
         x = np.array([0.5, -0.2])
         z = np.array([-0.3, 0.4])
         d = np.array([1.0, 0.5]) / np.linalg.norm([1.0, 0.5])
-        base = kernel_eval(x, z, spec)
-        deltas = [abs(kernel_eval(x + h * d, z, spec) - base) for h in (1e-2, 5e-3, 2.5e-3)]
+        base = cross_gram(x, z, spec)[0, 0]
+        deltas = [abs(cross_gram(x + h * d, z, spec)[0, 0] - base) for h in (1e-2, 5e-3, 2.5e-3)]
         for coarse, fine in zip(deltas, deltas[1:]):
             assert fine <= 0.5 * coarse * 1.25
 
@@ -87,7 +87,7 @@ class TestGram:
         K = gram(X, spec, add_noise=False)
         for i in range(3):
             for j in range(3):
-                assert abs(K[i, j] - kernel_eval(X[i], X[j], spec)) < 1e-15
+                assert abs(K[i, j] - cross_gram(X[i], X[j], spec)[0, 0]) < 1e-15
 
     def test_psd_with_noise(self):
         rng = np.random.default_rng(2)
@@ -163,7 +163,7 @@ def test_cross_gram_shape_and_consistency():
     X, Z = rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
     K = cross_gram(X, Z, spec)
     assert K.shape == (4, 6)
-    assert K[2, 3] == pytest.approx(kernel_eval(X[2], Z[3], spec), rel=1e-14)
+    assert K[2, 3] == pytest.approx(cross_gram(X[2], Z[3], spec)[0, 0], rel=1e-14)
 
 
 def textbook_cross_gram(X, Z, spec):
@@ -216,14 +216,18 @@ class TestOneBufferGram:
             assert np.array_equal(K, K.T)
 
     def test_sq_dist_orders_like_similarity(self):
+        # The pool routes a row to the child with the largest kernel similarity.
         rng = np.random.default_rng(9)
         spec = make_spec([0.4, 2.5], sf2=0.8)
         x, centers = rng.normal(size=(1, 2)), rng.normal(size=(30, 2))
-        q, c = Query.of(x, spec), Query.of(centers, spec)
-        D = scaled_sq_dist(q.Xs, q.norms, c.Xs, c.norms)
-        diff = (x - centers) / spec.lengthscales
-        assert np.allclose(D[0], np.sum(diff * diff, axis=1), rtol=1e-12, atol=1e-14)
-        assert np.argmin(D[0]) == np.argmax(cross_gram(x, centers, spec)[0])
+        model = SplittingGP(40, spec=spec, train_schedule=TrainSchedule.never())
+        model.children = [ChildModel(c[None, :], [0.0]) for c in centers]
+        idx, d2 = model._nearest(Query.of(x, spec))
+        diff = (x[0] - centers[idx]) / spec.lengthscales
+        assert d2 == pytest.approx(diff @ diff, rel=1e-12, abs=1e-14)
+        model.update(x[0], 0.0)
+        assert [c.n for c in model.children] == [1 + (j == idx) for j in range(30)]
+        assert idx == np.argmax(cross_gram(x, centers, spec)[0])
 
 
 class TestCrossGramBlock:

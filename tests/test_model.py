@@ -10,7 +10,7 @@ from splitgp.baselines import FullGp, LocalGpWgen, Rbcm
 from splitgp.data import SeedPlan, synth_dataset
 from splitgp.exceptions import ContractViolationError, EmptyModelError, NumericalError
 from splitgp.gp import FitSchedule, GpPosterior, posterior_mean, posterior_variance
-from splitgp.kernels import KernelSpec, gram, kernel_eval
+from splitgp.kernels import KernelSpec, cross_gram, gram
 from splitgp.model import ChildModel, PriorMeanNode, SplittingGP, TrainSchedule
 
 
@@ -48,6 +48,23 @@ class TestUpdate:
         model.update(np.array([-1000.0]), 0.0)
         assert sorted(near.X[:, 0]) == [-1000.0, 0.0, 0.5]
         assert sorted(far.X[:, 0]) == [100.0, 100.5]
+
+    def test_far_field_row_joins_the_child_its_weights_pick(self):
+        # At |x / l| = 1e150 the row's own |x|^2 = 1e300 absorbs the cross
+        # term 2 x.c ~ 1e151, so a distance that adds it ties every center.
+        model = quiet_model(3, spec=make_spec([1.0, 1.0], sf2=1.0, sn2=0.1))
+        for x in ((-5.0, 0.0), (-5.1, 0.0), (5.0, 0.0), (5.1, 0.0)):
+            model.update(np.array(x), 0.0)
+        centers = [c.center.tolist() for c in model.children]
+        left = centers.index([-5.05, 0.0])
+        x = np.array([-1e150, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = model.predict_mean(x).weights
+            model.update(x, 1.0)
+        assert weights[left] == 1.0
+        assert [c.n for c in model.children] == [2 + (j == left) for j in range(2)]
+        assert model.children[left].X[-1].tolist() == x.tolist()
 
     def test_new_point_joins_most_similar_center(self):
         spec = make_spec([1.0, 1.0])
@@ -201,7 +218,7 @@ class TestPredict:
 
     def test_equidistant_children_average(self):
         spec = make_spec([1.0], sf2=1.0, sn2=0.0)
-        k = kernel_eval([0.7], [0.0], spec)
+        k = cross_gram([0.7], [0.0], spec)[0, 0]
         model = quiet_model(50, spec=spec)
         # Single-point children whose means at x*=0 are exactly 1.0 and 3.0.
         model.children = [
@@ -223,7 +240,7 @@ class TestPredict:
             X = rng.normal(size=(5, 2))
             model.children.append(ChildModel(X, rng.normal(size=5)))
         x = np.array([0.25, -0.4])
-        sims = np.array([kernel_eval(c.center, x, spec) for c in model.children])
+        sims = np.array([cross_gram(c.center, x, spec)[0, 0] for c in model.children])
         weights = sims / sims.sum()
         variances = np.array([
             posterior_variance(c.posterior(spec), x, spec) for c in model.children
@@ -730,7 +747,7 @@ class TestFactorStorage:
         for t in range(X.shape[0]):
             if t >= 3:
                 model.predict(X[t])  # caches the posterior
-            model.ingest(X[t], Y[t])
+            model.update(X[t], Y[t])
             assert model.n_children == 1
             post = model.children[0]._posterior
             if post is None or post._store is None:
@@ -785,8 +802,8 @@ class TestQueryReuse:
             if t:
                 reuse.predict(X[t])
                 fresh.predict_mean_batch(probe)
-            reuse.ingest(X[t], Y[t])
-            fresh.ingest(X[t], Y[t])
+            reuse.update(X[t], Y[t])
+            fresh.update(X[t], Y[t])
         if kind == "splitting":
             assert max(len(c.prior.chain()) for c in reuse.children if c.prior) >= 3
         pairs = list(zip(reuse.children, fresh.children, strict=True))

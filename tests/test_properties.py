@@ -2,7 +2,8 @@
 LocalGpWgen and Rbcm.
 
 Streams mix free rows with duplicates of earlier rows and rows on one line,
-and the queries include far-field rows, where every similarity underflows.
+and the queries include far-field rows, where every similarity underflows;
+the routing property streams rows farther still.
 The kernel is fixed and never refit, so each example stays cheap.
 """
 
@@ -43,9 +44,25 @@ def streams(draw):
 
 
 @st.composite
-def pools(draw):
+def far_streams(draw):
+    """A stream of `streams` with one to four far rows put in anywhere: one
+    coordinate is +-1e20 or +-1e150, where a row's own |x / l|^2 dwarfs its
+    product with any center."""
+    X, Y = draw(streams())
+    rows, ys = list(X), list(Y)
+    for _ in range(draw(st.integers(1, 4))):
+        row = [draw(coordinate), draw(coordinate)]
+        row[draw(st.integers(0, 1))] = draw(st.sampled_from((1e20, -1e20, 1e150, -1e150)))
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(at, row)
+        ys.insert(at, draw(coordinate))
+    return np.array(rows), np.array(ys)
+
+
+@st.composite
+def pools(draw, kinds=("splitting", "fullgp", "local", "rbcm")):
     """(kind, factory) for a pool under the fixed kernel and no refits."""
-    kind = draw(st.sampled_from(("splitting", "fullgp", "local", "rbcm")))
+    kind = draw(st.sampled_from(kinds))
     never = TrainSchedule.never()
     if kind == "splitting":
         m = draw(st.integers(2, 8))
@@ -111,6 +128,24 @@ def test_weights_are_a_partition_of_unity(pool, stream, Xq):
     assert weights.shape == (Xq.shape[0], model.n_children)
     assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
     assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(pool=pools(kinds=("splitting", "local")), stream=far_streams())
+def test_a_row_joins_the_child_of_its_largest_weight(pool, stream):
+    # The routers that pick the nearest center; a LocalGpWgen row that
+    # spawns a child joins none.
+    _, build = pool
+    model = build()
+    for x, y in zip(*stream):
+        before, sizes = list(model.children), [c.n for c in model.children]
+        weights = model._weights(model._query(x[None, :]))[0] if before else None
+        model.update(x, y)
+        joined = [j for j, c in enumerate(before)
+                  if model.children[j] is not c or c.n != sizes[j]]
+        assert len(joined) <= 1
+        if joined:
+            assert weights[joined[0]] == weights.max()
 
 
 @st.composite

@@ -68,7 +68,7 @@ def test_traced_model_calls_are_recorded(tracing):
         model.ingest_batch(X[:20], Y[:20])
         for x, y in zip(X[20:], Y[20:]):
             model.predict(x)
-            model.ingest(x, y)
+            model.update(x, y)
         model.predict_mean_batch(X[:5])
         model.predict_variance_batch(X[:5])
         full = FullGp(train_schedule=TrainSchedule(fit=FitSchedule(max_iters=2)))
