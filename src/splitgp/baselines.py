@@ -85,7 +85,10 @@ class Rbcm(LocalGpPool):
     Gaussians with differential-entropy weights
     beta_k = 0.5 (log sigma_prior^2 - log sigma_k^2(x*)), normalized to sum to
     one; with no information (all beta zero) the prediction falls back to
-    the prior.
+    the prior.  The normalization departs from Deisenroth & Ng, whose
+    precision adds (1 - sum beta) / sigma_prior^2: normalized, the combiner is
+    the generalized product of experts of Cao & Fleet 2014.  Criterion 9, one
+    expert equals the full GP, relies on it.
     """
 
     def __init__(self, n_experts: int, seed: int | np.random.Generator = 0,

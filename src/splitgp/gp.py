@@ -5,20 +5,20 @@ and hyperparameter fitting by SciPy's L-BFGS-B over one or more data shards
 that share a kernel.  A posterior grows by one observation in O(n^2) by
 appending a row to its Cholesky factor (Seeger 2004, "Low rank updates for
 the Cholesky decomposition").  A factor that needed jitter, or a new pivot
-too small to trust, is not extended: the caller refactorizes in O(n^3), so
+too small to trust, is not grown: the caller refactorizes in O(n^3), so
 small-lengthscale instabilities are not compounded.  Batch construction and
 fitting always factorize from scratch.
 
 Storage.  A freshly built posterior holds its factor as a full n x n array.
-Its first extension copies the factor, packed by rows, into storage reserved
-for twice the current rows, or for the caller's limit when that is fewer,
-with the rows' augmented scaled form (`kernels.scaled_rows`: each row scaled
-by the lengthscales, with its squared norm), the responses and v = L^-1 Y;
-the input rows stay the caller's.  Each later append writes one row of each
-there, with no O(n^2) allocation or copy; the storage is copied to twice its
-size only when it is full.  A kernel block reads the first n augmented rows
-in place.  Single-row solves read the packed factor in place through BLAS
-`dtpsv`; batch solves unpack it once per call.
+Its first append copies the factor, packed by rows, into storage reserved
+for the caller's capacity, with the rows' augmented scaled form
+(`kernels.scaled_rows`: each row scaled by the lengthscales, with its squared
+norm), the responses and v = L^-1 Y; the input rows stay the caller's.  Each
+later append writes one row of each there, with no O(n^2) allocation or
+copy; full storage is copied once into storage for the caller's new, larger
+capacity.  A kernel block reads the first n augmented rows in place.
+Single-row solves read the packed factor in place through BLAS `dtpsv`;
+batch solves unpack it once per call.
 
 Gram matrices.  The Cholesky factor and K^-1 each occupy one triangle, so a
 posterior and the gradient read only the lower triangle of K, and build only
@@ -137,32 +137,30 @@ def _packed_size(n: int) -> int:
 
 
 class _Storage:
-    """Reserved rows that posteriors of one lineage grow in.
+    """Reserved rows that one posterior grows in.
 
     Row i of the lower factor L is packed at [i(i+1)/2, (i+1)(i+2)/2), which
     BLAS reads as the column-major upper triangle of L^T, so appending a row
     writes past the end of what is there.  A posterior of n rows reads the
-    first n rows of every array; `rows` counts those written, so only the
-    posterior that wrote the last row may append in place.
+    first n rows of every array.
     """
 
-    __slots__ = ("packed", "scaled", "Y", "v", "rows")
+    __slots__ = ("packed", "scaled", "Y", "v")
 
     def __init__(self, capacity: int, ndim: int):
         self.packed = np.empty(_packed_size(capacity))
         self.scaled = np.empty((capacity, ndim + 2))
         self.Y = np.empty(capacity)
         self.v = np.empty(capacity)
-        self.rows = 0
 
 
 class GpPosterior:
     """A GP conditioned on (X, Y) under a fixed kernel spec.
 
-    Immutable after construction, apart from lazy caches; caches the Cholesky
-    factor of the noisy Gram matrix and alpha = (K + sn2 I)^-1 Y, and keeps X
-    as given, so the caller must not write those rows.  `extended` returns a
-    new posterior with one more observation.  A caller that has already
+    Caches the Cholesky factor of the noisy Gram matrix and
+    alpha = (K + sn2 I)^-1 Y, and keeps X as given, so the caller must not
+    write those rows.  `append` conditions it on one more observation in
+    place, and is the only call that changes it.  A caller that has already
     built the noisy Gram matrix, as `kernels.gram_lower(X, spec,
     add_noise=True)` does, passes it as K; the posterior factorizes a copy
     and keeps no reference to it (without K, it builds the Gram matrix with
@@ -175,14 +173,13 @@ class GpPosterior:
     The rows' augmented scaled form (`kernels.scaled_rows`) is built on the
     first kernel-row request, after a check of the stored rows, so a
     posterior that only serves a fit never holds it.
-    `chol` is the n x n lower factor; an extended posterior unpacks it into a
+    `chol` is the n x n lower factor; a grown posterior unpacks it into a
     fresh array on each read.
 
     A single-row variance query leaves a one-entry memo: the bytes of the
-    query's augmented row and its l = L^-1 k.  `extended` at that row reuses
-    l instead of building the kernel row and solving again, which is safe
-    because the posterior never changes.  A posterior starts with no memo, an extended
-    one included.
+    query's augmented row and its l = L^-1 k.  `append` at that row reuses
+    l instead of building the kernel row and solving again, and clears the
+    memo, as the factor it was solved against has grown.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
@@ -225,7 +222,7 @@ class GpPosterior:
             self._L = np.zeros((0, 0))
             self.jitter = 0.0
             self.alpha = np.zeros(0)
-        self._store: _Storage | None = None  # set on the first extension
+        self._store: _Storage | None = None  # set on the first append
         self._scaled: np.ndarray | None = None
         self._v: np.ndarray | None = None  # L^-1 Y, kept once the factor grows
         self._memo: tuple[bytes, np.ndarray] | None = None  # (row bytes, L^-1 k)
@@ -262,7 +259,7 @@ class GpPosterior:
 
         One kernel row per query row serves both.  A single row is solved
         against the factor where it is stored, and its solve is memoized for
-        `extended`; more rows are solved against `chol` in one call.
+        `append`; more rows are solved against `chol` in one call.
         """
         sf2 = self.spec.signal_variance
         B = Xa.shape[0]
@@ -286,12 +283,9 @@ class GpPosterior:
         np.maximum(var, 0.0, out=var)
         return mu, var
 
-    def _reserve(self, limit: int | None) -> _Storage:
-        """Storage holding this posterior's n rows, sized 2n, or `limit` if n < limit < 2n."""
+    def _reserve(self, capacity: int) -> _Storage:
+        """Storage for `capacity` rows that holds this posterior's n rows."""
         n = self.n
-        capacity = 2 * n
-        if limit is not None and n < limit < capacity:
-            capacity = limit
         store = _Storage(capacity, self.spec.ndim)
         size = _packed_size(n)
         if self._store is None:
@@ -300,41 +294,38 @@ class GpPosterior:
             store.packed[:size] = self._store.packed[:size]
         store.scaled[:n] = self.scaled_rows()
         store.Y[:n] = self.Y
-        if self._v is None:
-            store.v[:n] = self._solve_lower(self.Y.copy())
-        else:
-            store.v[:n] = self._v
-        store.rows = n
+        store.v[:n] = self._solve_lower(self.Y.copy()) if self._v is None else self._v
         return store
 
-    def extended(self, X: np.ndarray, y: float, limit: int | None = None,
-                 scaled: np.ndarray | None = None) -> "GpPosterior | None":
-        """This posterior conditioned on one more observation, in O(n^2): X is
-        its n rows then the new row x, which the result keeps as its rows, and
-        y is x's response.  `limit` caps the storage an extension reserves
-        (see the module docstring); `scaled` is x as a one-row
-        `kernels.Query.aug` under this posterior's spec when the caller holds
-        it.
+    def append(self, X: np.ndarray, y: float, capacity: int,
+               scaled: np.ndarray | None = None) -> bool:
+        """Condition this posterior on one more observation, in place and in
+        O(n^2): X is its n rows then the new row x, which it keeps as its
+        rows, and y is x's response.  `capacity` is the number of rows the
+        storage it grows in is sized for, more than n (see the module
+        docstring); `scaled` is x as a one-row `kernels.Query.aug` under this
+        posterior's spec when the caller holds it.
 
         Appends the row [l^T d] to the factor, with l = L^-1 k(X, x) and
         d^2 = sf2 + sn2 - l.l, extends v = L^-1 Y by (y - l.v) / d and
         back-substitutes alpha = L^-T v.  When x is the row of the last
         single-row variance query, l is that query's; then the step is the
-        back-substitution and O(n) bookkeeping.  Returns None, leaving the
-        caller to refactorize, when there is no factor, when it needed
-        jitter, or when any pivot, old or new, is not above PIVOT_RTOL of
-        sf2 + sn2: a nearly singular factor is not built upon.
+        back-substitution and O(n) bookkeeping.  Returns False and changes
+        nothing, leaving the caller to refactorize, when there is no factor,
+        when it needed jitter, or when any pivot, old or new, is not above
+        PIVOT_RTOL of sf2 + sn2: a nearly singular factor is not built upon.
         """
         if self.jitter != 0.0 or not self.n:
-            return None
+            return False
         prior_var = self.spec.signal_variance + self.spec.noise_variance
         min_pivot = PIVOT_RTOL * prior_var
         # A grown factor's pivots all passed this test as they were added.
         if self._store is None and not np.min(np.diagonal(self._L)) ** 2 > min_pivot:
-            return None
+            return False
         n = self.n
-        if X.shape[0] != n + 1:
-            raise ContractViolationError(f"X has {X.shape[0]} rows, expected {n + 1}")
+        if X.shape[0] != n + 1 or capacity <= n:
+            raise ContractViolationError(f"{X.shape[0]} rows and capacity {capacity} for "
+                                         f"{n + 1} rows")
         xa = Query.of(X[n:], self.spec, "x").aug if scaled is None else scaled
         if self._memo is not None and self._memo[0] == xa.tobytes():
             l = self._memo[1]
@@ -343,51 +334,38 @@ class GpPosterior:
                                                     self.spec.signal_variance)[0])
         d2 = prior_var - l @ l
         if not d2 > min_pivot:
-            return None
+            return False
         d, y = float(np.sqrt(d2)), float(y)
         store = self._store
-        if store is None or store.rows != n or store.Y.size == n:
-            store = self._reserve(limit)
+        if store is None or store.Y.size == n:
+            store = self._store = self._reserve(capacity)
         start = _packed_size(n)
         store.packed[start:start + n] = l
         store.packed[start + n] = d
         store.scaled[n], store.Y[n] = stored_side(xa)[0], y
         store.v[n] = (y - l @ store.v[:n]) / d
-        store.rows = n + 1
 
-        out = object.__new__(GpPosterior)  # __init__ would refactorize
         n += 1
-        out.X, out.Y, out.spec = X, store.Y[:n], self.spec
-        out._L, out.jitter, out._store = None, 0.0, store
-        out._scaled = store.scaled[:n]
-        out._v, out._memo = store.v[:n], None
-        out.alpha = dtpsv(n, store.packed, out._v.copy(), lower=0, trans=0, overwrite_x=1)
-        return out
-
-    def _check_spec(self, spec: KernelSpec) -> None:
-        if spec != self.spec:
-            raise ContractViolationError(
-                "kernel spec differs from the one this posterior was factorized with"
-            )
+        self.X, self.Y, self._L = X, store.Y[:n], None
+        self._scaled, self._v, self._memo = store.scaled[:n], store.v[:n], None
+        self.alpha = dtpsv(n, store.packed, self._v.copy(), lower=0, trans=0, overwrite_x=1)
+        return True
 
 
-def posterior_mean(post: GpPosterior, x_star: np.ndarray, spec: KernelSpec):
+def posterior_mean(post: GpPosterior, x_star: np.ndarray):
     """Posterior mean at one point (scalar in, scalar out) or a batch of rows."""
-    post._check_spec(spec)
-    mu, _ = post.predict_scaled(Query.of(x_star, spec, "x_star").aug, variance=False)
+    mu, _ = post.predict_scaled(Query.of(x_star, post.spec, "x_star").aug, variance=False)
     return float(mu[0]) if np.ndim(x_star) == 1 else mu
 
 
-def posterior_variance(post: GpPosterior, x_star: np.ndarray, spec: KernelSpec):
+def posterior_variance(post: GpPosterior, x_star: np.ndarray):
     """Posterior variance (noise-free latent) at one point or a batch of rows."""
-    post._check_spec(spec)
-    _, var = post.predict_scaled(Query.of(x_star, spec, "x_star").aug, mean=False)
+    _, var = post.predict_scaled(Query.of(x_star, post.spec, "x_star").aug, mean=False)
     return float(var[0]) if np.ndim(x_star) == 1 else var
 
 
-def log_marginal_likelihood(post: GpPosterior, spec: KernelSpec) -> float:
-    """log p(Y | X, spec) through the cached factorization."""
-    post._check_spec(spec)
+def log_marginal_likelihood(post: GpPosterior) -> float:
+    """log p(Y | X, spec) under the posterior's spec, through its factorization."""
     if post.n == 0:
         raise ContractViolationError("log marginal likelihood needs at least one observation")
     fit_term = -0.5 * float(post.Y @ post.alpha)
@@ -395,27 +373,28 @@ def log_marginal_likelihood(post: GpPosterior, spec: KernelSpec) -> float:
     return fit_term - logdet - 0.5 * post.n * LOG_2PI
 
 
-def lml_gradient(post: GpPosterior, spec: KernelSpec,
-                 K: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of the log marginal likelihood w.r.t. each log-domain parameter,
-    in O(n^2 d) time and O(n^2) memory.
+def lml_gradient(post: GpPosterior, K: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of the log marginal likelihood w.r.t. each log-domain parameter
+    of the posterior's spec, in O(n^2 d) time and O(n^2) memory.
 
     Each component is the trace identity 0.5 tr(W dK/dtheta_j) with
     W = alpha alpha^T - K^-1 (Rasmussen & Williams 2006, eq. 5.9), evaluated
     without the (d+2) x n x n tensor of `kernels.gram_gradients`.  With
     P = W o K_f, K_f the noise-free Gram matrix, and x_d the d-th input
-    column:
+    column scaled by its lengthscale:
 
-    - lengthscale d: (sum_i x_id^2 (P 1)_i - x_d^T P x_d) / l_d^2;
+    - lengthscale d: sum_i x_id^2 (P 1)_i - x_d^T P x_d;
     - signal variance: sum(P) / 2;
     - noise variance: sn2 tr(W) / 2.
 
-    The inputs are centred per column first; the kernel is shift-invariant,
-    and on offset inputs the two lengthscale terms would otherwise cancel.
-    The expanded lengthscale term loses digits on duplicate rows, where the
-    pairwise form sum_ij P_ij (x_id - x_jd)^2 cancels exactly, but stays
-    within 10 eps cond(K) of the exact gradient there; the pairwise form
-    would cost d more passes over n^2.
+    The lengthscale term is the pairwise form sum_ij P_ij (x_id - x_jd)^2 / 2
+    expanded, to which P's diagonal adds nothing: P is formed without it,
+    and sf2 sum_i W_ii joins sum(P) apart.  The columns are centred on their
+    median, as on offset inputs the two terms would cancel; a lone far row,
+    whose entries of P are exactly 0, then enters nowhere.  The expanded
+    form loses digits on duplicate rows, within 10 eps cond(K), and on a far
+    cluster of rows; the pairwise form, exact on both, would cost d more
+    passes over n^2.
 
     K^-1 = L^-T L^-1 is formed in one F-ordered n x n array H, the only
     n x n array the call allocates: H is a copy of the cached factor, or,
@@ -427,23 +406,23 @@ def lml_gradient(post: GpPosterior, spec: KernelSpec,
     2-vCPU Xeon, a gradient took 8 ms with a NumPy n x d product in it,
     1.5 ms without): BLAS `dsyr` subtracts alpha alpha^T, giving -W; the
     product with K_f runs over the triangle in column panels, and the
-    diagonal is set to -sf2 W_ii, giving -P.  BLAS `dsymv` of that triangle
-    against 1 and against each centred column x_d gives P 1 and x_d^T P x_d,
-    and sum(P) is the sum of P 1.  These d + 1 `dsymv` calls took a third of
-    the time of one `dsymm` against [1 | X_c] at n = 500 and d = 2, and less
-    up to d = 8 (one BLAS thread, 2-vCPU Xeon): OpenBLAS's `dsymm` is slow
-    on so few columns.  A jittered factor gives the gradient of the jittered
-    K, as the posterior's alpha does.
+    diagonal is set to 0, giving -P off its diagonal.  BLAS `dsymv` of that
+    triangle against 1 and against each centred column x_d gives P 1 and
+    x_d^T P x_d, and sum(P) is the sum of P 1 plus sf2 sum_i W_ii.  These
+    d + 1 `dsymv` calls took a third of the time of one `dsymm` against
+    [1 | X_c] at n = 500 and d = 2, and less up to d = 8 (one BLAS thread,
+    2-vCPU Xeon): OpenBLAS's `dsymm` is slow on so few columns.  A jittered
+    factor gives the gradient of the jittered K, as the posterior's alpha
+    does.
 
     K is the posterior's Gram matrix when the caller still holds it, in
     either memory order; only K[i, j] with i > j is read, so it may carry
     noise on the diagonal and anything above it.  Without K, the call builds
     that triangle with `kernels.gram_lower`.
     """
-    post._check_spec(spec)
     if post.n == 0:
         raise ContractViolationError("gradient needs at least one observation")
-    n, alpha = post.n, post.alpha
+    n, alpha, spec = post.n, post.alpha, post.spec
     if K is None:
         K = gram_lower(post.X, spec)
     fresh = post._store is None
@@ -458,15 +437,15 @@ def lml_gradient(post: GpPosterior, spec: KernelSpec,
     tri = H if fresh else H.T  # the triangle as a lower one, as K holds it
     for j in range(0, n, PANEL):
         tri[j:, j:j + PANEL] *= K[j:, j:j + PANEL]
-    np.fill_diagonal(H, -spec.signal_variance * w_diag)  # -P in the triangle
-    Xc = post.X - post.X.mean(axis=0)
-    p_rows = dsymv(-1.0, H, np.ones(n), lower=lower)  # P 1
+    np.fill_diagonal(H, 0.0)  # -P off the diagonal, in the triangle
+    Xs = post.X / spec.lengthscales
+    Xc = Xs - np.median(Xs, axis=0)
+    p_rows = dsymv(-1.0, H, np.ones(n), lower=lower)  # P 1, less P's diagonal
     xPx = np.array([x @ dsymv(-1.0, H, x, lower=lower) for x in Xc.T])
-    ls = spec.lengthscales
-    grad_ls = (p_rows @ (Xc * Xc) - xPx) / (ls * ls)
+    p_sum = p_rows.sum() + spec.signal_variance * w_diag.sum()
     return np.concatenate([
-        grad_ls,
-        [0.5 * p_rows.sum(), 0.5 * spec.noise_variance * w_diag.sum()],
+        p_rows @ (Xc * Xc) - xPx,
+        [0.5 * p_sum, 0.5 * spec.noise_variance * w_diag.sum()],
     ])
 
 
@@ -514,7 +493,7 @@ def _shard_lml(theta: np.ndarray, shards, spec: KernelSpec,
         old_post, old_K = spare[i] if spare else (None, None)
         K = gram_lower(X, cand, add_noise=True, out=old_K)
         post = GpPosterior(X, Y, cand, K, None if old_post is None else old_post.chol)
-        total += log_marginal_likelihood(post, cand)
+        total += log_marginal_likelihood(post)
         fitted.append((post, K))
     return total, fitted
 
@@ -553,7 +532,7 @@ def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitRes
             if not np.abs(x).max() < 700.0:  # exp would overflow or underflow, or x is NaN
                 raise NumericalError("log parameters out of range")
             lml, buffers = _shard_lml(theta, shards, spec, buffers)
-            grad = sum(lml_gradient(post, post.spec, K) for post, K in buffers)
+            grad = sum(lml_gradient(post, K) for post, K in buffers)
         except NumericalError:
             if buffers is None:
                 raise  # the warm start has no objective

@@ -143,16 +143,16 @@ class ChildModel:
 
     An append to a child whose posterior is cached costs O(n^2): the row goes
     into the buffer, the prior chain is evaluated at it only, and the cached
-    Cholesky factor grows by one row over the new view, in place in storage
-    the posterior reserves on its first extension and doubles when full,
-    capped at the buffer's length.  When the append follows a predict of
-    the same row, the chain's value and the solve l = L^-1 k are that
-    predict's memos, so no kernel row is built at all.
-    Otherwise, or when `GpPosterior.extended` declines, the cache is cleared
-    and the next use rebuilds it in O(n^3).  The owning model validates each
-    row before it reaches `append`.  A refit may leave the fit's posterior
-    of all the rows in a slot apart: `posterior(spec)` takes it at its spec
-    instead of rebuilding, and an append or `invalidate` drops it unextended.
+    posterior grows by one row over the new view, in place, in storage sized
+    to the buffer's length (`GpPosterior.append`).  When the append follows
+    a predict of the same row, the chain's value and the solve l = L^-1 k
+    are that predict's memos, so no kernel row is built at all.  Without a
+    cached posterior, or when `GpPosterior.append` declines, the cache is
+    cleared and the next use rebuilds it in O(n^3).  The owning model
+    validates each row before it reaches `append`.  A refit may leave the
+    fit's posterior of all the rows in a slot apart: `posterior(spec)` takes
+    it at its spec instead of rebuilding, and an append or `invalidate`
+    drops it ungrown.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, center: np.ndarray | None = None,
@@ -194,8 +194,9 @@ class ChildModel:
             if query is None:
                 query = Query.of(self.X[n:], post.spec, "x")
             prior = _prior_values(self.prior, query.X, query)
-            post = post.extended(self.X, y - prior[0], self._Xbuf.shape[0],
-                                 query.scaled(post.spec))
+            if not post.append(self.X, y - prior[0], self._Xbuf.shape[0],
+                               query.scaled(post.spec)):
+                post = None
         self._posterior = post
         self._residuals = None if post is None else post.Y
 
@@ -557,10 +558,6 @@ class SplittingGP(LocalGpPool):
                                  weights=weights[0])
 
     # -- accounting and persistence -----------------------------------------
-
-    def gram_footprint(self) -> int:
-        """Bytes of stored kernel-matrix entries alone (the dominant term)."""
-        return 8 * sum(c.n * c.n for c in self.children)
 
     def save(self, path) -> None:
         """Write a versioned snapshot: children, priors, kernel, split limit,

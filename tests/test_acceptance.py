@@ -65,11 +65,11 @@ def test_criterion_1_oracle_equivalence():
             ks = cross_gram(x[None, :], X, spec)[0]
             mean_oracle = ks @ solve(K, Y)
             var_oracle = spec.signal_variance - ks @ solve(K, ks)
-            worst = max(worst, abs(posterior_mean(post, x, spec) - mean_oracle))
-            worst = max(worst, abs(posterior_variance(post, x, spec) - max(var_oracle, 0.0)))
+            worst = max(worst, abs(posterior_mean(post, x) - mean_oracle))
+            worst = max(worst, abs(posterior_variance(post, x) - max(var_oracle, 0.0)))
         sign, logdet = np.linalg.slogdet(K)
         lml_oracle = -0.5 * Y @ solve(K, Y) - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi)
-        rel = abs(log_marginal_likelihood(post, spec) - lml_oracle) / max(1.0, abs(lml_oracle))
+        rel = abs(log_marginal_likelihood(post) - lml_oracle) / max(1.0, abs(lml_oracle))
         worst = max(worst, rel)
     elapsed = time.perf_counter() - start
     report(1, "gp core matches dense direct-solve oracle",
@@ -90,7 +90,7 @@ def test_criterion_2_gradient_check():
         spec = random_spec(rng, ndim)
         X = rng.uniform(-2, 2, size=(n, ndim))
         Y = rng.normal(size=n)
-        grad = lml_gradient(GpPosterior(X, Y, spec), spec)
+        grad = lml_gradient(GpPosterior(X, Y, spec))
         theta = spec.to_log_vector()
         h = 1e-5
         for j in range(theta.size):
@@ -98,8 +98,8 @@ def test_criterion_2_gradient_check():
             lift[j] = h
             sp, sm = spec.with_log_vector(theta + lift), spec.with_log_vector(theta - lift)
             fd = (
-                log_marginal_likelihood(GpPosterior(X, Y, sp), sp)
-                - log_marginal_likelihood(GpPosterior(X, Y, sm), sm)
+                log_marginal_likelihood(GpPosterior(X, Y, sp))
+                - log_marginal_likelihood(GpPosterior(X, Y, sm))
             ) / (2 * h)
             worst = max(worst, abs(fd - grad[j]) / max(abs(fd), 1e-8))
     report(2, "lml gradient matches central finite differences",
@@ -127,7 +127,7 @@ def test_criterion_3_aggregation_identity_and_weights():
         post = GpPosterior(X, Y, spec)
         for _ in range(5):
             x = rng.normal(size=ndim)
-            p = posterior_mean(post, x, spec)
+            p = posterior_mean(post, x)
             identity_worst = max(identity_worst, abs(model.predict_mean(x).mean - p))
 
     sum_worst = 0.0
@@ -181,7 +181,7 @@ def test_criterion_4_continuity_contrast():
 
     def child_mean(child, G):  # inherited prior plus the residual layer
         prior = 0.0 if child.prior is None else child.prior.evaluate(G)
-        return prior + posterior_mean(child.posterior(model.spec), G, model.spec)
+        return prior + posterior_mean(child.posterior(model.spec), G)
 
     def nearest_only(G):
         centers = np.array([c.center for c in model.children])
@@ -245,7 +245,7 @@ def test_criterion_6_memory_linearity():
         model.update_batch(ds.X[ptr:n], ds.Y[ptr:n])
         full.ingest_batch(ds.X[ptr:n], ds.Y[ptr:n])
         ptr = n
-        gram_ok = gram_ok and model.gram_footprint() <= 8 * m * n * 1.5
+        gram_ok = gram_ok and 8 * sum(c.n * c.n for c in model.children) <= 8 * m * n * 1.5
     cheaper = full.footprint() > model.memory_footprint()
     report(6, "splitting memory stays linear and below the full GP",
            gram_ok and cheaper,

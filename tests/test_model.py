@@ -193,11 +193,11 @@ class TestPredict:
         post = GpPosterior(X, Y, spec)
         for x in (np.array([0.3]), np.array([-0.8])):
             summary = model.predict_mean(x)
-            assert summary.mean == pytest.approx(posterior_mean(post, x, spec), abs=1e-12)
+            assert summary.mean == pytest.approx(posterior_mean(post, x), abs=1e-12)
             assert summary.weights.shape == (1,)
             assert summary.weights[0] == pytest.approx(1.0, abs=1e-15)
             assert model.predict(x)[1] == pytest.approx(
-                posterior_variance(post, x, spec), abs=1e-12
+                posterior_variance(post, x), abs=1e-12
             )
 
     def test_identical_children_reproduce_common_mean(self):
@@ -213,7 +213,7 @@ class TestPredict:
         ]
         post = GpPosterior(X, Y, spec)
         for x in rng.normal(size=(20, 2)):
-            expected = posterior_mean(post, x, spec)
+            expected = posterior_mean(post, x)
             assert model.predict_mean(x).mean == pytest.approx(expected, abs=1e-12)
 
     def test_equidistant_children_average(self):
@@ -229,7 +229,7 @@ class TestPredict:
         assert np.allclose(summary.weights, [0.5, 0.5])
         assert summary.mean == pytest.approx(2.0, abs=1e-12)
         # Symmetric construction: equal child variances v give v/2.
-        v = posterior_variance(model.children[0].posterior(spec), np.array([0.0]), spec)
+        v = posterior_variance(model.children[0].posterior(spec), np.array([0.0]))
         assert model.predict(np.array([0.0]))[1] == pytest.approx(v / 2, abs=1e-12)
 
     def test_three_child_variance_formula_oracle(self):
@@ -243,7 +243,7 @@ class TestPredict:
         sims = np.array([cross_gram(c.center, x, spec)[0, 0] for c in model.children])
         weights = sims / sims.sum()
         variances = np.array([
-            posterior_variance(c.posterior(spec), x, spec) for c in model.children
+            posterior_variance(c.posterior(spec), x) for c in model.children
         ])
         expected = float(np.sum(weights ** 2 * variances))
         assert model.predict(x)[1] == pytest.approx(expected, abs=1e-12)
@@ -367,7 +367,7 @@ class TestMemoryFootprint:
         ds = synth_dataset(n, seeds)
         model = quiet_model(m)
         model.update_batch(ds.X, ds.Y)
-        assert model.gram_footprint() <= 8 * m * n
+        assert 8 * sum(c.n * c.n for c in model.children) <= 8 * m * n
         # Live-child portion obeys the per-child bound; each of the C-1 splits
         # froze at most m+1 rows (plus weights) into a prior node.
         ndim, C = 2, model.n_children
@@ -535,21 +535,21 @@ class TestIncrementalUpdate:
 
     @staticmethod
     def _record_branches(monkeypatch):
-        taken = {"cold": 0, "extended": 0, "jitter": 0, "pivot": 0}
-        append, extended = ChildModel.append, GpPosterior.extended
+        taken = {"cold": 0, "grown": 0, "jitter": 0, "pivot": 0}
+        child_append, post_append = ChildModel.append, GpPosterior.append
 
-        def traced_append(self, *args):
+        def traced_child_append(self, *args):
             taken["cold"] += self._posterior is None
-            append(self, *args)
+            child_append(self, *args)
 
-        def traced_extended(self, *args):
-            out = extended(self, *args)
-            key = "extended" if out is not None else "jitter" if self.jitter else "pivot"
+        def traced_post_append(self, *args):
+            out = post_append(self, *args)
+            key = "grown" if out else "jitter" if self.jitter else "pivot"
             taken[key] += 1
             return out
 
-        monkeypatch.setattr(ChildModel, "append", traced_append)
-        monkeypatch.setattr(GpPosterior, "extended", traced_extended)
+        monkeypatch.setattr(ChildModel, "append", traced_child_append)
+        monkeypatch.setattr(GpPosterior, "append", traced_post_append)
         return taken
 
     @staticmethod
@@ -557,10 +557,10 @@ class TestIncrementalUpdate:
         return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
 
     @pytest.mark.parametrize("kind, sn2, seed, branches", [
-        ("smooth", 0.05, 21, {"cold", "extended"}),
-        ("smooth", 0.05, 22, {"cold", "extended"}),
-        ("duplicates", 1e-12, 23, {"extended", "pivot"}),
-        ("duplicates", 0.0, 24, {"extended", "jitter"}),
+        ("smooth", 0.05, 21, {"cold", "grown"}),
+        ("smooth", 0.05, 22, {"cold", "grown"}),
+        ("duplicates", 1e-12, 23, {"grown", "pivot"}),
+        ("duplicates", 0.0, 24, {"grown", "jitter"}),
     ])
     def test_matches_fresh_factorization(self, monkeypatch, kind, sn2, seed, branches):
         rng = np.random.default_rng(seed)
@@ -614,7 +614,7 @@ class TestIncrementalUpdate:
                 resid = K @ post.alpha - post.Y
                 bound = np.max(K) * np.sum(np.abs(post.alpha)) + np.max(np.abs(post.Y))
                 assert np.max(np.abs(resid)) <= scale * bound
-        assert taken["extended"] > 0 and taken["pivot"] == taken["jitter"] == 0
+        assert taken["grown"] > 0 and taken["pivot"] == taken["jitter"] == 0
 
 
 def _relative_gap(a, b):
@@ -1018,13 +1018,13 @@ class TestRefitAdoption:
     def test_update_only_stream_extends_no_factor(self, monkeypatch):
         # Refits on split adopt posteriors; the appends that follow drop
         # them instead of growing them.
-        extended, calls = GpPosterior.extended, []
+        post_append, calls = GpPosterior.append, []
 
         def counted(self, *args):
             calls.append(1)
-            return extended(self, *args)
+            return post_append(self, *args)
 
-        monkeypatch.setattr(GpPosterior, "extended", counted)
+        monkeypatch.setattr(GpPosterior, "append", counted)
         schedule = TrainSchedule(on_split=True, on_batch=False, fit=FitSchedule(max_iters=3))
         model = SplittingGP(10, train_schedule=schedule)
         adopted = 0

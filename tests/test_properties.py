@@ -176,6 +176,24 @@ def _readout(model, Xq):
 
 
 @PROPERTY_SETTINGS
+@given(pool=pools(), stream=streams(), Xq=queries,
+       reads=st.lists(st.booleans(), min_size=30, max_size=30))
+def test_reruns_are_byte_identical(pool, stream, Xq, reads):
+    # Common random numbers: two fresh models fed one stream, with the same
+    # predicts between updates, so both grow their cached factors at the
+    # same rows, end in the same state.
+    _, build = pool
+    runs = []
+    for model in (build(), build()):
+        for x, y, read in zip(*stream, reads):
+            if read and model.n_children:
+                model.predict(x)
+            model.update(x, y)
+        runs.append(([c.n for c in model.children], model.footprint(), _readout(model, Xq)))
+    assert runs[0] == runs[1]
+
+
+@PROPERTY_SETTINGS
 @given(pool=pools(), stream=streams(), bad=bad_rows(), at=st.integers(0, 3), Xq=queries)
 def test_bad_rows_are_rejected_and_change_nothing(pool, stream, bad, at, Xq):
     _, build = pool
