@@ -28,8 +28,22 @@ from .exceptions import ContractViolationError, EmptyModelError, NumericalError
 from .gp import FitSchedule
 from .model import SplittingGP, TrainSchedule
 
-MODELS = ("splitting", "fullgp", "localgp", "rbcm")
-SCHEDULES = ("default", "batch", "split", "never")
+# Each model: the config field that sets its one parameter (None: it has
+# none), and its constructor from the config, the train schedule and the
+# replicate's expert-assignment stream.
+_MODELS = {
+    "splitting": ("m", lambda cfg, sched, rng: SplittingGP(cfg.m, train_schedule=sched)),
+    "fullgp": (None, lambda cfg, sched, rng: FullGp(train_schedule=sched)),
+    "localgp": ("w_gen", lambda cfg, sched, rng: LocalGpWgen(cfg.w_gen, train_schedule=sched)),
+    "rbcm": ("experts", lambda cfg, sched, rng: Rbcm(cfg.experts, seed=rng,
+                                                     train_schedule=sched)),
+}
+MODELS = tuple(_MODELS)
+
+# Each train schedule: its refit flags, TrainSchedule's (on_split, on_batch).
+_SCHEDULE_FLAGS = {"default": (True, True), "batch": (False, True),
+                   "split": (True, False), "never": (False, False)}
+SCHEDULES = tuple(_SCHEDULE_FLAGS)
 
 
 @dataclass(frozen=True)
@@ -71,20 +85,19 @@ class ExperimentConfig:
             raise ContractViolationError("replicates must be >= 1")
         if self.fit_subsample < 0:
             raise ContractViolationError("fit_subsample must be >= 0 (0: off)")
+        if self.seed < 0:
+            raise ContractViolationError("seed must be >= 0")
+        if self.sweep is not None and self.sweep[2] < 1:
+            raise ContractViolationError("sweep step must be >= 1")
 
     def to_kv_text(self) -> str:
         lines = []
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is None:
-                continue
-            if f.name == "sweep":
-                value = ":".join(str(v) for v in value)
-            elif f.name == "x_cols":
-                value = ",".join(str(v) for v in value)
-            elif isinstance(value, bool):
-                value = int(value)
-            lines.append(f"{f.name}={value}")
+            if value is not None:
+                if f.name in _SEPARATORS:
+                    value = _SEPARATORS[f.name].join(map(_format, value))
+                lines.append(f"{f.name}={_format(value)}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -111,7 +124,23 @@ def parse_kv_text(text: str) -> dict[str, str]:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_SEPARATORS = {"sweep": ":", "x_cols": ","}  # the tuple fields, as text
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_scalar(kind: str, raw: str):
+    """The value of a field annotated `kind` ("str", "bool", "float" or
+    "int", each optionally "| None") from its text, which may not be empty
+    for a number or bool; ValueError for text that is not one."""
+    kind = kind.removesuffix(" | None")
+    if kind == "str":
+        return raw
+    if kind == "bool":
+        word = raw.strip().lower()
+        if word not in _BOOL_WORDS:
+            raise ValueError(word)
+        return _BOOL_WORDS[word]
+    return float(raw) if kind == "float" else int(raw)
 
 
 def _coerce(key: str, raw):
@@ -121,78 +150,54 @@ def _coerce(key: str, raw):
         raise ContractViolationError(f"unknown config key {key!r}")
     if not isinstance(raw, str):
         return raw
-    kind = _FIELD_TYPES[key]
     try:
-        if key == "sweep":
-            parts = raw.split(":")
-            if len(parts) != 3:
+        if key in _SEPARATORS:
+            parts = raw.split(_SEPARATORS[key])
+            if key == "sweep" and len(parts) != 3:
                 raise ContractViolationError("sweep must be start:stop:step")
             return tuple(int(p) for p in parts)
-        if key == "x_cols":
-            return tuple(int(p) for p in raw.split(","))
-        if kind == "str":
-            return raw
-        if kind == "bool":
-            word = raw.strip().lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(word)
-            return _BOOL_WORDS[word]
-        return float(raw) if kind == "float" else int(raw)
+        return _parse_scalar(_FIELD_TYPES[key], raw)
     except ValueError as err:
         raise ContractViolationError(f"bad value {raw!r} for config key {key!r}") from err
 
 
-@dataclass
+@dataclass(kw_only=True)
 class MetricRecord:
-    """One (model, parameters, checkpoint) measurement."""
+    """One (model, parameters, checkpoint) measurement: a row of the metrics
+    CSV, whose columns are these fields in this order."""
 
     model: str
+    m: int | None = None
+    w_gen: float | None = None
+    experts: int | None = None
     n_obs: int
+    replicate: int
+    fold: int
     mse: float
     rmse: float
     memory_kb: float
     train_time_s: float
     predict_time_s: float
-    replicate: int
-    fold: int
-    m: int | None = None
-    w_gen: float | None = None
-    experts: int | None = None
     failed: bool = False
 
 
-CSV_COLUMNS = (
-    "model", "m", "w_gen", "experts", "n_obs", "replicate", "fold",
-    "mse", "rmse", "memory_kb", "train_time_s", "predict_time_s", "failed",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(MetricRecord))
 
 
 def _schedule_for(cfg: ExperimentConfig, seeds: SeedPlan, replicate: int) -> TrainSchedule:
-    flags = {
-        "default": dict(on_split=True, on_batch=True),
-        "batch": dict(on_split=False, on_batch=True),
-        "split": dict(on_split=True, on_batch=False),
-        "never": dict(on_split=False, on_batch=False),
-    }[cfg.train_schedule]
     return TrainSchedule(
+        *_SCHEDULE_FLAGS[cfg.train_schedule],
         fit=FitSchedule(max_iters=cfg.fit_iters),
         fit_subsample=cfg.fit_subsample or None,
         subsample_seed=seeds.seed_int("subsample", replicate),
-        **flags,
     )
 
 
 def make_model(cfg: ExperimentConfig, seeds: SeedPlan, replicate: int):
     """Fresh model instance for one fold of one replicate."""
-    schedule = _schedule_for(cfg, seeds, replicate)
-    if cfg.model == "splitting":
-        return SplittingGP(cfg.m, train_schedule=schedule)
-    if cfg.model == "fullgp":
-        return FullGp(train_schedule=schedule)
-    if cfg.model == "localgp":
-        return LocalGpWgen(cfg.w_gen, train_schedule=schedule)
-    return Rbcm(cfg.experts, seed=seeds.generator("assignment", replicate),
-                train_schedule=schedule)
+    build = _MODELS[cfg.model][1]
+    return build(cfg, _schedule_for(cfg, seeds, replicate),
+                 seeds.generator("assignment", replicate))
 
 
 def replicate_dataset(cfg: ExperimentConfig, seeds: SeedPlan, replicate: int,
@@ -229,11 +234,11 @@ def _checkpoints(cfg: ExperimentConfig, n_train: int) -> list[int]:
 
 
 def _param_fields(cfg: ExperimentConfig) -> dict:
-    return {
-        "m": cfg.m if cfg.model == "splitting" else None,
-        "w_gen": cfg.w_gen if cfg.model == "localgp" else None,
-        "experts": cfg.experts if cfg.model == "rbcm" else None,
-    }
+    """Every model parameter's record field: the configured model's own set,
+    the others None."""
+    own = _MODELS[cfg.model][0]
+    return {name: getattr(cfg, name) if name == own else None
+            for name, _ in _MODELS.values() if name is not None}
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[MetricRecord]:
@@ -274,17 +279,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricRecord]:
                         failed = True
                     predict_time = time.perf_counter() - t0
                 records.append(MetricRecord(
-                    model=cfg.model,
-                    n_obs=ptr,
-                    mse=mse,
-                    rmse=math.sqrt(mse) if not math.isnan(mse) else float("nan"),
-                    memory_kb=model.footprint() / 1024.0,
-                    train_time_s=train_time,
-                    predict_time_s=predict_time,
-                    replicate=rep,
-                    fold=fold_idx,
-                    failed=failed,
-                    **params,
+                    model=cfg.model, **params, n_obs=ptr, replicate=rep, fold=fold_idx,
+                    mse=mse, rmse=math.sqrt(mse), memory_kb=model.footprint() / 1024.0,
+                    train_time_s=train_time, predict_time_s=predict_time, failed=failed,
                 ))
     return records
 
@@ -351,37 +348,30 @@ def _format(value) -> str:
     return str(value)
 
 
-def emit_csv(records, path) -> None:
-    """One header row, one row per record, stable column order."""
+def _write_rows(kind, rows, path) -> None:
+    """A CSV with the fields of dataclass `kind` as its header, in order, and
+    one line per row."""
+    names = [f.name for f in fields(kind)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([_format(getattr(rec, col)) for col in CSV_COLUMNS])
+        writer.writerow(names)
+        writer.writerows([_format(getattr(row, name)) for name in names] for row in rows)
+
+
+def emit_csv(records, path) -> None:
+    """One header row, `CSV_COLUMNS`, and one row per record."""
+    _write_rows(MetricRecord, records, path)
 
 
 def read_metrics(path) -> list[MetricRecord]:
-    """Inverse of emit_csv."""
-    records = []
+    """Inverse of emit_csv: each column parsed by its field's type, and an
+    empty cell of an optional field read as None."""
+    kinds = {f.name: f.type for f in fields(MetricRecord)}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            records.append(MetricRecord(
-                model=row["model"],
-                m=int(row["m"]) if row["m"] else None,
-                w_gen=float(row["w_gen"]) if row["w_gen"] else None,
-                experts=int(row["experts"]) if row["experts"] else None,
-                n_obs=int(row["n_obs"]),
-                replicate=int(row["replicate"]),
-                fold=int(row["fold"]),
-                mse=float(row["mse"]),
-                rmse=float(row["rmse"]),
-                memory_kb=float(row["memory_kb"]),
-                train_time_s=float(row["train_time_s"]),
-                predict_time_s=float(row["predict_time_s"]),
-                failed=row["failed"] == "1",
-            ))
-    return records
+        return [MetricRecord(**{
+            name: _parse_scalar(kinds[name], raw) if raw or "None" not in kinds[name] else None
+            for name, raw in row.items()
+        }) for row in csv.DictReader(fh)]
 
 
 @dataclass
@@ -425,9 +415,4 @@ def summarize(records, metric: str = "mse") -> list[SummaryRow]:
 
 def emit_summary_csv(rows, path) -> None:
     """Plot-ready CSV: one row per group with mean and interval bounds."""
-    cols = ("model", "m", "w_gen", "experts", "n_obs", "mean", "lo", "hi", "replicates")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_format(getattr(row, col)) for col in cols])
+    _write_rows(SummaryRow, rows, path)

@@ -14,6 +14,7 @@ from .bench import (
     MODELS,
     SCHEDULES,
     ExperimentConfig,
+    MetricRecord,
     _coerce,
     emit_csv,
     emit_summary_csv,
@@ -93,7 +94,7 @@ def main(argv=None) -> int:
     sum_p = sub.add_parser("summarize", help="aggregate a metrics CSV")
     sum_p.add_argument("input", help="metrics CSV from a run")
     sum_p.add_argument("--metric", default="mse",
-                       choices=["mse", "rmse", "memory_kb", "train_time_s", "predict_time_s"])
+                       choices=[f.name for f in fields(MetricRecord) if f.type == "float"])
     sum_p.add_argument("--out", help="output CSV path")
 
     args = parser.parse_args(argv)
@@ -120,7 +121,7 @@ def main(argv=None) -> int:
             out = args.out or "summary.csv"
             emit_summary_csv(rows, out)
             print(f"wrote {len(rows)} summary rows to {out}")
-    except ContractViolationError as err:
+    except (ContractViolationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 0

@@ -311,17 +311,13 @@ class LocalGpPool:
     def ndim(self) -> int | None:
         return self.children[0].X.shape[1] if self.children else None
 
-    def _centers(self) -> Query:
-        """The children's centers, scaled under the spec."""
-        return Query.of(np.array([c.center for c in self.children]), self.spec, "centers")
-
     def _scores(self, query: Query) -> np.ndarray:
         """|c_j|^2 - 2 x.c_j for each query row x and center c_j, (B, C): the
         squared scaled distance d_j^2 less the row's own |x|^2, which no
         comparison between centers needs and which, far from every center,
         would absorb the cross term.  Routing and the weights read these."""
-        centers = self._centers()
-        return centers.norms - 2.0 * (query.Xs @ centers.Xs.T)
+        Cs = np.array([c.center for c in self.children]) / self.spec.lengthscales
+        return np.sum(Cs * Cs, axis=1) - 2.0 * (query.Xs @ Cs.T)
 
     def _nearest(self, query: Query) -> tuple[int, float]:
         """(index, squared scaled distance) of the child whose center is

@@ -7,10 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitgp import cli
 from splitgp.bench import (
     CSV_COLUMNS,
+    MODELS,
+    SCHEDULES,
     ExperimentConfig,
     MetricRecord,
     emit_csv,
@@ -25,6 +29,34 @@ from splitgp.bench import (
 from splitgp.data import SeedPlan
 from splitgp.exceptions import ContractViolationError, NumericalError
 from splitgp.model import SplittingGP
+
+
+# Floats for the text round trips, with the extremes of their repr: a config
+# must equal itself, so its floats are never NaN; a record's may be.
+_config_floats = st.floats(allow_nan=False) | st.sampled_from(
+    [-0.0, 5e-324, 1.7976931348623157e308, -math.inf])
+_record_floats = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1.7976931348623157e308, math.nan])
+
+
+@st.composite
+def metric_records(draw):
+    failed = draw(st.booleans())
+    return MetricRecord(
+        model=draw(st.sampled_from(MODELS + ('a,"b"',))),
+        m=draw(st.none() | st.integers()),
+        w_gen=draw(st.none() | _record_floats),
+        experts=draw(st.none() | st.integers()),
+        n_obs=draw(st.integers()),
+        replicate=draw(st.integers()),
+        fold=draw(st.integers()),
+        mse=math.nan if failed else draw(_record_floats),
+        rmse=draw(_record_floats),
+        memory_kb=draw(_record_floats),
+        train_time_s=draw(_record_floats),
+        predict_time_s=draw(_record_floats),
+        failed=failed,
+    )
 
 
 def tiny_cfg(**overrides):
@@ -71,6 +103,50 @@ class TestConfig:
     def test_every_schedule_is_gone(self):
         with pytest.raises(ContractViolationError, match="unknown schedule"):
             ExperimentConfig.from_kv_text("train_schedule=every\n")
+
+    @pytest.mark.parametrize("sweep", [(10, 100, 0), (100, 20, -40)])
+    def test_sweep_step_below_one_rejected(self, sweep):
+        # A zero step has no checkpoints; a negative one revisits rows already ingested.
+        with pytest.raises(ContractViolationError, match="sweep step"):
+            tiny_cfg(sweep=sweep)
+        with pytest.raises(ContractViolationError, match="sweep step"):
+            ExperimentConfig.from_kv_text("sweep=%d:%d:%d\n" % sweep)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ContractViolationError, match="seed"):
+            ExperimentConfig(seed=-1)
+        assert ExperimentConfig(seed=0).seed == 0
+
+    def test_empty_optional_value_rejected(self):
+        # Only the metrics CSV reads an empty cell as None; config text does not.
+        with pytest.raises(ContractViolationError, match="bad value '' for config key 'y_col'"):
+            ExperimentConfig.from_kv_text("y_col=\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=st.builds(
+        ExperimentConfig,
+        model=st.sampled_from(MODELS),
+        m=st.integers(),
+        w_gen=_config_floats,
+        experts=st.integers(),
+        dataset=st.sampled_from(["synthetic", "csv:data/a b.csv"]),
+        synthetic_n=st.integers(),
+        x_cols=st.none() | st.lists(st.integers(), min_size=1, max_size=4).map(tuple),
+        y_col=st.none() | st.integers(),
+        kfold=st.integers(),
+        train_fraction=_config_floats,
+        batch_size=st.integers(min_value=1),
+        replicates=st.integers(min_value=1),
+        seed=st.integers(min_value=0),
+        sweep=st.none() | st.tuples(st.integers(), st.integers(), st.integers(min_value=1)),
+        train_schedule=st.sampled_from(SCHEDULES),
+        fit_iters=st.integers(),
+        fit_subsample=st.integers(min_value=0),
+        standardize_x=st.booleans(),
+        out=st.sampled_from(["", "out/m.csv"]),
+    ))
+    def test_kv_text_round_trips_every_config(self, cfg):
+        assert ExperimentConfig.from_kv_text(cfg.to_kv_text()) == cfg
 
     def test_negative_fit_subsample_rejected(self):
         with pytest.raises(ContractViolationError, match="fit_subsample"):
@@ -177,6 +253,26 @@ class TestCsv:
         emit_csv([], path)
         lines = path.read_text().splitlines()
         assert lines == [",".join(CSV_COLUMNS)]
+
+    def test_header_is_the_documented_columns(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        emit_csv([], path)
+        assert path.read_bytes() == (b"model,m,w_gen,experts,n_obs,replicate,fold,mse,rmse,"
+                                     b"memory_kb,train_time_s,predict_time_s,failed\r\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=st.lists(metric_records(), max_size=5))
+    def test_emit_read_emit_is_byte_identical(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        emit_csv(records, path)
+        first = path.read_bytes()
+        back = read_metrics(path)
+        emit_csv(back, path)
+        assert path.read_bytes() == first
+        # Field by field, with type; repr tells NaN and -0.0 apart.
+        def key(rec):
+            return [(type(v), repr(v)) for v in vars(rec).values()]
+        assert [key(r) for r in back] == [key(r) for r in records]
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -362,6 +458,26 @@ class TestCli:
         assert rc == 2
         assert "fit_subsample" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--sweep", "10:100:0"], ["--sweep", "100:20:-40"],
+                                       ["--seed", "-1"]])
+    def test_bad_sweep_or_seed_returns_error(self, tmp_path, capsys, flags):
+        rc = cli.main(["run", "--synthetic-n", "60", *flags, "--out", str(tmp_path / "m.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "{missing}"],
+        ["run", "--dataset", "csv:{missing}", "--replicates", "1"],
+        ["summarize", "{missing}"],
+    ])
+    def test_missing_file_returns_error(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "missing")
+        rc = cli.main([a.format(missing=missing) for a in argv] + ["--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and missing in err
 
     def test_bad_config_returns_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
