@@ -47,12 +47,7 @@ from .kernels import (
     gram_gradients,
 )
 from .model import ChildModel, LocalGpPool, PredictionSummary, SplittingGP, TrainSchedule
-from .partition import (
-    SplitResult,
-    centroid,
-    principal_direction,
-    split,
-)
+from .partition import SplitResult, principal_direction, split
 
 __version__ = "0.1.0"
 
@@ -79,7 +74,6 @@ __all__ = [
     "SplittingGP",
     "TrainSchedule",
     "center_y",
-    "centroid",
     "cross_gram",
     "dedup_exact",
     "default_spec",

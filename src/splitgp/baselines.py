@@ -41,7 +41,7 @@ class FullGp(LocalGpPool):
         if self.children:
             self.children[0].append(x, y)
         else:
-            self.children.append(ChildModel(x[None, :], [y], center=x.copy()))
+            self.children.append(ChildModel(x[None, :], [y]))
         return False
 
 
@@ -71,7 +71,7 @@ class LocalGpWgen(LocalGpPool):
             if d2 < self._radius2:
                 self.children[idx].append(x, y, query)
                 return False
-        self.children.append(ChildModel(x[None, :], [y], center=x.copy()))
+        self.children.append(ChildModel(x[None, :], [y]))
         return False
 
 
@@ -102,7 +102,7 @@ class Rbcm(LocalGpPool):
 
     def _route(self, x: np.ndarray, y: float) -> bool:
         if not self.children:
-            self.children = [ChildModel(np.empty((0, x.size)), np.empty(0), np.zeros(x.size))
+            self.children = [ChildModel(np.empty((0, x.size)), np.empty(0))
                              for _ in range(self.n_experts)]
         self.children[int(self.rng.integers(self.n_experts))].append(x, y)
         return False

@@ -87,6 +87,10 @@ class ExperimentConfig:
             raise ContractViolationError("fit_subsample must be >= 0 (0: off)")
         if self.seed < 0:
             raise ContractViolationError("seed must be >= 0")
+        if self.x_cols is not None and not self.x_cols:
+            raise ContractViolationError("x_cols must name at least one column")
+        if min((*(self.x_cols or ()), self.y_col or 0)) < 0:
+            raise ContractViolationError("x_cols and y_col must be >= 0")
         if self.sweep is not None and self.sweep[2] < 1:
             raise ContractViolationError("sweep step must be >= 1")
 
@@ -365,13 +369,29 @@ def emit_csv(records, path) -> None:
 
 def read_metrics(path) -> list[MetricRecord]:
     """Inverse of emit_csv: each column parsed by its field's type, and an
-    empty cell of an optional field read as None."""
+    empty cell of an optional field read as None.  ContractViolationError,
+    naming the line, for a header other than `CSV_COLUMNS`, a row of another
+    width or a cell that does not parse."""
     kinds = {f.name: f.type for f in fields(MetricRecord)}
+    records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [MetricRecord(**{
-            name: _parse_scalar(kinds[name], raw) if raw or "None" not in kinds[name] else None
-            for name, raw in row.items()
-        }) for row in csv.DictReader(fh)]
+        rows = csv.DictReader(fh)
+        if tuple(rows.fieldnames or ()) != CSV_COLUMNS:
+            raise ContractViolationError(f"{path}: header is not {','.join(CSV_COLUMNS)}")
+        for row in rows:
+            where = f"{path} line {rows.line_num}"
+            if None in row or None in row.values():
+                raise ContractViolationError(f"{where}: expected {len(CSV_COLUMNS)} cells")
+            values = {}
+            for name, raw in row.items():
+                try:
+                    values[name] = (_parse_scalar(kinds[name], raw)
+                                    if raw or "None" not in kinds[name] else None)
+                except ValueError:
+                    message = f"{where}, column {name}: bad value {raw!r}"
+                    raise ContractViolationError(message) from None
+            records.append(MetricRecord(**values))
+    return records
 
 
 @dataclass

@@ -185,6 +185,9 @@ def load_csv(path, x_cols=None, y_col=None, name: str | None = None) -> Dataset:
     if x_cols is None:
         x_cols = [c for c in range(table.shape[1]) if c != y_col]
     x_cols = list(x_cols)
+    if min(x_cols + [y_col]) < 0 or y_col in x_cols:
+        raise ContractViolationError(f"columns must be >= 0 and the response column {y_col} "
+                                     f"not among the predictors {x_cols}")
     if y_col >= table.shape[1] or any(c >= table.shape[1] for c in x_cols):
         raise ContractViolationError("column selection exceeds table width")
     return Dataset(table[:, x_cols], table[:, y_col], name=name or str(path))

@@ -25,9 +25,9 @@ import numpy as np
 from .exceptions import ContractViolationError, EmptyModelError
 from .gp import FitResult, FitSchedule, GpPosterior, fit
 from .kernels import KernelSpec, Query, default_spec, scaled_cross_gram, scaled_rows
-from .partition import centroid, split
+from .partition import split
 
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 
 class PriorMeanNode:
@@ -44,9 +44,10 @@ class PriorMeanNode:
     as a `Query`, whose `aug` is used when its spec is the node's, or as
     bare rows, checked on the call.
 
-    A single-row evaluation leaves a one-entry memo of the row's bytes and
-    the chain's value there, so the append that follows a predict of the
-    same row reads the chain without a kernel evaluation.
+    Each evaluation leaves a one-entry memo of the rows' bytes and the
+    chain's value there, so siblings that share the node, and the append
+    that follows a predict of the same row, read it without a kernel
+    evaluation.
     """
 
     __slots__ = ("X", "alpha", "spec", "parent", "_scaled", "_memo")
@@ -60,26 +61,22 @@ class PriorMeanNode:
         self._scaled: np.ndarray | None = None
         self._memo: tuple[bytes, np.ndarray] | None = None
 
-    def evaluate(self, Xstar: np.ndarray, base: np.ndarray | None = None,
-                 query: Query | None = None) -> np.ndarray:
+    def evaluate(self, Xstar: np.ndarray, query: Query | None = None) -> np.ndarray:
         """The chain's mean at rows Xstar: this node's expansion on top of
-        its ancestors'.  `base`, when given, is the parent's value at the same
-        rows, so that no ancestor is evaluated again.  `query`, when given,
-        holds the same rows, checked and scaled."""
+        its ancestors'.  `query`, when given, holds the same rows, checked
+        and scaled."""
         Xstar = np.asarray(Xstar, dtype=float)
-        key = Xstar.tobytes() if Xstar.shape[0] == 1 else None
-        if key is not None and self._memo is not None and self._memo[0] == key:
+        key = Xstar.tobytes()
+        if self._memo is not None and self._memo[0] == key:
             return self._memo[1]
-        if base is None:
-            base = self.parent.evaluate(Xstar, None, query) if self.parent is not None else 0.0
+        base = self.parent.evaluate(Xstar, query) if self.parent is not None else 0.0
         if self._scaled is None:
             self._scaled = scaled_rows(self.X, self.spec)
         aug = query.scaled(self.spec) if query is not None else Query.of(Xstar, self.spec).aug
         value = base + scaled_cross_gram(aug, self._scaled,
                                          self.spec.signal_variance) @ self.alpha
-        if key is not None:
-            value.flags.writeable = False  # every later hit returns this array
-            self._memo = (key, value)
+        value.flags.writeable = False  # every later hit returns this array
+        self._memo = (key, value)
         return value
 
     def chain(self) -> list["PriorMeanNode"]:
@@ -94,19 +91,15 @@ class PriorMeanNode:
         return 8 * (p * ndim + p)
 
 
-def _prior_values(prior: PriorMeanNode | None, X: np.ndarray,
-                  query: Query | None = None) -> np.ndarray:
-    if prior is None:
-        return np.zeros(np.atleast_2d(X).shape[0])
-    return prior.evaluate(np.atleast_2d(X), None, query)
-
-
 def check_batch(X: np.ndarray, Y: np.ndarray, ndim: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """(X as float rows, Y flat), or ContractViolationError when their counts
-    differ, an entry is not finite or a row does not have `ndim` entries
-    (None: any); a rejected batch is rejected before any row is stored."""
+    """(X as float rows, Y flat), or ContractViolationError when X is not a
+    matrix, their counts differ, an entry is not finite or a row does not have
+    `ndim` entries (None: any); a rejected batch is rejected before any row is
+    stored."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float).ravel()
+    if X.ndim != 2:
+        raise ContractViolationError(f"batch X has {X.ndim} dimensions, expected rows")
     if X.shape[0] != Y.shape[0]:
         raise ContractViolationError("batch X rows and Y entries must match")
     if X.shape[0]:
@@ -138,8 +131,9 @@ class ChildModel:
     most m + 1), else doubled when full; `X` and `Y` are views of its first
     n rows, which an append never writes.  A cached posterior's rows are
     such a view, so the child holds each row once.  The center is a running
-    row sum divided by n, which for inputs of two or more columns is bitwise
-    `X.mean(axis=0)`: NumPy sums axis 0 of a C-ordered array row by row.
+    row sum divided by n, the origin while the child is empty; for inputs of
+    two or more columns it is bitwise `X.mean(axis=0)`: NumPy sums axis 0 of
+    a C-ordered array row by row.
 
     An append to a child whose posterior is cached costs O(n^2): the row goes
     into the buffer, the prior chain is evaluated at it only, and the cached
@@ -155,8 +149,8 @@ class ChildModel:
     drops it ungrown.
     """
 
-    def __init__(self, X: np.ndarray, Y: np.ndarray, center: np.ndarray | None = None,
-                 prior: PriorMeanNode | None = None, max_rows: int | None = None):
+    def __init__(self, X: np.ndarray, Y: np.ndarray, prior: PriorMeanNode | None = None,
+                 max_rows: int | None = None):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.asarray(Y, dtype=float).ravel()
         n = X.shape[0]
@@ -167,7 +161,7 @@ class ChildModel:
         # Accumulated row by row, as appends continue the sum; `X.sum(axis=0)`
         # would sum a single column pairwise instead.
         self._sum = np.add.accumulate(X)[-1].copy() if n else np.zeros(X.shape[1])
-        self.center = centroid(self.X) if center is None else np.asarray(center, dtype=float)
+        self.center = self._sum / max(n, 1)
         self.prior = prior
         self._residuals: np.ndarray | None = None
         self._posterior: GpPosterior | None = None
@@ -193,8 +187,8 @@ class ChildModel:
         if post is not None:
             if query is None:
                 query = Query.of(self.X[n:], post.spec, "x")
-            prior = _prior_values(self.prior, query.X, query)
-            if not post.append(self.X, y - prior[0], self._Xbuf.shape[0],
+            prior = 0.0 if self.prior is None else self.prior.evaluate(query.X, query)[0]
+            if not post.append(self.X, y - prior, self._Xbuf.shape[0],
                                query.scaled(post.spec)):
                 post = None
         self._posterior = post
@@ -206,7 +200,7 @@ class ChildModel:
     def residuals(self) -> np.ndarray:
         """Responses minus the inherited prior mean; what the local GP models."""
         if self._residuals is None:
-            self._residuals = self.Y - _prior_values(self.prior, self.X)
+            self._residuals = self.Y - (0.0 if self.prior is None else self.prior.evaluate(self.X))
         return self._residuals
 
     def posterior(self, spec: KernelSpec) -> GpPosterior:
@@ -386,36 +380,26 @@ class LocalGpPool:
             raise EmptyModelError("model has no observations yet")
         return Query.of(Xstar, self.spec)
 
-    def _prior_node_values(self, query: Query) -> dict[int, np.ndarray]:
-        """Every unique prior node's value at the query rows, keyed by the
-        node's id.
-
-        Ancestors come first, so each node is evaluated once, on top of its
-        parent's value.
-        """
-        values: dict[int, np.ndarray] = {}
-        for node in self.prior_nodes():
-            base = None if node.parent is None else values[id(node.parent)]
-            values[id(node)] = node.evaluate(query.X, base, query)
-        return values
-
     def _moments(self, query: Query, children: list[ChildModel], mean: bool,
                  variance: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Each child's posterior mean and latent variance at the query rows,
         one column per child; None for what is not asked.
 
-        Each child builds one kernel row per query row for both moments, and
-        each prior node is evaluated once.
+        Each child builds one kernel row per query row for both moments.
+        Every chain value is read before any posterior, whose rebuild would
+        replace the memos with the chain at the child's own rows; so siblings
+        read a shared ancestor from its memo, and each node is evaluated once.
         """
         spec = self.spec
-        priors = self._prior_node_values(query) if mean else {}
+        priors = [c.prior.evaluate(query.X, query) if mean and c.prior is not None else None
+                  for c in children]
         shape = (query.X.shape[0], len(children))
         means = np.empty(shape) if mean else None
         variances = np.empty(shape) if variance else None
         for j, child in enumerate(children):
             mu, var = child.posterior(spec).predict_scaled(query.aug, mean, variance)
             if mean:
-                means[:, j] = mu if child.prior is None else priors[id(child.prior)] + mu
+                means[:, j] = mu if priors[j] is None else priors[j] + mu
             if variance:
                 variances[:, j] = var
         return means, variances
@@ -513,14 +497,14 @@ class SplittingGP(LocalGpPool):
     predict_mean_batch = LocalGpPool.predict_mean_batch
     predict_variance_batch = LocalGpPool.predict_variance_batch
 
-    def _new_child(self, X: np.ndarray, Y: np.ndarray, center: np.ndarray | None = None,
+    def _new_child(self, X: np.ndarray, Y: np.ndarray,
                    prior: PriorMeanNode | None = None) -> ChildModel:
         # A child holds at most m + 1 rows: the one past m triggers its split.
-        return ChildModel(X, Y, center, prior, max_rows=self.m + 1)
+        return ChildModel(X, Y, prior, max_rows=self.m + 1)
 
     def _route(self, x: np.ndarray, y: float) -> bool:
         if not self.children:
-            self.children.append(self._new_child(x[None, :], [y], center=x.copy()))
+            self.children.append(self._new_child(x[None, :], [y]))
             return False
         query = Query.of(x[None, :], self.spec)
         idx = self._nearest(query)[0]
@@ -542,8 +526,8 @@ class SplittingGP(LocalGpPool):
         child = self.children[idx]
         node = self._freeze(child.X, child.posterior(self.spec).alpha, self.spec, child.prior)
         result = split(child.X, child.Y, child.center)
-        self.children[idx] = self._new_child(*result.left, prior=node)
-        self.children.append(self._new_child(*result.right, prior=node))
+        self.children[idx] = self._new_child(*result.left, node)
+        self.children.append(self._new_child(*result.right, node))
 
     def predict_mean(self, x_star: np.ndarray) -> PredictionSummary:
         """Weighted-average prediction at a single point, with its weights."""
@@ -584,7 +568,6 @@ class SplittingGP(LocalGpPool):
         for i, child in enumerate(self.children):
             payload[f"child_{i}_X"] = child.X
             payload[f"child_{i}_Y"] = child.Y
-            payload[f"child_{i}_c"] = child.center
             payload[f"child_{i}_prior"] = np.array(
                 -1 if child.prior is None else order[id(child.prior)]
             )
@@ -615,8 +598,8 @@ class SplittingGP(LocalGpPool):
             for i in range(int(data["n_children"])):
                 prior_idx = int(data[f"child_{i}_prior"])
                 model.children.append(model._new_child(
-                    data[f"child_{i}_X"], data[f"child_{i}_Y"], data[f"child_{i}_c"],
-                    prior=nodes[prior_idx] if prior_idx >= 0 else None,
+                    data[f"child_{i}_X"], data[f"child_{i}_Y"],
+                    nodes[prior_idx] if prior_idx >= 0 else None,
                 ))
         return model
 

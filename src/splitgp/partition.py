@@ -17,16 +17,6 @@ _TIE_RTOL = 1e-9
 _UNIT_TOL = 1e-12
 
 
-def centroid(X: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of the rows."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.shape[0] == 0:
-        raise ContractViolationError("centroid of zero rows is undefined")
-    return X.mean(axis=0)
-
-
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
     for comp in v:
         if abs(comp) > _UNIT_TOL:
@@ -66,10 +56,10 @@ def principal_direction(X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SplitResult:
-    """Two (inputs, responses, centroid) triples partitioning a parent's rows."""
+    """Two (inputs, responses) pairs partitioning a parent's rows."""
 
-    left: tuple[np.ndarray, np.ndarray, np.ndarray]
-    right: tuple[np.ndarray, np.ndarray, np.ndarray]
+    left: tuple[np.ndarray, np.ndarray]
+    right: tuple[np.ndarray, np.ndarray]
     direction: np.ndarray
 
 
@@ -109,6 +99,5 @@ def split(X: np.ndarray, Y: np.ndarray, center: np.ndarray) -> SplitResult:
         left_mask[order[X.shape[0] // 2:]] = True
 
     right_mask = ~left_mask
-    left = (X[left_mask], Y[left_mask], centroid(X[left_mask]))
-    right = (X[right_mask], Y[right_mask], centroid(X[right_mask]))
-    return SplitResult(left=left, right=right, direction=v)
+    return SplitResult(left=(X[left_mask], Y[left_mask]),
+                       right=(X[right_mask], Y[right_mask]), direction=v)

@@ -23,7 +23,7 @@ from splitgp.gp import (
 )
 from splitgp.kernels import KernelSpec, cross_gram, gram
 from splitgp.model import ChildModel, SplittingGP, TrainSchedule
-from splitgp.partition import centroid, split
+from splitgp.partition import split
 
 MASTER_SEED = 20250809
 
@@ -120,10 +120,9 @@ def test_criterion_3_aggregation_identity_and_weights():
         X = rng.normal(size=(int(rng.integers(3, 9)), ndim))
         Y = rng.normal(size=X.shape[0])
         model = SplittingGP(50, spec=spec, train_schedule=TrainSchedule.never())
-        model.children = [
-            ChildModel(X.copy(), Y.copy(), center=rng.normal(size=ndim))
-            for _ in range(int(rng.integers(2, 6)))
-        ]
+        model.children = [ChildModel(X.copy(), Y.copy()) for _ in range(int(rng.integers(2, 6)))]
+        for child in model.children:
+            child.center = rng.normal(size=ndim)
         post = GpPosterior(X, Y, spec)
         for _ in range(5):
             x = rng.normal(size=ndim)
@@ -397,7 +396,7 @@ def test_criterion_11_pddp_dominance():
         gap = rng.uniform(6.0, 10.0)
         labels = rng.random(n) < 0.5
         X = rng.standard_normal((n, ndim)) + np.where(labels, gap / 2, -gap / 2)[:, None] * direction
-        c = centroid(X)
+        c = X.mean(axis=0)
         res = split(X, np.zeros(n), c)
         pddp_wcv = sum(
             float(np.sum((S - S.mean(axis=0)) ** 2)) for S in (res.left[0], res.right[0])

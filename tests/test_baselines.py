@@ -155,10 +155,8 @@ class TestLocalGpWgen:
         X, Y = rng.normal(size=(8, 1)), rng.normal(size=8)
         model = LocalGpWgen(0.9, spec=spec, **quiet())
         from splitgp.model import ChildModel
-        model.children = [
-            ChildModel(X.copy(), Y.copy(), center=np.array([-1.0])),
-            ChildModel(X.copy(), Y.copy(), center=np.array([1.0])),
-        ]
+        model.children = [ChildModel(X.copy(), Y.copy()), ChildModel(X.copy(), Y.copy())]
+        model.children[0].center, model.children[1].center = np.array([-1.0]), np.array([1.0])
         post = GpPosterior(X, Y, spec)
         x = np.array([0.3])
         assert model.predict(x)[0] == pytest.approx(posterior_mean(post, x), abs=1e-12)
@@ -357,6 +355,11 @@ def test_bad_rows_rejected_at_ingest(build):
         with pytest.raises(ContractViolationError):
             model.ingest_batch(np.vstack([ds.X[:2], x]) if x.size == 2 else x[None, :],
                                np.append(ds.Y[:2], y) if x.size == 2 else [y])
+    # A batch of more than two dimensions, against a seeded spec and a fresh model.
+    for X3 in (ds.X[:2, :, None], ds.X[:2, None, :]):
+        for target in (model, build()):
+            with pytest.raises(ContractViolationError):
+                target.ingest_batch(X3, ds.Y[:2])
     assert model.n_observations == ds.n
     assert np.array_equal(model.predict_mean_batch(queries),
                           reference.predict_mean_batch(queries))

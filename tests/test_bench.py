@@ -131,8 +131,8 @@ class TestConfig:
         experts=st.integers(),
         dataset=st.sampled_from(["synthetic", "csv:data/a b.csv"]),
         synthetic_n=st.integers(),
-        x_cols=st.none() | st.lists(st.integers(), min_size=1, max_size=4).map(tuple),
-        y_col=st.none() | st.integers(),
+        x_cols=st.none() | st.lists(st.integers(min_value=0), min_size=1, max_size=4).map(tuple),
+        y_col=st.none() | st.integers(min_value=0),
         kfold=st.integers(),
         train_fraction=_config_floats,
         batch_size=st.integers(min_value=1),
@@ -147,6 +147,12 @@ class TestConfig:
     ))
     def test_kv_text_round_trips_every_config(self, cfg):
         assert ExperimentConfig.from_kv_text(cfg.to_kv_text()) == cfg
+
+    @pytest.mark.parametrize("cols", [dict(y_col=-1), dict(x_cols=(0, -1)), dict(x_cols=())])
+    def test_negative_or_empty_columns_rejected(self, cols):
+        # An empty x_cols would write `x_cols=`, which its own text cannot read back.
+        with pytest.raises(ContractViolationError, match="x_cols"):
+            ExperimentConfig(**cols)
 
     def test_negative_fit_subsample_rejected(self):
         with pytest.raises(ContractViolationError, match="fit_subsample"):
@@ -478,6 +484,31 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and missing in err
+
+    def test_negative_response_column_returns_error(self, tmp_path, capsys):
+        fixture = Path(__file__).parent / "fixtures" / "powergen_like.csv"
+        rc = cli.main(["run", "--dataset", f"csv:{fixture}", "--y-col", "-1",
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda lines: ["model,n_obs", "splitting,abc"], "header"),
+        (lambda lines: [lines[0], lines[1].replace(",100,", ",abc,")], "line 2, column n_obs"),
+        (lambda lines: [lines[0], lines[1].replace(",0.5,", ",x,")], "line 2, column mse"),
+        (lambda lines: [lines[0], lines[1], lines[1] + ",7"], "line 3"),
+        (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0]], "line 2"),
+    ], ids=["header", "int-cell", "float-cell", "long-row", "short-row"])
+    def test_malformed_metrics_csv_returns_error(self, tmp_path, capsys, edit, where):
+        path = tmp_path / "m.csv"
+        emit_csv(TestCsv().fake_records(1), path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        rc = cli.main(["summarize", str(path), "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and where in err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_bad_config_returns_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"

@@ -92,6 +92,15 @@ class TestLoadCsv:
         assert np.array_equal(ds.X, [[1.0, 3.0], [5.0, 7.0]])
         assert np.array_equal(ds.Y, [2.0, 6.0])
 
+    @pytest.mark.parametrize("cols", [dict(y_col=-1), dict(x_cols=[-1]),
+                                      dict(x_cols=(0, 2), y_col=2), dict(x_cols=(-3, 1))])
+    def test_response_never_among_the_predictors(self, tmp_path, cols):
+        # A negative index would count from the end, and so name the response.
+        path = tmp_path / "t.csv"
+        path.write_text("1,2,10\n3,4,20\n")
+        with pytest.raises(ContractViolationError, match="columns must be >= 0"):
+            load_csv(path, **cols)
+
     def test_non_numeric_cell_reports_line(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("1,2\n3,oops\n")

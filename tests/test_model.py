@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -206,11 +207,9 @@ class TestPredict:
         X = rng.normal(size=(8, 2))
         Y = rng.normal(size=8)
         model = quiet_model(50, spec=spec)
-        model.children = [
-            ChildModel(X.copy(), Y.copy(), center=np.array([0.0, 0.0])),
-            ChildModel(X.copy(), Y.copy(), center=np.array([2.0, 1.0])),
-            ChildModel(X.copy(), Y.copy(), center=np.array([-1.0, 3.0])),
-        ]
+        model.children = [ChildModel(X.copy(), Y.copy()) for _ in range(3)]
+        for child, center in zip(model.children, [[0.0, 0.0], [2.0, 1.0], [-1.0, 3.0]]):
+            child.center = np.array(center)
         post = GpPosterior(X, Y, spec)
         for x in rng.normal(size=(20, 2)):
             expected = posterior_mean(post, x)
@@ -503,6 +502,10 @@ class TestSnapshot:
         # Version 4 stores the six fields of the old line-search schedule.
         self._rejected(tmp_path, 4, schedule_fit=np.array([50, 1e-5, 0.25, 1.0, 1e-7, 1.5]))
 
+    def test_version_5_snapshot_rejected(self, tmp_path):
+        # Version 5 stores each child's center, which a child now derives.
+        self._rejected(tmp_path, 5, child_0_c=np.zeros(2))
+
 
 def test_update_refits_on_split_per_schedule():
     rng = np.random.default_rng(13)
@@ -649,16 +652,18 @@ class TestSingleQueryPath:
         return model, queries
 
     @staticmethod
-    def _count_evaluations(monkeypatch):
-        counts = {}
-        evaluate = PriorMeanNode.evaluate
+    def _blocks(monkeypatch):
+        """(query rows, stored side) of every cross-kernel block a prior node
+        builds."""
+        blocks = []
+        build = model_module.scaled_cross_gram
 
-        def counted(node, *args, **kwargs):
-            counts[id(node)] = counts.get(id(node), 0) + 1
-            return evaluate(node, *args, **kwargs)
+        def counted(Xa, Za, sf2):
+            blocks.append((Xa.shape[0], Za))
+            return build(Xa, Za, sf2)
 
-        monkeypatch.setattr(PriorMeanNode, "evaluate", counted)
-        return counts
+        monkeypatch.setattr(model_module, "scaled_cross_gram", counted)
+        return blocks
 
     @pytest.mark.parametrize("seed", [41, 42])
     def test_single_point_matches_batch(self, seed):
@@ -673,17 +678,36 @@ class TestSingleQueryPath:
 
     def test_each_prior_node_evaluated_once_per_call(self, monkeypatch):
         model, queries = self._streamed(43)
-        once = {id(node): 1 for node in model.prior_nodes()}
-        assert len(once) >= 3
-        counts = self._count_evaluations(monkeypatch)
+        nodes = model.prior_nodes()
+        assert len(nodes) >= 3
+        blocks = self._blocks(monkeypatch)
+
+        def per_node():
+            return [sum(Za is node._scaled for _, Za in blocks) for node in nodes]
+
         for call, rows in ((model.predict, queries[0]), (model.predict_mean, queries[-3]),
                            (model.predict_mean_batch, queries)):
-            counts.clear()
+            blocks.clear()
             call(rows)
-            assert counts == once
-        counts.clear()
+            assert per_node() == [1] * len(nodes)
+        blocks.clear()
         model.predict_variance_batch(queries)  # needs no prior mean
-        assert counts == {}
+        assert not blocks
+
+    def test_posterior_rebuilds_leave_one_query_block_per_node(self, monkeypatch, tmp_path):
+        # A loaded model rebuilds every posterior on its first read, and each
+        # rebuild evaluates the chain at its child's own rows, which replaces
+        # the memos; the chain at the query rows is still built once per node.
+        model, queries = self._streamed(43)
+        model.save(tmp_path / "model.npz")
+        loaded = SplittingGP.load(tmp_path / "model.npz")
+        nodes = loaded.prior_nodes()
+        assert max(c.n for c in loaded.children) < len(queries)
+        blocks = self._blocks(monkeypatch)
+        loaded.predict_mean_batch(queries)
+        assert [sum(b == len(queries) and Za is node._scaled for b, Za in blocks)
+                for node in nodes] == [1] * len(nodes)
+        assert len(blocks) > len(nodes)  # the rebuilds' own blocks
 
 
 class TestFactorStorage:
@@ -925,6 +949,25 @@ class TestChildStorage:
             child.append(X[t], 0.0)
             assert child.X.base is base
         assert np.array_equal(child.X, X)
+
+    def test_center_of_one_row_is_the_row(self):
+        assert np.array_equal(ChildModel(np.array([[3.0, -1.0]]), [0.0]).center, [3.0, -1.0])
+
+    def test_center_of_two_rows(self):
+        child = ChildModel(np.array([[0.0, 0.0], [2.0, 2.0]]), np.zeros(2))
+        assert np.allclose(child.center, [1.0, 1.0])
+
+    def test_center_against_exact_summation(self):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(100, 3)) * 10.0
+        exact = np.array([math.fsum(X[:, d]) / 100.0 for d in range(3)])
+        assert np.abs(ChildModel(X, np.zeros(100)).center - exact).max() < 1e-12
+
+    def test_empty_child_centers_on_the_origin_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            child = ChildModel(np.empty((0, 2)), np.empty(0))
+        assert np.array_equal(child.center, [0.0, 0.0])
 
     @pytest.mark.parametrize("ndim", [2, 3])
     def test_center_is_bitwise_row_mean(self, ndim):

@@ -1,28 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
+from splitgp import KernelSpec, SplittingGP, TrainSchedule
 from splitgp.exceptions import ContractViolationError, DegenerateDataError
-from splitgp.partition import centroid, principal_direction, split
-
-
-class TestCentroid:
-    def test_single_row(self):
-        assert np.array_equal(centroid(np.array([[3.0, -1.0]])), [3.0, -1.0])
-
-    def test_two_rows(self):
-        assert np.allclose(centroid(np.array([[0.0, 0.0], [2.0, 2.0]])), [1.0, 1.0])
-
-    def test_against_exact_summation(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(100, 3)) * 10.0
-        exact = np.array([math.fsum(X[:, d]) / 100.0 for d in range(3)])
-        assert np.abs(centroid(X) - exact).max() < 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractViolationError):
-            centroid(np.zeros((0, 2)))
+from splitgp.partition import principal_direction, split
 
 
 class TestPrincipalDirection:
@@ -70,14 +51,12 @@ class TestSplit:
         X = np.array([[-1.0, 0.0], [1.0, 0.0], [3.0, 0.0], [5.0, 0.0]])
         Y = np.array([1.0, 2.0, 3.0, 4.0])
         result = split(X, Y, np.array([2.0, 0.0]))
-        lX, lY, lc = result.left
-        rX, rY, rc = result.right
+        lX, lY = result.left
+        rX, rY = result.right
         assert np.array_equal(lX, [[3.0, 0.0], [5.0, 0.0]])
         assert np.array_equal(lY, [3.0, 4.0])
-        assert np.allclose(lc, [4.0, 0.0])
         assert np.array_equal(rX, [[-1.0, 0.0], [1.0, 0.0]])
         assert np.array_equal(rY, [1.0, 2.0])
-        assert np.allclose(rc, [0.0, 0.0])
 
     def test_boundary_point_goes_right(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
@@ -100,7 +79,7 @@ class TestSplit:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(57, 3))
         Y = rng.normal(size=57)
-        res = split(X, Y, centroid(X))
+        res = split(X, Y, X.mean(axis=0))
         n_left = res.left[0].shape[0]
         assert n_left + res.right[0].shape[0] == 57
         assert 0 < n_left < 57
@@ -108,8 +87,19 @@ class TestSplit:
         key = np.lexsort(X.T)
         key_m = np.lexsort(merged.T)
         assert np.array_equal(X[key], merged[key_m])
-        assert np.allclose(res.left[2], res.left[0].mean(axis=0))
-        assert np.allclose(res.right[2], res.right[0].mean(axis=0))
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_split_children_centers_are_bitwise_row_means(self, ndim):
+        # Each child of a split, and each later append, derives its center
+        # from its own rows.
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(120, ndim)) * 10.0 ** rng.integers(-2, 3, size=(120, 1))
+        model = SplittingGP(10, KernelSpec(np.ones(ndim), 1.0, 0.1), TrainSchedule.never())
+        for t, x in enumerate(X):
+            model.update(x, float(t))
+            for child in model.children:
+                assert child.center.tobytes() == child.X.mean(axis=0).tobytes()
+        assert model.n_children > 4
 
     def test_offset_center_falls_back_to_median(self):
         # Center far outside the data puts every projection on one side.
@@ -125,7 +115,7 @@ class TestSplit:
         rng = np.random.default_rng(9)
         X = rng.normal(size=(40, 2))
         Y = rng.normal(size=40)
-        c = centroid(X)
+        c = X.mean(axis=0)
         r1, r2 = split(X, Y, c), split(X, Y, c)
         assert np.array_equal(r1.left[0], r2.left[0])
         assert np.array_equal(r1.direction, r2.direction)
@@ -140,7 +130,7 @@ def test_pddp_beats_random_hyperplanes_on_clustered_data():
     direction = np.array([0.8, 0.6])
     labels = rng.random(150) < 0.5
     X = rng.normal(size=(150, 2)) + np.where(labels, 4.0, -4.0)[:, None] * direction
-    c = centroid(X)
+    c = X.mean(axis=0)
     res = split(X, np.zeros(150), c)
     pddp_wcv = sum(
         float(np.sum((S - S.mean(axis=0)) ** 2)) for S in (res.left[0], res.right[0])

@@ -7,15 +7,17 @@ the routing property streams rows farther still.
 The kernel is fixed and never refit, so each example stays cheap.
 """
 
+import io
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from splitgp.baselines import FullGp, LocalGpWgen, Rbcm
 from splitgp.exceptions import ContractViolationError
 from splitgp.gp import GpPosterior
-from splitgp.kernels import KernelSpec
+from splitgp.kernels import KernelSpec, cross_gram
 from splitgp.model import SplittingGP, TrainSchedule
 
 SPEC = KernelSpec(np.array([0.4, 0.9]), 1.0, 0.05)
@@ -25,10 +27,10 @@ coordinate = st.floats(-2.0, 2.0, allow_nan=False)
 
 
 @st.composite
-def streams(draw):
+def streams(draw, min_size=1):
     """(X, Y) with n rows: each row is free, a copy of an earlier row, or a
     point on the line through (0, 0) along (1, 0.5)."""
-    n = draw(st.integers(1, 30))
+    n = draw(st.integers(min_size, 30))
     rows = []
     for i in range(n):
         kind = draw(st.sampled_from(("free", "duplicate", "line")) if i else st.just("free"))
@@ -236,3 +238,73 @@ def test_grown_factors_match_a_full_refactorization(pool, stream):
             for got, want in ((post.chol, fresh.chol), (post.alpha, fresh.alpha)):
                 assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
             assert np.shares_memory(post.X, c.X)
+
+
+def _deep(m, stream):
+    """A splitting pool with m = 2 or 3 fed the stream in one batch; its prior
+    chains run three or more nodes deep."""
+    model = SplittingGP(m, spec=SPEC, train_schedule=TrainSchedule.never())
+    model.update_batch(*stream)
+    assume(max((len(c.prior.chain()) for c in model.children if c.prior), default=0) >= 3)
+    return model
+
+
+@PROPERTY_SETTINGS
+@given(m=st.integers(2, 3), stream=streams(min_size=16), Xq=queries)
+def test_chain_values_match_the_summed_expansions(m, stream, Xq):
+    # The batch walks every child's chain, siblings reading shared ancestors
+    # from their memos; each child's chain value is then that walk's.
+    model = _deep(m, stream)
+    model.predict_mean_batch(Xq)
+    for child in model.children:
+        terms = [cross_gram(Xq, node.X, node.spec) * node.alpha
+                 for node in reversed(child.prior.chain())]
+        want = sum(t.sum(axis=1) for t in terms)
+        scale = sum(np.abs(t).sum(axis=1) for t in terms)
+        assert np.all(np.abs(child.prior.evaluate(Xq) - want) <= 1e-12 * scale)
+
+
+@PROPERTY_SETTINGS
+@given(m=st.integers(2, 3), stream=streams(min_size=16), Xq=queries)
+def test_repeated_batch_reads_are_bitwise(m, stream, Xq):
+    # A second read is bitwise the first after a single-row predict between
+    # them, and after a predict plus update it is bitwise a twin's read that
+    # never made the first: no memo serves a stale value.
+    X, Y = stream
+    model, twin = _deep(m, (X[:-1], Y[:-1])), _deep(m, (X[:-1], Y[:-1]))
+    first = model.predict_mean_batch(Xq)
+    assert model.predict_mean_batch(Xq).tobytes() == first.tobytes()
+    model.predict(X[-1])
+    assert model.predict_mean_batch(Xq).tobytes() == first.tobytes()
+    for pool in (model, twin):
+        pool.predict(X[-1])
+        pool.update(X[-1], Y[-1])
+    assert model.predict_mean_batch(Xq).tobytes() == twin.predict_mean_batch(Xq).tobytes()
+
+
+def _assert_centers_are_row_means(model):
+    for c in model.children:
+        want = c.X.mean(axis=0) if c.n else np.zeros(2)
+        assert c.center.tobytes() == want.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(pool=pools(), stream=streams(), more=streams())
+def test_centers_are_bitwise_row_means(pool, stream, more):
+    # Every child derives its center from its rows: after splits, after a
+    # save and load, and after the loaded model goes on; an empty expert's is
+    # the origin.
+    kind, build = pool
+    model = build()
+    model.update_batch(*stream)
+    models = [model]
+    if kind == "splitting":
+        snapshot = io.BytesIO()
+        model.save(snapshot)
+        snapshot.seek(0)
+        models.append(SplittingGP.load(snapshot))
+    for model in models:
+        _assert_centers_are_row_means(model)
+        for x, y in zip(*more):
+            model.update(x, y)
+        _assert_centers_are_row_means(model)
