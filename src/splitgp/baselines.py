@@ -79,10 +79,11 @@ class Rbcm(LocalGpPool):
     """Robust Bayesian committee machine (Deisenroth & Ng 2015) over a fixed
     pool of GP experts.
 
-    The router sends each row to a uniformly random expert (seeded); the
-    `n_experts` children are created empty on the first row and stay in
-    that order.  The combiner takes the product of the non-empty experts'
-    Gaussians with differential-entropy weights
+    The router sends each row to a uniformly random expert (seeded), one of
+    `n_experts` slots; the first row an expert draws creates it, as an expert
+    is defined by its data subset, and `children` holds the created experts
+    in slot order.  The combiner takes the product of the experts' Gaussians
+    with differential-entropy weights
     beta_k = 0.5 (log sigma_prior^2 - log sigma_k^2(x*)), normalized to sum to
     one; with no information (all beta zero) the prediction falls back to
     the prior.  The normalization departs from Deisenroth & Ng, whose
@@ -99,18 +100,21 @@ class Rbcm(LocalGpPool):
         super().__init__(spec, train_schedule)
         self.n_experts = int(n_experts)
         self.rng = np.random.default_rng(seed)
+        self._experts: list[ChildModel | None] = [None] * self.n_experts
 
     def _route(self, x: np.ndarray, y: float) -> bool:
-        if not self.children:
-            self.children = [ChildModel(np.empty((0, x.size)), np.empty(0))
-                             for _ in range(self.n_experts)]
-        self.children[int(self.rng.integers(self.n_experts))].append(x, y)
+        k = int(self.rng.integers(self.n_experts))
+        if self._experts[k] is None:
+            self._experts[k] = ChildModel(x[None, :], [y])
+            self.children = [c for c in self._experts if c is not None]
+        else:
+            self._experts[k].append(x, y)
         return False
 
     def _combine(self, query: Query, mean: bool,
                  variance: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Product-of-Gaussians combination of the non-empty experts."""
-        mus, sigs = self._moments(query, [c for c in self.children if c.n > 0], True, True)
+        """Product-of-Gaussians combination of the experts."""
+        mus, sigs = self._moments(query, True, True)
         prior_var = self.spec.signal_variance
         sigs = np.maximum(sigs, EXPERT_VARIANCE_FLOOR)
         beta = 0.5 * (np.log(prior_var) - np.log(sigs))

@@ -41,8 +41,9 @@ _MODELS = {
 MODELS = tuple(_MODELS)
 
 # Each train schedule: its refit flags, TrainSchedule's (on_split, on_batch).
+# (True, False) would run as "default" at batch_size 1 and as "never" above.
 _SCHEDULE_FLAGS = {"default": (True, True), "batch": (False, True),
-                   "split": (True, False), "never": (False, False)}
+                   "never": (False, False)}
 SCHEDULES = tuple(_SCHEDULE_FLAGS)
 
 

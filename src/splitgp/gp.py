@@ -155,7 +155,8 @@ class _Storage:
 
 
 class GpPosterior:
-    """A GP conditioned on (X, Y) under a fixed kernel spec.
+    """A GP conditioned on (X, Y), at least one observation, under a fixed
+    kernel spec; no rows raise ContractViolationError.
 
     Caches the Cholesky factor of the noisy Gram matrix and
     alpha = (K + sn2 I)^-1 Y, and keeps X as given, so the caller must not
@@ -186,42 +187,39 @@ class GpPosterior:
                  K: np.ndarray | None = None, out: np.ndarray | None = None):
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
-            X = X.reshape(-1, spec.ndim) if X.size else X.reshape(0, spec.ndim)
+            X = X.reshape(-1, spec.ndim)
         Y = np.asarray(Y, dtype=float).ravel()
         if X.shape[0] != Y.shape[0]:
             raise ContractViolationError(
                 f"X has {X.shape[0]} rows but Y has {Y.shape[0]} entries"
             )
+        if not X.shape[0]:
+            raise ContractViolationError("a posterior needs at least one observation")
         if not np.all(np.isfinite(Y)):
             raise ContractViolationError("Y contains non-finite entries")
-        if X.shape[0] and X.shape[1] != spec.ndim:
+        if X.shape[1] != spec.ndim:
             raise ContractViolationError(
                 f"X has {X.shape[1]} columns, spec expects {spec.ndim}"
             )
         self.X = X
         self.Y = Y
         self.spec = spec
-        if self.n:
-            for name, arr in (("Gram matrix", K), ("factor buffer", out)):
-                if arr is not None and arr.shape != (self.n, self.n):
-                    raise ContractViolationError(
-                        f"{name} has shape {arr.shape}, expected {(self.n, self.n)}")
-            out = np.empty((self.n, self.n), order="F") if out is None else out
-            if K is None:
-                fill = lambda dst: gram_lower(X, spec, add_noise=True, out=dst)
-            else:
-                def fill(dst):  # K's lower triangle, by column panels
-                    for j in range(0, self.n, PANEL):
-                        dst[j:, j:j + PANEL] = K[j:, j:j + PANEL]
-            self._L, self.jitter = _factorize(fill, out)
-            # alpha = L^-T L^-1 Y; two BLAS `dtrsv` calls take less than half the
-            # time of `cho_solve`, whose LAPACK `dpotrs` works through `dtrsm`.
-            v = dtrsv(self._L, Y.copy(), lower=1, overwrite_x=1)
-            self.alpha = dtrsv(self._L, v, lower=1, trans=1, overwrite_x=1)
+        for name, arr in (("Gram matrix", K), ("factor buffer", out)):
+            if arr is not None and arr.shape != (self.n, self.n):
+                raise ContractViolationError(
+                    f"{name} has shape {arr.shape}, expected {(self.n, self.n)}")
+        out = np.empty((self.n, self.n), order="F") if out is None else out
+        if K is None:
+            fill = lambda dst: gram_lower(X, spec, add_noise=True, out=dst)
         else:
-            self._L = np.zeros((0, 0))
-            self.jitter = 0.0
-            self.alpha = np.zeros(0)
+            def fill(dst):  # K's lower triangle, by column panels
+                for j in range(0, self.n, PANEL):
+                    dst[j:, j:j + PANEL] = K[j:, j:j + PANEL]
+        self._L, self.jitter = _factorize(fill, out)
+        # alpha = L^-T L^-1 Y; two BLAS `dtrsv` calls take less than half the
+        # time of `cho_solve`, whose LAPACK `dpotrs` works through `dtrsm`.
+        v = dtrsv(self._L, Y.copy(), lower=1, overwrite_x=1)
+        self.alpha = dtrsv(self._L, v, lower=1, trans=1, overwrite_x=1)
         self._store: _Storage | None = None  # set on the first append
         self._scaled: np.ndarray | None = None
         self._v: np.ndarray | None = None  # L^-1 Y, kept once the factor grows
@@ -262,14 +260,11 @@ class GpPosterior:
         `append`; more rows are solved against `chol` in one call.
         """
         sf2 = self.spec.signal_variance
-        B = Xa.shape[0]
-        if not self.n:
-            return (np.zeros(B) if mean else None), (np.full(B, sf2) if variance else None)
         K = scaled_cross_gram(Xa, self.scaled_rows(), sf2)
         mu = K @ self.alpha if mean else None
         if not variance:
             return mu, None
-        if B == 1:
+        if Xa.shape[0] == 1:
             l = self._solve_lower(K[0])
             self._memo = (Xa.tobytes(), l)
             var = np.array([sf2 - l @ l])
@@ -311,11 +306,11 @@ class GpPosterior:
         back-substitutes alpha = L^-T v.  When x is the row of the last
         single-row variance query, l is that query's; then the step is the
         back-substitution and O(n) bookkeeping.  Returns False and changes
-        nothing, leaving the caller to refactorize, when there is no factor,
-        when it needed jitter, or when any pivot, old or new, is not above
-        PIVOT_RTOL of sf2 + sn2: a nearly singular factor is not built upon.
+        nothing, leaving the caller to refactorize, when the factor needed
+        jitter, or when any pivot, old or new, is not above PIVOT_RTOL of
+        sf2 + sn2: a nearly singular factor is not built upon.
         """
-        if self.jitter != 0.0 or not self.n:
+        if self.jitter != 0.0:
             return False
         prior_var = self.spec.signal_variance + self.spec.noise_variance
         min_pivot = PIVOT_RTOL * prior_var
@@ -366,8 +361,6 @@ def posterior_variance(post: GpPosterior, x_star: np.ndarray):
 
 def log_marginal_likelihood(post: GpPosterior) -> float:
     """log p(Y | X, spec) under the posterior's spec, through its factorization."""
-    if post.n == 0:
-        raise ContractViolationError("log marginal likelihood needs at least one observation")
     fit_term = -0.5 * float(post.Y @ post.alpha)
     logdet = float(np.sum(np.log(np.diag(post.chol))))
     return fit_term - logdet - 0.5 * post.n * LOG_2PI
@@ -420,8 +413,6 @@ def lml_gradient(post: GpPosterior, K: np.ndarray | None = None) -> np.ndarray:
     noise on the diagonal and anything above it.  Without K, the call builds
     that triangle with `kernels.gram_lower`.
     """
-    if post.n == 0:
-        raise ContractViolationError("gradient needs at least one observation")
     n, alpha, spec = post.n, post.alpha, post.spec
     if K is None:
         K = gram_lower(post.X, spec)
@@ -513,9 +504,9 @@ def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitRes
 
     schedule = schedule or FitSchedule()
     shards = [(np.asarray(X, dtype=float), np.asarray(Y, dtype=float).ravel())
-              for X, Y in shards if np.asarray(Y).size > 0]
-    if not shards:
-        raise ContractViolationError("fit needs at least one non-empty shard")
+              for X, Y in shards]
+    if not shards or not all(Y.size for _, Y in shards):
+        raise ContractViolationError("fit needs at least one shard, each with observations")
 
     theta = spec.to_log_vector()
     free = slice(None) if spec.noise_variance > 0.0 else slice(0, -1)

@@ -35,19 +35,20 @@ class PriorMeanNode:
 
     Created when a local model splits: it takes the parent's residual weights
     and rows, which the dropped parent never writes again, with the kernel
-    spec current at that moment, chained to the parent's own prior.  Nodes
-    never change afterwards, so children can be refit without touching their
-    inherited mean.  Because a node is frozen with its own spec, it keeps its
-    rows in the augmented scaled form of `kernels.scaled_rows` under that
-    spec from its first evaluation on.  The rows are checked when that cache
-    is built, which covers rows read from a snapshot.  A query comes either
-    as a `Query`, whose `aug` is used when its spec is the node's, or as
-    bare rows, checked on the call.
+    spec current at that moment, chained to the parent's own prior.  A node's
+    expansion never changes afterwards, so children can be refit without
+    touching their inherited mean.  Because a node is frozen with its own
+    spec, it keeps its rows in the augmented scaled form of
+    `kernels.scaled_rows` under that spec from its first evaluation on.  The
+    rows are checked when that cache is built, which covers rows read from a
+    snapshot.  A query comes either as a `Query`, whose `aug` is used when
+    its spec is the node's, or as bare rows, checked on the call.
 
     Each evaluation leaves a one-entry memo of the rows' bytes and the
     chain's value there, so siblings that share the node, and the append
     that follows a predict of the same row, read it without a kernel
-    evaluation.
+    evaluation.  The memo is all that changes; the pool drops it after a
+    read of more than one row.
     """
 
     __slots__ = ("X", "alpha", "spec", "parent", "_scaled", "_memo")
@@ -130,10 +131,10 @@ class ChildModel:
     when the owner bounds the child's size (a `SplittingGP` child holds at
     most m + 1), else doubled when full; `X` and `Y` are views of its first
     n rows, which an append never writes.  A cached posterior's rows are
-    such a view, so the child holds each row once.  The center is a running
-    row sum divided by n, the origin while the child is empty; for inputs of
-    two or more columns it is bitwise `X.mean(axis=0)`: NumPy sums axis 0 of
-    a C-ordered array row by row.
+    such a view, so the child holds each row once.  It holds at least one:
+    no rows raise ContractViolationError.  The center is a running row sum
+    divided by n; for inputs of two or more columns it is bitwise
+    `X.mean(axis=0)`: NumPy sums axis 0 of a C-ordered array row by row.
 
     An append to a child whose posterior is cached costs O(n^2): the row goes
     into the buffer, the prior chain is evaluated at it only, and the cached
@@ -154,14 +155,16 @@ class ChildModel:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.asarray(Y, dtype=float).ravel()
         n = X.shape[0]
-        self._Xbuf = np.empty((max(n, max_rows or 0, 1), X.shape[1]))
+        if not n:
+            raise ContractViolationError("a child needs at least one row")
+        self._Xbuf = np.empty((max(n, max_rows or 0), X.shape[1]))
         self._Ybuf = np.empty(self._Xbuf.shape[0])
         self._Xbuf[:n], self._Ybuf[:n] = X, Y
         self.X, self.Y = self._Xbuf[:n], self._Ybuf[:n]
         # Accumulated row by row, as appends continue the sum; `X.sum(axis=0)`
-        # would sum a single column pairwise instead.
-        self._sum = np.add.accumulate(X)[-1].copy() if n else np.zeros(X.shape[1])
-        self.center = self._sum / max(n, 1)
+        # would sum one column pairwise.  + 0.0 makes a -0 sum +0, as NumPy's.
+        self._sum = np.add.accumulate(X)[-1] + 0.0
+        self.center = self._sum / n
         self.prior = prior
         self._residuals: np.ndarray | None = None
         self._posterior: GpPosterior | None = None
@@ -354,21 +357,20 @@ class LocalGpPool:
 
     def refit(self) -> FitResult:
         """Re-optimize the shared kernel parameters on the residuals of the
-        non-empty children.  Every cached posterior is dropped; a child whose
+        children.  Every cached posterior is dropped; a child whose
         rows the fit saw whole, not cut by `fit_subsample`, adopts the one the
         fit returns for it, if any, as it is; an append takes the bound of its
         storage from the child's buffer.  `last_fit` keeps no posterior."""
-        live = [c for c in self.children if c.n > 0]
-        if not live:
+        if not self.children:
             raise EmptyModelError("cannot fit an empty model")
-        shards = subsample_shards([(c.X, c.residuals()) for c in live], self.schedule)
+        shards = subsample_shards([(c.X, c.residuals()) for c in self.children], self.schedule)
         result = fit(shards, self.spec, self.schedule.fit)
         posteriors, result.posteriors = result.posteriors or [], None
         self.spec = result.spec
         self.last_fit = result
         for child in self.children:
             child.invalidate()
-        for child, post in zip(live, posteriors):
+        for child, post in zip(self.children, posteriors):
             if post.n == child.n:
                 child._adopted = post
         return result
@@ -380,7 +382,7 @@ class LocalGpPool:
             raise EmptyModelError("model has no observations yet")
         return Query.of(Xstar, self.spec)
 
-    def _moments(self, query: Query, children: list[ChildModel], mean: bool,
+    def _moments(self, query: Query, mean: bool,
                  variance: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Each child's posterior mean and latent variance at the query rows,
         one column per child; None for what is not asked.
@@ -389,8 +391,10 @@ class LocalGpPool:
         Every chain value is read before any posterior, whose rebuild would
         replace the memos with the chain at the child's own rows; so siblings
         read a shared ancestor from its memo, and each node is evaluated once.
+        A mean read of more than one row then drops the chains' memos: no
+        batch outlives the call, and a single row's stays for the next `update`.
         """
-        spec = self.spec
+        spec, children = self.spec, self.children
         priors = [c.prior.evaluate(query.X, query) if mean and c.prior is not None else None
                   for c in children]
         shape = (query.X.shape[0], len(children))
@@ -402,6 +406,11 @@ class LocalGpPool:
                 means[:, j] = mu if priors[j] is None else priors[j] + mu
             if variance:
                 variances[:, j] = var
+        if mean and shape[0] > 1:
+            for child in children:
+                node = child.prior  # up to the first node an earlier child released
+                while node is not None and node._memo is not None:
+                    node._memo, node = None, node.parent
         return means, variances
 
     def _weights(self, query: Query) -> np.ndarray:
@@ -422,7 +431,7 @@ class LocalGpPool:
         point comes through here, so a single-row `predict` and a one-row
         batch do the same arithmetic."""
         weights = self._weights(query)
-        means, variances = self._moments(query, self.children, mean, variance)
+        means, variances = self._moments(query, mean, variance)
         return (
             np.sum(weights * means, axis=1) if mean else None,
             np.sum(weights * weights * variances, axis=1) if variance else None,
@@ -457,10 +466,10 @@ class LocalGpPool:
         return seen
 
     def footprint(self) -> int:
-        """Bytes for the non-empty children's Gram entries, rows, responses
-        and centers, and the frozen prior expansions' rows and weights."""
+        """Bytes for the children's Gram entries, rows, responses and
+        centers, and the frozen prior expansions' rows and weights."""
         ndim = self.ndim or 0
-        total = sum(c.footprint_bytes(ndim) for c in self.children if c.n > 0)
+        total = sum(c.footprint_bytes(ndim) for c in self.children)
         return total + sum(node.footprint_bytes() for node in self.prior_nodes())
 
     memory_footprint = footprint  # the name perfbench's workloads read
@@ -533,7 +542,7 @@ class SplittingGP(LocalGpPool):
         """Weighted-average prediction at a single point, with its weights."""
         query = self._query(np.asarray(x_star, dtype=float).ravel()[None, :])
         weights = self._weights(query)
-        means = self._moments(query, self.children, mean=True, variance=False)[0]
+        means = self._moments(query, mean=True, variance=False)[0]
         return PredictionSummary(mean=float(np.sum(weights * means, axis=1)[0]),
                                  weights=weights[0])
 

@@ -300,6 +300,17 @@ class TestRbcm:
         assert not any(f.warning for f in fits)
         assert not np.array_equal(model.spec.lengthscales, [1.0, 1.0])
 
+    def test_first_row_creates_each_expert_in_slot_order(self):
+        rng = np.random.default_rng(11)
+        X, Y = rng.normal(size=(12, 1)), rng.normal(size=12)
+        draws = np.random.default_rng(4)
+        slots = [int(draws.integers(40)) for _ in range(12)]
+        model = Rbcm(40, seed=4, spec=make_spec([1.0]), **quiet())
+        model.update_batch(X, Y)
+        assert model.n_children == len(set(slots)) < 12
+        for child, k in zip(model.children, sorted(set(slots))):
+            assert np.array_equal(child.X, X[[i for i, s in enumerate(slots) if s == k]])
+
     def test_all_empty_rejected(self):
         model = Rbcm(3, seed=0, spec=make_spec([1.0]), **quiet())
         with pytest.raises(EmptyModelError):

@@ -104,6 +104,12 @@ class TestConfig:
         with pytest.raises(ContractViolationError, match="unknown schedule"):
             ExperimentConfig.from_kv_text("train_schedule=every\n")
 
+    def test_split_schedule_is_gone(self):
+        # `update` never reads on_batch and `update_batch` never reads
+        # on_split, so a split-only schedule ran as "default" or as "never".
+        with pytest.raises(ContractViolationError, match="unknown schedule"):
+            ExperimentConfig(train_schedule="split")
+
     @pytest.mark.parametrize("sweep", [(10, 100, 0), (100, 20, -40)])
     def test_sweep_step_below_one_rejected(self, sweep):
         # A zero step has no checkpoints; a negative one revisits rows already ingested.

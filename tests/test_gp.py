@@ -46,11 +46,6 @@ def oracle_lml(X, Y, spec):
 
 
 class TestPosteriorMean:
-    def test_empty_prior_mean_is_zero(self):
-        spec = make_spec([1.0, 1.0])
-        post = GpPosterior(np.zeros((0, 2)), np.zeros(0), spec)
-        assert posterior_mean(post, np.array([0.4, 0.6])) == 0.0
-
     def test_noiseless_interpolation_single_point(self):
         spec = make_spec([1.0], sf2=1.0, sn2=0.0)
         x = np.array([0.3])
@@ -80,11 +75,6 @@ class TestPosteriorMean:
 
 
 class TestPosteriorVariance:
-    def test_empty_prior_variance(self):
-        spec = make_spec([1.0], sf2=1.7)
-        post = GpPosterior(np.zeros((0, 1)), np.zeros(0), spec)
-        assert posterior_variance(post, np.array([0.3])) == pytest.approx(1.7)
-
     def test_zero_at_training_point_noiseless(self):
         spec = make_spec([1.0], sf2=1.0, sn2=0.0)
         X = np.array([[-1.0], [0.5], [2.0]])
@@ -138,10 +128,11 @@ class TestLogMarginalLikelihood:
         )
 
     def test_empty_rejected(self):
-        spec = make_spec([1.0])
-        post = GpPosterior(np.zeros((0, 1)), np.zeros(0), spec)
-        with pytest.raises(ContractViolationError):
-            log_marginal_likelihood(post)
+        # A posterior holds at least one observation, so there is no empty
+        # log marginal likelihood to take.
+        for X in (np.zeros((0, 1)), np.zeros(0)):
+            with pytest.raises(ContractViolationError):
+                GpPosterior(X, np.zeros(0), make_spec([1.0]))
 
 
 class TestGradient:
@@ -647,6 +638,14 @@ class TestFit:
     def test_requires_nonempty_shard(self):
         with pytest.raises(ContractViolationError):
             fit([(np.zeros((0, 1)), np.zeros(0))], make_spec([1.0]), FitSchedule())
+
+    def test_empty_shard_among_others_rejected(self):
+        rng = np.random.default_rng(5)
+        full = (rng.uniform(0, 1, (6, 1)), rng.normal(size=6))
+        for shards in ([full, (np.zeros((0, 1)), np.zeros(0))],
+                       [(np.zeros((0, 1)), np.zeros(0)), full, full]):
+            with pytest.raises(ContractViolationError):
+                fit(shards, make_spec([1.0]), FitSchedule(max_iters=2))
 
 
 def test_non_finite_responses_rejected():

@@ -709,6 +709,27 @@ class TestSingleQueryPath:
                 for node in nodes] == [1] * len(nodes)
         assert len(blocks) > len(nodes)  # the rebuilds' own blocks
 
+    def test_batch_read_leaves_no_batch_on_the_nodes(self):
+        # A batch's chain values serve its own call only; a single row's stay
+        # for the update that may follow.
+        rng = np.random.default_rng(47)
+        model = SplittingGP(20, KernelSpec(np.ones(2), 1.0, 0.01), TrainSchedule.never())
+        model.update_batch(rng.uniform(-10, 10, (1000, 2)), rng.normal(size=1000))
+        nodes = model.prior_nodes()
+        assert len(nodes) >= 50
+        model.predict_mean_batch(rng.uniform(-10, 10, (10, 2)))
+        queries = rng.uniform(-10, 10, (5000, 2))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model.predict_mean_batch(queries)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 0.25e6
+        model.predict(queries[0])
+        assert all(node._memo is not None and node._memo[1].size == 1 for node in nodes)
+
 
 class TestFactorStorage:
     """A grown factor lives in storage reserved once, not in a fresh array
@@ -963,11 +984,20 @@ class TestChildStorage:
         exact = np.array([math.fsum(X[:, d]) / 100.0 for d in range(3)])
         assert np.abs(ChildModel(X, np.zeros(100)).center - exact).max() < 1e-12
 
-    def test_empty_child_centers_on_the_origin_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            child = ChildModel(np.empty((0, 2)), np.empty(0))
-        assert np.array_equal(child.center, [0.0, 0.0])
+    def test_empty_child_rejected(self):
+        # A child is founded by rows; there is no empty one to center.
+        with pytest.raises(ContractViolationError):
+            ChildModel(np.empty((0, 2)), np.empty(0))
+
+    def test_negative_zero_rows_center_like_the_row_mean(self):
+        # NumPy's column sums start at +0, so a column of -0 averages to +0.
+        X = np.array([[-0.0, -0.0], [-0.0, 1.0], [0.0, -0.0]])
+        for n in (1, 2, 3):
+            child = ChildModel(X[:1], np.zeros(1))
+            for x in X[1:n]:
+                child.append(x, 0.0)
+            assert child.center.tobytes() == X[:n].mean(axis=0).tobytes()
+            assert ChildModel(X[:n], np.zeros(n)).center.tobytes() == child.center.tobytes()
 
     @pytest.mark.parametrize("ndim", [2, 3])
     def test_center_is_bitwise_row_mean(self, ndim):
