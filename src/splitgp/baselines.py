@@ -9,8 +9,9 @@ set of experts at random, and it combines them as a product of Gaussians.
 
 Like `SplittingGP`, each rejects a non-finite or wrong-width observation,
 or one that overflows when scaled by the lengthscales, with
-`ContractViolationError` before it changes any state, and a batch is
-checked whole before its first row is stored.
+`ContractViolationError` before it changes any state: the pool checks and
+scales a batch whole before its first row is stored, and each router takes
+its row as a one-row slice of that `Query`.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ class FullGp(LocalGpPool):
     refit = LocalGpPool.refit
     predict_mean_batch = LocalGpPool.predict_mean_batch
 
-    def _route(self, x: np.ndarray, y: float) -> bool:
+    def _route(self, query: Query, y: float) -> bool:
         if self.children:
-            self.children[0].append(x, y)
+            self.children[0].append(query, y)
         else:
-            self.children.append(ChildModel(x[None, :], [y]))
+            self.children.append(ChildModel(query.X, [y]))
         return False
 
 
@@ -64,14 +65,13 @@ class LocalGpWgen(LocalGpPool):
         self.w_gen = float(w_gen)
         self._radius2 = -2.0 * np.log(self.w_gen)
 
-    def _route(self, x: np.ndarray, y: float) -> bool:
+    def _route(self, query: Query, y: float) -> bool:
         if self.children:
-            query = Query.of(x[None, :], self.spec)
             idx, d2 = self._nearest(query)
             if d2 < self._radius2:
-                self.children[idx].append(x, y, query)
+                self.children[idx].append(query, y)
                 return False
-        self.children.append(ChildModel(x[None, :], [y]))
+        self.children.append(ChildModel(query.X, [y]))
         return False
 
 
@@ -81,9 +81,9 @@ class Rbcm(LocalGpPool):
 
     The router sends each row to a uniformly random expert (seeded), one of
     `n_experts` slots; the first row an expert draws creates it, as an expert
-    is defined by its data subset, and `children` holds the created experts
-    in slot order.  The combiner takes the product of the experts' Gaussians
-    with differential-entropy weights
+    is defined by its data subset, so a slot holds nothing until then, and
+    `children` holds the created experts in slot order.  The combiner takes
+    the product of the experts' Gaussians with differential-entropy weights
     beta_k = 0.5 (log sigma_prior^2 - log sigma_k^2(x*)), normalized to sum to
     one; with no information (all beta zero) the prediction falls back to
     the prior.  The normalization departs from Deisenroth & Ng, whose
@@ -100,15 +100,15 @@ class Rbcm(LocalGpPool):
         super().__init__(spec, train_schedule)
         self.n_experts = int(n_experts)
         self.rng = np.random.default_rng(seed)
-        self._experts: list[ChildModel | None] = [None] * self.n_experts
+        self._experts: dict[int, ChildModel] = {}  # the created experts, by slot
 
-    def _route(self, x: np.ndarray, y: float) -> bool:
+    def _route(self, query: Query, y: float) -> bool:
         k = int(self.rng.integers(self.n_experts))
-        if self._experts[k] is None:
-            self._experts[k] = ChildModel(x[None, :], [y])
-            self.children = [c for c in self._experts if c is not None]
+        if k in self._experts:
+            self._experts[k].append(query, y)
         else:
-            self._experts[k].append(x, y)
+            self._experts[k] = ChildModel(query.X, [y])
+            self.children = [self._experts[slot] for slot in sorted(self._experts)]
         return False
 
     def _combine(self, query: Query, mean: bool,

@@ -84,6 +84,8 @@ class ExperimentConfig:
             raise ContractViolationError("batch_size must be >= 1")
         if self.replicates < 1:
             raise ContractViolationError("replicates must be >= 1")
+        if self.fit_iters < 0:
+            raise ContractViolationError("fit_iters must be >= 0 (0: the warm start only)")
         if self.fit_subsample < 0:
             raise ContractViolationError("fit_subsample must be >= 0 (0: off)")
         if self.seed < 0:

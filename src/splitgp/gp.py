@@ -29,10 +29,12 @@ between them makes their thread pools fight for the cores.
 
 Validation.  Inputs are checked where they enter: `kernels.gram_lower`,
 `kernels.scaled_rows` and `kernels.Query` reject non-finite or wrong-width
-rows, `GpPosterior` non-finite responses.  Stored rows are checked once more
-when a posterior first scales them for kernel rows; query rows once per
-call.  The SciPy and BLAS calls here therefore skip their own finiteness
-scans.
+rows, `GpPosterior` non-finite responses.  A row streamed into a
+`model.LocalGpPool` is checked and scaled once, where it enters the pool,
+and reaches `GpPosterior.append` already scaled; stored rows are checked
+once more when a posterior first scales them for kernel rows, and query
+rows once per call.  The SciPy and BLAS calls here therefore skip their own
+finiteness scans.
 """
 
 from __future__ import annotations
@@ -292,14 +294,13 @@ class GpPosterior:
         store.v[:n] = self._solve_lower(self.Y.copy()) if self._v is None else self._v
         return store
 
-    def append(self, X: np.ndarray, y: float, capacity: int,
-               scaled: np.ndarray | None = None) -> bool:
+    def append(self, X: np.ndarray, y: float, capacity: int, scaled: np.ndarray) -> bool:
         """Condition this posterior on one more observation, in place and in
         O(n^2): X is its n rows then the new row x, which it keeps as its
         rows, and y is x's response.  `capacity` is the number of rows the
         storage it grows in is sized for, more than n (see the module
         docstring); `scaled` is x as a one-row `kernels.Query.aug` under this
-        posterior's spec when the caller holds it.
+        posterior's spec, checked and scaled by the caller.
 
         Appends the row [l^T d] to the factor, with l = L^-1 k(X, x) and
         d^2 = sf2 + sn2 - l.l, extends v = L^-1 Y by (y - l.v) / d and
@@ -321,11 +322,10 @@ class GpPosterior:
         if X.shape[0] != n + 1 or capacity <= n:
             raise ContractViolationError(f"{X.shape[0]} rows and capacity {capacity} for "
                                          f"{n + 1} rows")
-        xa = Query.of(X[n:], self.spec, "x").aug if scaled is None else scaled
-        if self._memo is not None and self._memo[0] == xa.tobytes():
+        if self._memo is not None and self._memo[0] == scaled.tobytes():
             l = self._memo[1]
         else:
-            l = self._solve_lower(scaled_cross_gram(xa, self.scaled_rows(),
+            l = self._solve_lower(scaled_cross_gram(scaled, self.scaled_rows(),
                                                     self.spec.signal_variance)[0])
         d2 = prior_var - l @ l
         if not d2 > min_pivot:
@@ -337,7 +337,7 @@ class GpPosterior:
         start = _packed_size(n)
         store.packed[start:start + n] = l
         store.packed[start + n] = d
-        store.scaled[n], store.Y[n] = stored_side(xa)[0], y
+        store.scaled[n], store.Y[n] = stored_side(scaled)[0], y
         store.v[n] = (y - l @ store.v[:n]) / d
 
         n += 1
@@ -448,9 +448,14 @@ PRIOR_SCALE = 0.5
 
 @dataclass
 class FitSchedule:
-    """Iteration budget of the L-BFGS-B hyperparameter fit."""
+    """Iteration budget of the L-BFGS-B hyperparameter fit, >= 0; at 0 the
+    fit evaluates its warm start only."""
 
     max_iters: int = 50
+
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ContractViolationError("fit budget max_iters must be >= 0")
 
 
 @dataclass

@@ -165,6 +165,11 @@ class Query(NamedTuple):
         aug, norms = _scale(X, spec, spec.ndim)
         return cls(X, aug[:, :spec.ndim], norms, aug, spec)
 
+    def row(self, i: int) -> "Query":
+        """Row i alone, as views of this query's arrays."""
+        s = slice(i, i + 1)
+        return Query(self.X[s], self.Xs[s], self.norms[s], self.aug[s], self.spec)
+
     def scaled(self, spec: KernelSpec) -> np.ndarray:
         """The rows' `aug` under `spec`: the kept one when spec equals the
         query's, else built afresh."""

@@ -13,6 +13,10 @@ predictive mean, frozen at split time, as its prior mean and models only the
 residuals against it, so a freshly split pair predicts like the parent did.
 Predictions aggregate *all* children with similarity weights, which keeps
 the mean continuous in the input.
+
+Rows are checked and scaled once, where they enter the pool, as one
+`kernels.Query` per batch whose one-row slices reach the router, the child
+and its posterior; a prior node scales its own rows when it is made.
 """
 
 from __future__ import annotations
@@ -38,11 +42,10 @@ class PriorMeanNode:
     spec current at that moment, chained to the parent's own prior.  A node's
     expansion never changes afterwards, so children can be refit without
     touching their inherited mean.  Because a node is frozen with its own
-    spec, it keeps its rows in the augmented scaled form of
-    `kernels.scaled_rows` under that spec from its first evaluation on.  The
-    rows are checked when that cache is built, which covers rows read from a
-    snapshot.  A query comes either as a `Query`, whose `aug` is used when
-    its spec is the node's, or as bare rows, checked on the call.
+    spec, it scales its rows under that spec when it is made, into the
+    augmented form of `kernels.scaled_rows`, which checks them; that covers
+    rows read from a snapshot.  A query comes as a `Query`, whose `aug` is
+    used when its spec is the node's.
 
     Each evaluation leaves a one-entry memo of the rows' bytes and the
     chain's value there, so siblings that share the node, and the append
@@ -59,22 +62,17 @@ class PriorMeanNode:
         self.alpha = alpha
         self.spec = spec
         self.parent = parent
-        self._scaled: np.ndarray | None = None
+        self._scaled = scaled_rows(X, spec)
         self._memo: tuple[bytes, np.ndarray] | None = None
 
-    def evaluate(self, Xstar: np.ndarray, query: Query | None = None) -> np.ndarray:
+    def evaluate(self, Xstar: np.ndarray, query: Query) -> np.ndarray:
         """The chain's mean at rows Xstar: this node's expansion on top of
-        its ancestors'.  `query`, when given, holds the same rows, checked
-        and scaled."""
-        Xstar = np.asarray(Xstar, dtype=float)
+        its ancestors'.  `query` holds the same rows, checked and scaled."""
         key = Xstar.tobytes()
         if self._memo is not None and self._memo[0] == key:
             return self._memo[1]
         base = self.parent.evaluate(Xstar, query) if self.parent is not None else 0.0
-        if self._scaled is None:
-            self._scaled = scaled_rows(self.X, self.spec)
-        aug = query.scaled(self.spec) if query is not None else Query.of(Xstar, self.spec).aug
-        value = base + scaled_cross_gram(aug, self._scaled,
+        value = base + scaled_cross_gram(query.scaled(self.spec), self._scaled,
                                          self.spec.signal_variance) @ self.alpha
         value.flags.writeable = False  # every later hit returns this array
         self._memo = (key, value)
@@ -90,27 +88,6 @@ class PriorMeanNode:
     def footprint_bytes(self) -> int:
         p, ndim = self.X.shape
         return 8 * (p * ndim + p)
-
-
-def check_batch(X: np.ndarray, Y: np.ndarray, ndim: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """(X as float rows, Y flat), or ContractViolationError when X is not a
-    matrix, their counts differ, an entry is not finite or a row does not have
-    `ndim` entries (None: any); a rejected batch is rejected before any row is
-    stored."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.asarray(Y, dtype=float).ravel()
-    if X.ndim != 2:
-        raise ContractViolationError(f"batch X has {X.ndim} dimensions, expected rows")
-    if X.shape[0] != Y.shape[0]:
-        raise ContractViolationError("batch X rows and Y entries must match")
-    if X.shape[0]:
-        if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-            raise ContractViolationError("batch contains non-finite values")
-        if ndim is not None and X.shape[1] != ndim:
-            raise ContractViolationError(
-                f"batch rows have {X.shape[1]} dimensions, spec expects {ndim}"
-            )
-    return X, Y
 
 
 def check_scaled(X: np.ndarray, lengthscales: np.ndarray) -> None:
@@ -143,11 +120,11 @@ class ChildModel:
     a predict of the same row, the chain's value and the solve l = L^-1 k
     are that predict's memos, so no kernel row is built at all.  Without a
     cached posterior, or when `GpPosterior.append` declines, the cache is
-    cleared and the next use rebuilds it in O(n^3).  The owning model
-    validates each row before it reaches `append`.  A refit may leave the
-    fit's posterior of all the rows in a slot apart: `posterior(spec)` takes
-    it at its spec instead of rebuilding, and an append or `invalidate`
-    drops it ungrown.
+    cleared and the next use rebuilds it in O(n^3).  The owning pool checks
+    and scales each row before it reaches `append`, as a one-row `Query`.  A
+    refit may leave the fit's posterior of all the rows in a slot apart:
+    `posterior(spec)` takes it at its spec instead of rebuilding, and an
+    append or `invalidate` drops it ungrown.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, prior: PriorMeanNode | None = None,
@@ -174,10 +151,9 @@ class ChildModel:
     def n(self) -> int:
         return self.X.shape[0]
 
-    def append(self, x: np.ndarray, y: float, query: Query | None = None) -> None:
-        """Store one row; `query`, when given, is x as a checked and scaled
-        one-row `Query`."""
-        x, y = np.asarray(x, dtype=float).ravel(), float(y)
+    def append(self, query: Query, y: float) -> None:
+        """Store one row, given as a checked and scaled one-row `Query`."""
+        x, y = query.X[0], float(y)
         n = self.n
         if n == self._Xbuf.shape[0]:
             self._Xbuf = np.concatenate([self._Xbuf, np.empty_like(self._Xbuf)])
@@ -188,8 +164,6 @@ class ChildModel:
         self.center = self._sum / (n + 1)
         post, self._adopted = self._posterior, None
         if post is not None:
-            if query is None:
-                query = Query.of(self.X[n:], post.spec, "x")
             prior = 0.0 if self.prior is None else self.prior.evaluate(query.X, query)[0]
             if not post.append(self.X, y - prior, self._Xbuf.shape[0],
                                query.scaled(post.spec)):
@@ -201,9 +175,12 @@ class ChildModel:
         self._posterior = self._adopted = None
 
     def residuals(self) -> np.ndarray:
-        """Responses minus the inherited prior mean; what the local GP models."""
+        """Responses minus the inherited prior mean, what the local GP models;
+        the chain walk shares one `Query` of the rows."""
         if self._residuals is None:
-            self._residuals = self.Y - (0.0 if self.prior is None else self.prior.evaluate(self.X))
+            prior = self.prior
+            self._residuals = self.Y - (0.0 if prior is None else
+                                        prior.evaluate(self.X, Query.of(self.X, prior.spec)))
         return self._residuals
 
     def posterior(self, spec: KernelSpec) -> GpPosterior:
@@ -272,10 +249,10 @@ class LocalGpPool:
     """A pool of local GPs under one shared kernel, with a router and a
     combiner.
 
-    A subclass supplies the router, `_route(x, y)`, which stores one checked
-    row in a child and returns True when that split a child.  The pool owns
-    everything else: row checks, seeding the spec from the first row, the
-    ingest loop, the nearest center, the kernel refit over the children's
+    A subclass supplies the router, `_route(query, y)`, which stores one row,
+    a one-row `Query`, in a child and returns True when that split a child.
+    The pool owns everything else: row checks and scaling, once per batch,
+    seeding the spec from the first row, the ingest loop, the nearest center, the kernel refit over the children's
     residuals, each child's predictive moments at the query rows, and the
     combiner.  The default combiner weights every child by its similarity
     k(c_j, x) to the query row, normalized to sum to one, and far from every
@@ -339,16 +316,24 @@ class LocalGpPool:
             self.refit()
 
     def _add_rows(self, X: np.ndarray, Y: np.ndarray) -> list[bool]:
-        """Check the rows as one batch, under the spec's lengthscales and every
-        frozen node's, seed the spec from the first row if unset, and route
-        them in order; True for each row that split a child."""
-        X, Y = check_batch(X, Y, None if self.spec is None else self.spec.ndim)
+        """Check the rows as one batch, before any is stored, seed the spec
+        from the first row if unset, scale them as one `Query` and route them
+        in order, each as its one-row slice; True for each row that split a
+        child.  The routers, children and posteriors take those slices as
+        they are."""
+        X, Y = np.atleast_2d(np.asarray(X, dtype=float)), np.asarray(Y, dtype=float).ravel()
+        if X.shape[0] != Y.shape[0]:
+            raise ContractViolationError("batch X rows and Y entries must match")
         if X.shape[0] == 0:
             return []
+        if not np.isfinite(Y).all():
+            raise ContractViolationError("batch Y contains non-finite values")
         spec = default_spec(Y[:1], X.shape[1]) if self.spec is None else self.spec
+        with np.errstate(over="ignore"):  # an overflowing row is rejected next
+            query = Query.of(X, spec, "batch X")
         check_scaled(X, np.minimum(spec.lengthscales, self._node_lengthscales))
         self.spec = spec
-        return [self._route(x, y) for x, y in zip(X, Y)]
+        return [self._route(query.row(i), y) for i, y in enumerate(Y)]
 
     def ingest_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
         self.update_batch(X, Y)
@@ -511,14 +496,13 @@ class SplittingGP(LocalGpPool):
         # A child holds at most m + 1 rows: the one past m triggers its split.
         return ChildModel(X, Y, prior, max_rows=self.m + 1)
 
-    def _route(self, x: np.ndarray, y: float) -> bool:
+    def _route(self, query: Query, y: float) -> bool:
         if not self.children:
-            self.children.append(self._new_child(x[None, :], [y]))
+            self.children.append(self._new_child(query.X, [y]))
             return False
-        query = Query.of(x[None, :], self.spec)
         idx = self._nearest(query)[0]
         child = self.children[idx]
-        child.append(x, y, query)
+        child.append(query, y)
         if child.n > self.m:
             self._split_child(idx)
             return True

@@ -21,7 +21,7 @@ from splitgp.gp import (
     posterior_mean,
     posterior_variance,
 )
-from splitgp.kernels import KernelSpec, cross_gram, gram
+from splitgp.kernels import KernelSpec, Query, cross_gram, gram
 from splitgp.model import ChildModel, SplittingGP, TrainSchedule
 from splitgp.partition import split
 
@@ -179,7 +179,8 @@ def test_criterion_4_continuity_contrast():
         return model.predict_mean_batch(G)
 
     def child_mean(child, G):  # inherited prior plus the residual layer
-        prior = 0.0 if child.prior is None else child.prior.evaluate(G)
+        prior = 0.0 if child.prior is None else child.prior.evaluate(
+            G, Query.of(G, child.prior.spec))
         return prior + posterior_mean(child.posterior(model.spec), G)
 
     def nearest_only(G):

@@ -311,6 +311,19 @@ class TestRbcm:
         for child, k in zip(model.children, sorted(set(slots))):
             assert np.array_equal(child.X, X[[i for i, s in enumerate(slots) if s == k]])
 
+    def test_slots_hold_nothing_until_an_expert_is_drawn(self):
+        # 2**62 slots: only the experts that rows have drawn take memory.
+        X = np.linspace(-1.0, 1.0, 24)[:, None]
+        Y = np.sin(3.0 * X[:, 0])
+        model = Rbcm(2**62, seed=6, spec=make_spec([0.5]), **quiet())
+        model.update_batch(X[:12], Y[:12])
+        for x, y in zip(X[12:], Y[12:]):
+            model.update(x, y)
+        assert model.n_observations == 24 and model.n_children == len(model._experts)
+        assert [c for _, c in sorted(model._experts.items())] == model.children
+        mean, var = model.predict(np.array([0.1]))
+        assert np.isfinite(mean) and var >= 0.0
+
     def test_all_empty_rejected(self):
         model = Rbcm(3, seed=0, spec=make_spec([1.0]), **quiet())
         with pytest.raises(EmptyModelError):

@@ -146,7 +146,7 @@ class TestConfig:
         seed=st.integers(min_value=0),
         sweep=st.none() | st.tuples(st.integers(), st.integers(), st.integers(min_value=1)),
         train_schedule=st.sampled_from(SCHEDULES),
-        fit_iters=st.integers(),
+        fit_iters=st.integers(min_value=0),
         fit_subsample=st.integers(min_value=0),
         standardize_x=st.booleans(),
         out=st.sampled_from(["", "out/m.csv"]),
@@ -159,6 +159,13 @@ class TestConfig:
         # An empty x_cols would write `x_cols=`, which its own text cannot read back.
         with pytest.raises(ContractViolationError, match="x_cols"):
             ExperimentConfig(**cols)
+
+    def test_negative_fit_budget_rejected(self):
+        with pytest.raises(ContractViolationError, match="fit_iters"):
+            ExperimentConfig(model="fullgp", fit_iters=-3)
+        # 0 stays the budget that evaluates the warm start only.
+        cfg = ExperimentConfig(model="fullgp", fit_iters=0)
+        assert make_model(cfg, SeedPlan(0), 0).schedule.fit.max_iters == 0
 
     def test_negative_fit_subsample_rejected(self):
         with pytest.raises(ContractViolationError, match="fit_subsample"):
@@ -490,6 +497,12 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and missing in err
+
+    def test_negative_fit_budget_returns_error(self, tmp_path, capsys):
+        rc = cli.main(["run", "--fit-iters", "-1", "--out", str(tmp_path / "m.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "m.csv").exists()
 
     def test_negative_response_column_returns_error(self, tmp_path, capsys):
         fixture = Path(__file__).parent / "fixtures" / "powergen_like.csv"

@@ -17,7 +17,7 @@ from splitgp.gp import (
     posterior_mean,
     posterior_variance,
 )
-from splitgp.kernels import KernelSpec, gram, gram_gradients
+from splitgp.kernels import KernelSpec, Query, gram, gram_gradients
 
 
 def make_spec(ls, sf2=1.0, sn2=0.1):
@@ -210,7 +210,7 @@ class TestGradientOracle:
         X, Y = rng.normal(size=(40, 2)), rng.normal(size=40)
         post = GpPosterior(X[:30], Y[:30], spec)
         for i in range(30, 40):
-            assert post.append(X[:i + 1], Y[i], 40)
+            assert post.append(X[:i + 1], Y[i], 40, Query.of(X[i:i + 1], spec).aug)
         assert self.gap(post, spec) <= 1e-8
 
     @pytest.mark.parametrize("r", [1e2, 1e8, 1e150])
@@ -309,7 +309,7 @@ class TestInvertLower:
             return GpPosterior(X, Y, spec).chol
         post = GpPosterior(X[:(n + 1) // 2], Y[:(n + 1) // 2], spec)
         for i in range((n + 1) // 2, n):
-            assert post.append(X[:i + 1], Y[i], n)
+            assert post.append(X[:i + 1], Y[i], n, Query.of(X[i:i + 1], spec).aug)
         return post.chol
 
     @pytest.mark.parametrize("kind", ["plain", "jittered", "grown"])
@@ -415,7 +415,7 @@ class TestBufferReuse:
             post = GpPosterior(X, Y, spec, K)
         else:
             post = GpPosterior(X[:-1], Y[:-1], spec)
-            assert post.append(X, Y[-1], n)
+            assert post.append(X, Y[-1], n, Query.of(X[-1:], spec).aug)
         tracemalloc.start()
         try:
             lml_gradient(post, K)
@@ -499,7 +499,7 @@ class TestLowerTriangle:
         X, Y, spec = self.shard("plain")
         post = GpPosterior(X[:60], Y[:60], spec)
         for i in range(60, 70):
-            assert post.append(X[:i + 1], Y[i], 70)
+            assert post.append(X[:i + 1], Y[i], 70, Query.of(X[i:i + 1], spec).aug)
         K = np.array(gram(X, spec), order=order)
         grad = lml_gradient(post, K)
         assert np.all(np.isfinite(grad))
@@ -532,6 +532,11 @@ class TestFit:
         result = fit([(X, np.array([0.5, -0.5]))], spec, FitSchedule(max_iters=0))
         assert result.spec is spec
         assert result.iterations == 0
+
+    def test_negative_budget_rejected(self):
+        # A negative budget would fit nothing, silently, as 0 does on purpose.
+        with pytest.raises(ContractViolationError, match="max_iters"):
+            FitSchedule(max_iters=-3)
 
     def test_zero_noise_is_held_at_zero(self):
         rng = np.random.default_rng(22)
@@ -696,8 +701,8 @@ def test_declined_append_changes_nothing(kind):
         X = rng.uniform(-2, 2, size=(7, 2))
         X[-1] = X[2]
         post = GpPosterior(X[:-2], rng.normal(size=5), spec)
-        assert post.append(X[:-1], 0.5, 6)
+        assert post.append(X[:-1], 0.5, 6, Query.of(X[-2:-1], spec).aug)
     state = [a.copy() for a in (post.chol, post.alpha, post.X, post.Y)]
-    assert not post.append(X, 0.25, X.shape[0])
+    assert not post.append(X, 0.25, X.shape[0], Query.of(X[-1:], spec).aug)
     for got, want in zip((post.chol, post.alpha, post.X, post.Y), state):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()

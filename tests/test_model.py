@@ -11,7 +11,7 @@ from splitgp.baselines import FullGp, LocalGpWgen, Rbcm
 from splitgp.data import SeedPlan, synth_dataset
 from splitgp.exceptions import ContractViolationError, EmptyModelError, NumericalError
 from splitgp.gp import FitSchedule, GpPosterior, posterior_mean, posterior_variance
-from splitgp.kernels import KernelSpec, cross_gram, gram
+from splitgp.kernels import KernelSpec, Query, cross_gram, gram
 from splitgp.model import ChildModel, PriorMeanNode, SplittingGP, TrainSchedule
 
 
@@ -21,6 +21,12 @@ def make_spec(ls, sf2=1.0, sn2=0.1):
 
 def quiet_model(m, spec=None, **kwargs):
     return SplittingGP(m, spec=spec, train_schedule=TrainSchedule.never(), **kwargs)
+
+
+def _row(x):
+    """x as the checked and scaled one-row `Query` that `ChildModel.append`
+    takes, under unit lengthscales."""
+    return Query.of(x[None, :], make_spec(np.ones(x.size)))
 
 
 class TestUpdate:
@@ -345,7 +351,7 @@ class TestPriorInheritance:
         assert model.n_children >= 2
         for child in model.children:
             if child.prior is not None:
-                offset = child.prior.evaluate(child.X)
+                offset = child.prior.evaluate(child.X, Query.of(child.X, model.spec))
                 assert np.allclose(child.residuals(), child.Y - offset, atol=1e-12)
 
 
@@ -585,7 +591,8 @@ class TestIncrementalUpdate:
                 if post is None:
                     continue
                 assert post.spec == model.spec
-                prior = c.prior.evaluate(c.X) if c.prior is not None else 0.0
+                prior = (c.prior.evaluate(c.X, Query.of(c.X, c.prior.spec))
+                         if c.prior is not None else 0.0)
                 fresh = GpPosterior(c.X, c.Y - prior, model.spec)
                 assert self._relative_gap(post.Y, fresh.Y) <= 1e-9
                 assert self._relative_gap(post.chol, fresh.chol) <= 1e-9
@@ -729,6 +736,66 @@ class TestSingleQueryPath:
         assert retained < 0.25e6
         model.predict(queries[0])
         assert all(node._memo is not None and node._memo[1].size == 1 for node in nodes)
+
+
+class TestRowsScaledOnce:
+    """A streamed row is checked and scaled once, where it enters the pool:
+    one `Query.of` per `update` or `update_batch` call below the split limit,
+    whatever the batch length, and one per `ChildModel.residuals` walk,
+    whatever the chain depth.  Every model and node here shares one spec."""
+
+    SPEC = make_spec([0.7, 1.1], sn2=0.02)
+    FACTORIES = {
+        "splitting": lambda spec: SplittingGP(100, spec=spec,
+                                              train_schedule=TrainSchedule.never()),
+        "fullgp": lambda spec: FullGp(spec=spec, train_schedule=TrainSchedule.never()),
+        "local": lambda spec: LocalGpWgen(0.3, spec=spec, train_schedule=TrainSchedule.never()),
+        "rbcm": lambda spec: Rbcm(3, seed=5, spec=spec, train_schedule=TrainSchedule.never()),
+    }
+
+    @staticmethod
+    def _count_queries(monkeypatch):
+        calls = []
+        build = Query.of.__func__
+        monkeypatch.setattr(Query, "of", classmethod(
+            lambda cls, *args, **kwargs: calls.append(1) or build(cls, *args, **kwargs)))
+        return calls
+
+    @pytest.mark.parametrize("kind", ["splitting", "fullgp", "local", "rbcm"])
+    def test_one_query_per_update_call(self, monkeypatch, kind):
+        rng = np.random.default_rng(71)
+        X, Y = rng.uniform(-2, 2, size=(70, 2)), rng.normal(size=70)
+        model = self.FACTORIES[kind](self.SPEC)
+        calls = self._count_queries(monkeypatch)
+        model.update_batch(X[:30], Y[:30])
+        assert len(calls) == 1
+        for t in range(30, 50):
+            model.predict(X[t])  # caches every posterior, so the update grows one
+            calls.clear()
+            model.update(X[t], Y[t])
+            assert len(calls) == 1
+        model.predict(X[50])
+        calls.clear()
+        model.update_batch(X[50:], Y[50:])  # grows the cached posteriors
+        assert len(calls) == 1
+        assert sum(c._posterior is not None for c in model.children) >= 1
+        if kind == "splitting":
+            assert model.n_children == 1  # below the split limit
+
+    def test_one_query_per_chain_walk(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        X = rng.uniform(-2, 2, size=(300, 2))
+        model = quiet_model(6, spec=self.SPEC)
+        model.update_batch(X, np.sin(X).sum(axis=1))
+        child = max((c for c in model.children if c.prior), key=lambda c: len(c.prior.chain()))
+        nodes = child.prior.chain()
+        assert len(nodes) >= 4
+        for node in nodes:
+            node._memo = None  # so the walk evaluates every node
+        calls = self._count_queries(monkeypatch)
+        residuals = ChildModel(child.X, child.Y, child.prior).residuals()
+        assert len(calls) == 1 and residuals.shape == (child.n,)
+        assert all(node._memo[0] == child.X.tobytes() for node in nodes)
 
 
 class TestFactorStorage:
@@ -915,7 +982,8 @@ class TestQueryReuse:
     def _assert_matches_fresh_posterior(model, child):
         post = child._posterior
         assert post is not None and post.n == child.n  # extended, not cleared
-        fresh = GpPosterior(child.X, child.Y - child.prior.evaluate(child.X), model.spec)
+        chain = child.prior.evaluate(child.X, Query.of(child.X, model.spec))
+        fresh = GpPosterior(child.X, child.Y - chain, model.spec)
         assert _relative_gap(post.chol, fresh.chol) <= 1e-9
         assert _relative_gap(post.alpha, fresh.alpha) <= 1e-9
 
@@ -955,7 +1023,7 @@ class TestChildStorage:
         views = []
         for t in range(2, X.shape[0]):
             views.append((child.X, child.Y, t))
-            child.append(X[t], Y[t])
+            child.append(_row(X[t]), Y[t])
         assert child.n == X.shape[0]
         assert np.array_equal(child.X, X) and np.array_equal(child.Y, Y)
         for Xv, Yv, n in views:
@@ -967,7 +1035,7 @@ class TestChildStorage:
         child = ChildModel(X[:4], np.zeros(4), max_rows=11)
         base = child.X.base
         for t in range(4, 11):
-            child.append(X[t], 0.0)
+            child.append(_row(X[t]), 0.0)
             assert child.X.base is base
         assert np.array_equal(child.X, X)
 
@@ -995,7 +1063,7 @@ class TestChildStorage:
         for n in (1, 2, 3):
             child = ChildModel(X[:1], np.zeros(1))
             for x in X[1:n]:
-                child.append(x, 0.0)
+                child.append(_row(x), 0.0)
             assert child.center.tobytes() == X[:n].mean(axis=0).tobytes()
             assert ChildModel(X[:n], np.zeros(n)).center.tobytes() == child.center.tobytes()
 
@@ -1005,7 +1073,7 @@ class TestChildStorage:
         X = rng.standard_normal((300, ndim)) * 10.0 ** rng.integers(-3, 4, size=(300, 1))
         child = ChildModel(X[:5], np.zeros(5))
         for t in range(5, X.shape[0]):
-            child.append(X[t], 0.0)
+            child.append(_row(X[t]), 0.0)
             assert child.center.tobytes() == X[:t + 1].mean(axis=0).tobytes()
 
 

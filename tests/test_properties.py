@@ -3,7 +3,8 @@ LocalGpWgen and Rbcm.
 
 Streams mix free rows with duplicates of earlier rows and rows on one line,
 and the queries include far-field rows, where every similarity underflows;
-the routing property streams rows farther still.
+the routing property streams rows farther still.  Inputs have two columns,
+except in the stream invariants, which also draw 1, 3 and 9.
 The kernel is fixed and never refit, so each example stays cheap.
 """
 
@@ -17,30 +18,35 @@ from hypothesis import strategies as st
 from splitgp.baselines import FullGp, LocalGpWgen, Rbcm
 from splitgp.exceptions import ContractViolationError
 from splitgp.gp import GpPosterior
-from splitgp.kernels import KernelSpec, cross_gram
+from splitgp.kernels import KernelSpec, Query, cross_gram
 from splitgp.model import SplittingGP, TrainSchedule
 
 SPEC = KernelSpec(np.array([0.4, 0.9]), 1.0, 0.05)
 FAR = np.array([[40.0, -40.0], [1e3, 1e3]])
 
+
+def spec_of(ndim):
+    """SPEC's lengthscales repeated to ndim columns; SPEC itself at 2."""
+    return KernelSpec(np.resize(SPEC.lengthscales, ndim), 1.0, 0.05)
+
 coordinate = st.floats(-2.0, 2.0, allow_nan=False)
 
 
 @st.composite
-def streams(draw, min_size=1):
-    """(X, Y) with n rows: each row is free, a copy of an earlier row, or a
-    point on the line through (0, 0) along (1, 0.5)."""
+def streams(draw, min_size=1, ndim=2):
+    """(X, Y) with n rows of ndim columns: each row is free, a copy of an
+    earlier row, or a point on the line through 0 along (1, 0.5, ..., 0.5)."""
     n = draw(st.integers(min_size, 30))
     rows = []
     for i in range(n):
         kind = draw(st.sampled_from(("free", "duplicate", "line")) if i else st.just("free"))
         if kind == "free":
-            rows.append([draw(coordinate), draw(coordinate)])
+            rows.append([draw(coordinate) for _ in range(ndim)])
         elif kind == "duplicate":
             rows.append(list(rows[draw(st.integers(0, i - 1))]))
         else:
             t = draw(coordinate)
-            rows.append([t, 0.5 * t])
+            rows.append([t] + [0.5 * t] * (ndim - 1))
     Y = draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=n, max_size=n))
     return np.array(rows), np.array(Y)
 
@@ -62,34 +68,46 @@ def far_streams(draw):
 
 
 @st.composite
-def pools(draw, kinds=("splitting", "fullgp", "local", "rbcm")):
+def pools(draw, kinds=("splitting", "fullgp", "local", "rbcm"), spec=SPEC):
     """(kind, factory) for a pool under the fixed kernel and no refits."""
     kind = draw(st.sampled_from(kinds))
     never = TrainSchedule.never()
     if kind == "splitting":
         m = draw(st.integers(2, 8))
-        return kind, lambda: SplittingGP(m, spec=SPEC, train_schedule=never)
+        return kind, lambda: SplittingGP(m, spec=spec, train_schedule=never)
     if kind == "fullgp":
-        return kind, lambda: FullGp(spec=SPEC, train_schedule=never)
+        return kind, lambda: FullGp(spec=spec, train_schedule=never)
     if kind == "local":
         w_gen = draw(st.sampled_from((0.05, 0.4, 0.9)))
-        return kind, lambda: LocalGpWgen(w_gen, spec=SPEC, train_schedule=never)
+        return kind, lambda: LocalGpWgen(w_gen, spec=spec, train_schedule=never)
     k, seed = draw(st.integers(1, 4)), draw(st.integers(0, 3))
-    return kind, lambda: Rbcm(k, seed=seed, spec=SPEC, train_schedule=never)
+    return kind, lambda: Rbcm(k, seed=seed, spec=spec, train_schedule=never)
 
 
-queries = st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=4).map(
-    lambda rows: np.vstack([np.array(rows), FAR]))
+def query_rows(ndim):
+    """One to four query rows of ndim columns, then FAR's rows cut or
+    repeated to ndim columns."""
+    return st.lists(st.lists(coordinate, min_size=ndim, max_size=ndim),
+                    min_size=1, max_size=4).map(
+        lambda rows: np.vstack([np.array(rows), np.resize(FAR, (2, ndim))]))
+
+
+queries = query_rows(2)
+
+# Input widths of the stream invariants.  A batch's rows are scaled as one
+# `Query`, a single update's as one row; NumPy may sum rows of 8 or more
+# entries in another order than shorter ones.
+WIDTHS = st.sampled_from((1, 2, 3, 9))
 
 PROPERTY_SETTINGS = settings(max_examples=80, deadline=None,
                              suppress_health_check=[HealthCheck.too_slow])
 
 
 @PROPERTY_SETTINGS
-@given(pool=pools(), stream=streams(), Xq=queries)
-def test_stream_invariants(pool, stream, Xq):
-    kind, build = pool
-    X, Y = stream
+@given(case=WIDTHS.flatmap(lambda ndim: st.tuples(
+    pools(spec=spec_of(ndim)), streams(ndim=ndim), query_rows(ndim))))
+def test_stream_invariants(case):
+    (kind, build), (X, Y), Xq = case
     rowwise, batched = build(), build()
     for x, y in zip(X, Y):
         rowwise.update(x, y)
@@ -234,7 +252,7 @@ def test_grown_factors_match_a_full_refactorization(pool, stream):
             post = c._posterior
             if post is None or post._store is None:  # not grown
                 continue
-            prior = 0.0 if c.prior is None else c.prior.evaluate(c.X)
+            prior = 0.0 if c.prior is None else c.prior.evaluate(c.X, Query.of(c.X, SPEC))
             fresh = GpPosterior(c.X, c.Y - prior, model.spec)
             for got, want in ((post.chol, fresh.chol), (post.alpha, fresh.alpha)):
                 assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
@@ -262,7 +280,8 @@ def test_chain_values_match_the_summed_expansions(m, stream, Xq):
                  for node in reversed(child.prior.chain())]
         want = sum(t.sum(axis=1) for t in terms)
         scale = sum(np.abs(t).sum(axis=1) for t in terms)
-        assert np.all(np.abs(child.prior.evaluate(Xq) - want) <= 1e-12 * scale)
+        got = child.prior.evaluate(Xq, Query.of(Xq, SPEC))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 @PROPERTY_SETTINGS
