@@ -41,6 +41,7 @@ class FullGp(LocalGpPool):
     def _route(self, query: Query, y: float) -> bool:
         if self.children:
             self.children[0].append(query, y)
+            self._center_moved(0)
         else:
             self.children.append(ChildModel(query.X, [y]))
         return False
@@ -70,6 +71,7 @@ class LocalGpWgen(LocalGpPool):
             idx, d2 = self._nearest(query)
             if d2 < self._radius2:
                 self.children[idx].append(query, y)
+                self._center_moved(idx)
                 return False
         self.children.append(ChildModel(query.X, [y]))
         return False
@@ -106,14 +108,15 @@ class Rbcm(LocalGpPool):
         k = int(self.rng.integers(self.n_experts))
         if k in self._experts:
             self._experts[k].append(query, y)
+            self._center_moved(self.children.index(self._experts[k]))
         else:
             self._experts[k] = ChildModel(query.X, [y])
             self.children = [self._experts[slot] for slot in sorted(self._experts)]
         return False
 
     def _combine(self, query: Query, mean: bool,
-                 variance: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Product-of-Gaussians combination of the experts."""
+                 variance: bool) -> tuple[np.ndarray, np.ndarray, None]:
+        """Product-of-Gaussians combination of the experts; no weights."""
         mus, sigs = self._moments(query, True, True)
         prior_var = self.spec.signal_variance
         sigs = np.maximum(sigs, EXPERT_VARIANCE_FLOOR)
@@ -130,4 +133,4 @@ class Rbcm(LocalGpPool):
             mu[informative] = var[informative] * np.sum(
                 bw * mus[informative] / sigs[informative], axis=1
             )
-        return mu, var
+        return mu, var, None

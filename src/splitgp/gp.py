@@ -9,16 +9,17 @@ too small to trust, is not grown: the caller refactorizes in O(n^3), so
 small-lengthscale instabilities are not compounded.  Batch construction and
 fitting always factorize from scratch.
 
-Storage.  A freshly built posterior holds its factor as a full n x n array.
-Its first append copies the factor, packed by rows, into storage reserved
-for the caller's capacity, with the rows' augmented scaled form
+Storage.  A freshly built posterior holds its factor as a full n x n array and
+v = L^-1 Y.  Its first append copies the factor, packed by rows, into storage
+reserved for the caller's capacity, with the rows' augmented scaled form
 (`kernels.scaled_rows`: each row scaled by the lengthscales, with its squared
-norm), the responses and v = L^-1 Y; the input rows stay the caller's.  Each
-later append writes one row of each there, with no O(n^2) allocation or
-copy; full storage is copied once into storage for the caller's new, larger
-capacity.  A kernel block reads the first n augmented rows in place.
-Single-row solves read the packed factor in place through BLAS `dtpsv`;
-batch solves unpack it once per call.
+norm), the responses and v; the input rows stay the caller's.  Each later
+append writes one row of each there, with no O(n^2) allocation or copy and no
+alpha = L^-T v, built when read: a one-row read takes k.alpha as (L^-1 k).v
+(Rasmussen & Williams 2006, Alg. 2.1).  Full storage is copied once into
+storage for a new, larger capacity.  A kernel block reads the first n
+augmented rows in place.  Single-row solves read the packed factor in place
+through BLAS `dtpsv`; batch solves unpack it once.
 
 Gram matrices.  The Cholesky factor and K^-1 each occupy one triangle, so a
 posterior and the gradient read only the lower triangle of K, and build only
@@ -47,8 +48,7 @@ from scipy.linalg.blas import dsymv, dsyr, dtpsv, dtrmm, dtrsv
 from scipy.linalg.lapack import dlauum, dtpttr, dtrtri, dtrttp
 
 from .exceptions import ContractViolationError, NumericalError
-from .kernels import (PANEL, KernelSpec, Query, gram_lower, scaled_cross_gram, scaled_rows,
-                      stored_side)
+from .kernels import PANEL, KernelSpec, Query, gram_lower, scaled_cross_gram, scaled_rows
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -160,13 +160,13 @@ class GpPosterior:
     """A GP conditioned on (X, Y), at least one observation, under a fixed
     kernel spec; no rows raise ContractViolationError.
 
-    Caches the Cholesky factor of the noisy Gram matrix and
-    alpha = (K + sn2 I)^-1 Y, and keeps X as given, so the caller must not
-    write those rows.  `append` conditions it on one more observation in
-    place, and is the only call that changes it.  A caller that has already
+    Caches the Cholesky factor L of the noisy Gram matrix, v = L^-1 Y and,
+    once read, alpha = (K + sn2 I)^-1 Y, and keeps X as given, so the caller
+    must not write those rows.  `append` conditions it on one more observation
+    in place, and is the only call that changes it.  A caller that has already
     built the noisy Gram matrix, as `kernels.gram_lower(X, spec,
-    add_noise=True)` does, passes it as K; the posterior factorizes a copy
-    and keeps no reference to it (without K, it builds the Gram matrix with
+    add_noise=True)` does, passes it as K; the posterior factorizes a copy and
+    keeps no reference to it (without K, it builds the Gram matrix with
     `gram_lower` in place of its factor).  Only K[i, j] with i >= j is read:
     the strict lower triangle and the diagonal, in either memory order.  A
     caller that holds the factor of a discarded posterior of the same size
@@ -179,10 +179,10 @@ class GpPosterior:
     `chol` is the n x n lower factor; a grown posterior unpacks it into a
     fresh array on each read.
 
-    A single-row variance query leaves a one-entry memo: the bytes of the
-    query's augmented row and its l = L^-1 k.  `append` at that row reuses
-    l instead of building the kernel row and solving again, and clears the
-    memo, as the factor it was solved against has grown.
+    A single-row query leaves a one-entry memo: the bytes of the query's
+    augmented row and its l = L^-1 k.  `append` at that row reuses l instead
+    of building the kernel row and solving again, and clears the memo, as
+    the factor it was solved against has grown.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
@@ -218,13 +218,11 @@ class GpPosterior:
                 for j in range(0, self.n, PANEL):
                     dst[j:, j:j + PANEL] = K[j:, j:j + PANEL]
         self._L, self.jitter = _factorize(fill, out)
-        # alpha = L^-T L^-1 Y; two BLAS `dtrsv` calls take less than half the
-        # time of `cho_solve`, whose LAPACK `dpotrs` works through `dtrsm`.
-        v = dtrsv(self._L, Y.copy(), lower=1, overwrite_x=1)
-        self.alpha = dtrsv(self._L, v, lower=1, trans=1, overwrite_x=1)
+        # BLAS `dtrsv` for v, and for alpha when read: half `cho_solve`'s time.
+        self._v = dtrsv(self._L, Y.copy(), lower=1, overwrite_x=1)
+        self._alpha: np.ndarray | None = None  # L^-T v, built when read
         self._store: _Storage | None = None  # set on the first append
         self._scaled: np.ndarray | None = None
-        self._v: np.ndarray | None = None  # L^-1 Y, kept once the factor grows
         self._memo: tuple[bytes, np.ndarray] | None = None  # (row bytes, L^-1 k)
 
     @property
@@ -237,6 +235,15 @@ class GpPosterior:
             return self._L
         n = self.n
         return dtpttr(n, self._store.packed[:_packed_size(n)], uplo="U")[0].T
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """L^-T v, back-substituted on the first read after an append."""
+        if self._alpha is None:
+            v, store = self._v.copy(), self._store
+            self._alpha = (dtrsv(self._L, v, lower=1, trans=1, overwrite_x=1) if store is None
+                           else dtpsv(self.n, store.packed, v, lower=0, trans=0, overwrite_x=1))
+        return self._alpha
 
     def scaled_rows(self) -> np.ndarray:
         """The stored rows as `kernels.scaled_rows` gives them, built once; a
@@ -251,29 +258,37 @@ class GpPosterior:
             return dtrsv(self._L, k, lower=1, overwrite_x=1)
         return dtpsv(self.n, self._store.packed, k, lower=0, trans=1, overwrite_x=1)
 
+    def predict_row(self, Xa: np.ndarray) -> tuple[float, float]:
+        """(mean, latent variance) at one row given as `predict_scaled` takes
+        it: l = L^-1 k gives l.v and sf2 - l.l, and is memoized for `append`."""
+        sf2 = self.spec.signal_variance
+        l = self._solve_lower(scaled_cross_gram(Xa, self.scaled_rows(), sf2)[0])
+        self._memo = (Xa.tobytes(), l)
+        var = sf2 - float(l @ l)
+        if var < -VARIANCE_SLACK:
+            raise NumericalError(f"posterior variance {var} below round-off slack")
+        return float(l @ self._v), max(var, 0.0)
+
     def predict_scaled(self, Xa: np.ndarray, mean: bool = True,
                        variance: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Posterior mean and noise-free latent variance at query rows given
         as their `kernels.Query.aug` under this posterior's spec; None for
         what is not asked.
 
-        One kernel row per query row serves both.  A single row is solved
-        against the factor where it is stored, and its solve is memoized for
-        `append`; more rows are solved against `chol` in one call.
+        A single row takes `predict_row`'s arithmetic whatever is asked.
+        More rows share one kernel row each for both moments: the mean is
+        K alpha, and the rows are solved against `chol` in one call.
         """
+        if Xa.shape[0] == 1:
+            mu, var = self.predict_row(Xa)
+            return np.array([mu]) if mean else None, np.array([var]) if variance else None
         sf2 = self.spec.signal_variance
         K = scaled_cross_gram(Xa, self.scaled_rows(), sf2)
         mu = K @ self.alpha if mean else None
         if not variance:
             return mu, None
-        if Xa.shape[0] == 1:
-            l = self._solve_lower(K[0])
-            self._memo = (Xa.tobytes(), l)
-            var = np.array([sf2 - l @ l])
-        else:
-            V = solve_triangular(self.chol, K.T, lower=True, overwrite_b=True,
-                                 check_finite=False)
-            var = sf2 - np.sum(V * V, axis=0)
+        V = solve_triangular(self.chol, K.T, lower=True, overwrite_b=True, check_finite=False)
+        var = sf2 - np.sum(V * V, axis=0)
         low = var.min() if var.size else 0.0
         if low < -VARIANCE_SLACK:
             raise NumericalError(f"posterior variance {low} below round-off slack")
@@ -289,9 +304,7 @@ class GpPosterior:
             store.packed[:size] = dtrttp(self._L.T, uplo="U")[0]
         else:
             store.packed[:size] = self._store.packed[:size]
-        store.scaled[:n] = self.scaled_rows()
-        store.Y[:n] = self.Y
-        store.v[:n] = self._solve_lower(self.Y.copy()) if self._v is None else self._v
+        store.scaled[:n], store.Y[:n], store.v[:n] = self.scaled_rows(), self.Y, self._v
         return store
 
     def append(self, X: np.ndarray, y: float, capacity: int, scaled: np.ndarray) -> bool:
@@ -303,13 +316,13 @@ class GpPosterior:
         posterior's spec, checked and scaled by the caller.
 
         Appends the row [l^T d] to the factor, with l = L^-1 k(X, x) and
-        d^2 = sf2 + sn2 - l.l, extends v = L^-1 Y by (y - l.v) / d and
-        back-substitutes alpha = L^-T v.  When x is the row of the last
-        single-row variance query, l is that query's; then the step is the
-        back-substitution and O(n) bookkeeping.  Returns False and changes
-        nothing, leaving the caller to refactorize, when the factor needed
-        jitter, or when any pivot, old or new, is not above PIVOT_RTOL of
-        sf2 + sn2: a nearly singular factor is not built upon.
+        d^2 = sf2 + sn2 - l.l, and extends v = L^-1 Y by (y - l.v) / d; alpha
+        is dropped, to be back-substituted when read.  When x is the row of
+        the last single-row query, l is that query's; then the step is O(n)
+        bookkeeping.  Returns False and changes nothing, leaving the caller to
+        refactorize, when the factor needed jitter, or when any pivot, old or
+        new, is not above PIVOT_RTOL of sf2 + sn2: a nearly singular factor is
+        not built upon.
         """
         if self.jitter != 0.0:
             return False
@@ -337,13 +350,13 @@ class GpPosterior:
         start = _packed_size(n)
         store.packed[start:start + n] = l
         store.packed[start + n] = d
-        store.scaled[n], store.Y[n] = stored_side(scaled)[0], y
+        row = store.scaled[n]  # x's stored side: its query side, last two columns swapped
+        row[:-2], row[-2:], store.Y[n] = scaled[0, :-2], scaled[0, -2:][::-1], y
         store.v[n] = (y - l @ store.v[:n]) / d
 
         n += 1
         self.X, self.Y, self._L = X, store.Y[:n], None
-        self._scaled, self._v, self._memo = store.scaled[:n], store.v[:n], None
-        self.alpha = dtpsv(n, store.packed, self._v.copy(), lower=0, trans=0, overwrite_x=1)
+        self._scaled, self._v, self._memo, self._alpha = store.scaled[:n], store.v[:n], None, None
         return True
 
 

@@ -104,7 +104,7 @@ def _check_rows(X: np.ndarray, spec: KernelSpec, arg: str) -> np.ndarray:
         raise ContractViolationError(
             f"{arg} has shape {X.shape}, expected (*, {spec.ndim})"
         )
-    if X.size and not np.all(np.isfinite(X)):
+    if X.size and not np.isfinite(X).all():
         raise ContractViolationError(f"{arg} contains non-finite entries")
     return X
 
@@ -117,7 +117,7 @@ def _scale(X: np.ndarray, spec: KernelSpec, norm_col: int) -> tuple[np.ndarray, 
     n, d = X.shape
     A = np.empty((n, d + 2))
     Xs = np.divide(X, spec.lengthscales, out=A[:, :d])
-    a = np.sum(Xs * Xs, axis=1)
+    a = (Xs * Xs).sum(axis=1)
     A[:, d:] = 1.0
     A[:, norm_col] = -0.5 * a
     return A, a
@@ -134,15 +134,6 @@ def scaled_rows(X: np.ndarray, spec: KernelSpec, arg: str = "X") -> np.ndarray:
     return _scale(_check_rows(X, spec, arg), spec, spec.ndim + 1)[0]
 
 
-def stored_side(Xa: np.ndarray) -> np.ndarray:
-    """Rows given as their query side (`Query.aug`) in the layout of
-    `scaled_rows`, without scaling them again: a fresh array."""
-    d = Xa.shape[1] - 2
-    Za = np.empty_like(Xa)
-    Za[:, :d], Za[:, d], Za[:, d + 1] = Xa[:, :d], Xa[:, d + 1], Xa[:, d]
-    return Za
-
-
 class Query(NamedTuple):
     """Query rows checked once and scaled once under `spec`, so that every
     consumer of one call shares them.
@@ -150,7 +141,8 @@ class Query(NamedTuple):
     `aug` is the query side of `scaled_cross_gram`: each row x as
     [x / l, -|x / l|^2 / 2, 1] in a C-ordered (B, d + 2) array.  `Xs` is a
     view of its first d columns, and `norms` holds the squared norms |x / l|^2
-    exactly; the pool's center scores read those two.
+    exactly; the pool's center scores read those two.  A row whose |x / l|^2
+    overflows keeps inf there, without a warning, for an exact zero kernel row.
     """
 
     X: np.ndarray
@@ -162,18 +154,21 @@ class Query(NamedTuple):
     @classmethod
     def of(cls, X: np.ndarray, spec: KernelSpec, arg: str = "Xstar") -> "Query":
         X = _check_rows(X, spec, arg)
-        aug, norms = _scale(X, spec, spec.ndim)
+        with np.errstate(over="ignore"):
+            aug, norms = _scale(X, spec, spec.ndim)
         return cls(X, aug[:, :spec.ndim], norms, aug, spec)
 
     def row(self, i: int) -> "Query":
-        """Row i alone, as views of this query's arrays."""
+        """Row i alone, as views of this query's arrays, or itself if one row."""
+        if self.X.shape[0] == 1:
+            return self
         s = slice(i, i + 1)
         return Query(self.X[s], self.Xs[s], self.norms[s], self.aug[s], self.spec)
 
     def scaled(self, spec: KernelSpec) -> np.ndarray:
         """The rows' `aug` under `spec`: the kept one when spec equals the
         query's, else built afresh."""
-        if spec == self.spec:
+        if spec is self.spec or spec == self.spec:
             return self.aug
         return Query.of(self.X, spec).aug
 

@@ -113,12 +113,12 @@ class ChildModel:
     divided by n; for inputs of two or more columns it is bitwise
     `X.mean(axis=0)`: NumPy sums axis 0 of a C-ordered array row by row.
 
-    An append to a child whose posterior is cached costs O(n^2): the row goes
-    into the buffer, the prior chain is evaluated at it only, and the cached
-    posterior grows by one row over the new view, in place, in storage sized
-    to the buffer's length (`GpPosterior.append`).  When the append follows
-    a predict of the same row, the chain's value and the solve l = L^-1 k
-    are that predict's memos, so no kernel row is built at all.  Without a
+    An append to a child whose posterior is cached costs a kernel row and an
+    O(n^2) solve: the row goes into the buffer, the prior chain is evaluated
+    at it only, and the cached posterior grows by one row over the new view,
+    in place, in storage sized to the buffer's length (`GpPosterior.append`).
+    After a predict of the same row, the chain's value and the solve
+    l = L^-1 k are that predict's memos: no kernel row, no solve.  Without a
     cached posterior, or when `GpPosterior.append` declines, the cache is
     cleared and the next use rebuilds it in O(n^3).  The owning pool checks
     and scales each row before it reaches `append`, as a one-row `Query`.  A
@@ -252,15 +252,19 @@ class LocalGpPool:
     A subclass supplies the router, `_route(query, y)`, which stores one row,
     a one-row `Query`, in a child and returns True when that split a child.
     The pool owns everything else: row checks and scaling, once per batch,
-    seeding the spec from the first row, the ingest loop, the nearest center, the kernel refit over the children's
-    residuals, each child's predictive moments at the query rows, and the
-    combiner.  The default combiner weights every child by its similarity
-    k(c_j, x) to the query row, normalized to sum to one, and far from every
-    center gives the weight to the nearest; a subclass may replace it.  The
-    nearest center and the weights read one score per center, `_scores`, so
-    a row routed to its nearest center lands where its weight is largest.  The
-    four regressors are subclasses: `SplittingGP`, and in `baselines`
-    `FullGp` (one child), `LocalGpWgen` and `Rbcm`.
+    seeding the spec from the first row, the ingest loop, the nearest center,
+    the kernel refit over the children's residuals, each child's predictive
+    moments at the query rows, and the combiner.  The default combiner weights
+    every child by its similarity k(c_j, x) to the query row, normalized to
+    sum to one, and far from every center gives the weight to the nearest; a
+    subclass may replace it.  The nearest center and the weights read one score
+    per center, `_scores`, so a row routed to its nearest center lands where
+    its weight is largest, from the centers scaled in one array, whose row a
+    router rewrites when it appends to a child.  A one-row read leaves its
+    `Query` and score row to the next `update` of the same row bytes, to route
+    from; any other read, update or refit drops them.  The four regressors are
+    subclasses: `SplittingGP`, and in `baselines` `FullGp` (one child),
+    `LocalGpWgen` and `Rbcm`.
     """
 
     def __init__(self, spec: KernelSpec | None = None,
@@ -270,6 +274,8 @@ class LocalGpPool:
         self.children: list[ChildModel] = []
         self.last_fit: FitResult | None = None
         self._node_lengthscales = np.inf  # elementwise minimum over frozen nodes
+        self._centers: tuple | None = None  # (children, spec, scaled centers, norms)
+        self._handoff: list | None = None  # [(bytes, shape, spec), Query, scores, centers]
 
     # -- ingestion ---------------------------------------------------------
 
@@ -285,20 +291,42 @@ class LocalGpPool:
     def ndim(self) -> int | None:
         return self.children[0].X.shape[1] if self.children else None
 
+    def _scaled_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Scaled centers, (C, d), and squared norms: extended, or rebuilt if stale."""
+        kept, children, spec = self._centers, self.children, self.spec
+        fresh = kept is not None and kept[0] is children and kept[1] is spec
+        if not fresh or len(kept[2]) != len(children):
+            old = kept[2] if fresh and len(kept[2]) < len(children) else np.empty((0, spec.ndim))
+            Cs = np.concatenate([old, [c.center / spec.lengthscales for c in children[len(old):]]])
+            kept = self._centers = (children, spec, Cs, np.sum(Cs * Cs, axis=1))
+        return kept[2], kept[3]
+
+    def _center_moved(self, idx: int) -> None:
+        """Rewrite child idx's row of the kept centers, if it has one."""
+        kept = self._centers
+        if kept is not None and idx < len(kept[2]):
+            c = self.children[idx].center[None, :] / self.spec.lengthscales
+            kept[2][idx], kept[3][idx] = c[0], (c * c).sum(axis=1)[0]
+
     def _scores(self, query: Query) -> np.ndarray:
         """|c_j|^2 - 2 x.c_j for each query row x and center c_j, (B, C): the
         squared scaled distance d_j^2 less the row's own |x|^2, which no
         comparison between centers needs and which, far from every center,
         would absorb the cross term.  Routing and the weights read these."""
-        Cs = np.array([c.center for c in self.children]) / self.spec.lengthscales
-        return np.sum(Cs * Cs, axis=1) - 2.0 * (query.Xs @ Cs.T)
+        Cs, norms = self._scaled_centers()
+        handoff = self._handoff
+        if handoff is None or handoff[1] is not query:
+            return norms - 2.0 * (query.Xs @ Cs.T)
+        if handoff[3] is not Cs:
+            handoff[2:] = norms - 2.0 * (query.Xs @ Cs.T), Cs
+        return handoff[2]
 
     def _nearest(self, query: Query) -> tuple[int, float]:
         """(index, squared scaled distance) of the child whose center is
         nearest to the one query row, the lowest score, which is the child
         the weights favour most."""
         scores = self._scores(query)[0]
-        idx = int(np.argmin(scores))
+        idx = int(scores.argmin())
         return idx, max(float(scores[idx]) + float(query.norms[0]), 0.0)
 
     def update(self, x: np.ndarray, y: float) -> None:
@@ -317,10 +345,11 @@ class LocalGpPool:
 
     def _add_rows(self, X: np.ndarray, Y: np.ndarray) -> list[bool]:
         """Check the rows as one batch, before any is stored, seed the spec
-        from the first row if unset, scale them as one `Query` and route them
-        in order, each as its one-row slice; True for each row that split a
-        child.  The routers, children and posteriors take those slices as
-        they are."""
+        from the first row if unset, scale them as one `Query`, or take the
+        handoff's when it holds these row bytes, and route them in order,
+        each as its one-row slice; True for each row that split a child.  The
+        routers, children and posteriors take those slices as they are."""
+        handoff, self._handoff = self._handoff, None
         X, Y = np.atleast_2d(np.asarray(X, dtype=float)), np.asarray(Y, dtype=float).ravel()
         if X.shape[0] != Y.shape[0]:
             raise ContractViolationError("batch X rows and Y entries must match")
@@ -329,11 +358,14 @@ class LocalGpPool:
         if not np.isfinite(Y).all():
             raise ContractViolationError("batch Y contains non-finite values")
         spec = default_spec(Y[:1], X.shape[1]) if self.spec is None else self.spec
-        with np.errstate(over="ignore"):  # an overflowing row is rejected next
-            query = Query.of(X, spec, "batch X")
+        handoff = handoff if handoff and handoff[0] == (X.tobytes(), X.shape, spec) else None
+        query = Query.of(X, spec, "batch X") if handoff is None else handoff[1]
         check_scaled(X, np.minimum(spec.lengthscales, self._node_lengthscales))
-        self.spec = spec
-        return [self._route(query.row(i), y) for i, y in enumerate(Y)]
+        self.spec, self._handoff = spec, handoff  # read by the router's `_scores`
+        try:
+            return [self._route(query.row(i), y) for i, y in enumerate(Y)]
+        finally:
+            self._handoff = None
 
     def ingest_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
         self.update_batch(X, Y)
@@ -351,7 +383,7 @@ class LocalGpPool:
         shards = subsample_shards([(c.X, c.residuals()) for c in self.children], self.schedule)
         result = fit(shards, self.spec, self.schedule.fit)
         posteriors, result.posteriors = result.posteriors or [], None
-        self.spec = result.spec
+        self.spec, self._handoff = result.spec, None
         self.last_fit = result
         for child in self.children:
             child.invalidate()
@@ -365,7 +397,10 @@ class LocalGpPool:
     def _query(self, Xstar: np.ndarray) -> Query:
         if not self.children:
             raise EmptyModelError("model has no observations yet")
-        return Query.of(Xstar, self.spec)
+        query = Query.of(Xstar, self.spec)
+        key = (query.X.tobytes(), query.X.shape, query.spec)
+        self._handoff = [key, query, None, None] if len(query.X) == 1 else None
+        return query
 
     def _moments(self, query: Query, mean: bool,
                  variance: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -382,16 +417,15 @@ class LocalGpPool:
         spec, children = self.spec, self.children
         priors = [c.prior.evaluate(query.X, query) if mean and c.prior is not None else None
                   for c in children]
-        shape = (query.X.shape[0], len(children))
-        means = np.empty(shape) if mean else None
-        variances = np.empty(shape) if variance else None
-        for j, child in enumerate(children):
-            mu, var = child.posterior(spec).predict_scaled(query.aug, mean, variance)
-            if mean:
-                means[:, j] = mu if priors[j] is None else priors[j] + mu
-            if variance:
-                variances[:, j] = var
-        if mean and shape[0] > 1:
+        if query.X.shape[0] == 1:  # floats from each child's one solve
+            mv = [c.posterior(spec).predict_row(query.aug) for c in children]
+            means = np.array([[m if p is None else p[0] + m for p, (m, _) in zip(priors, mv)]])
+            return (means if mean else None), np.array([[v for _, v in mv]]) if variance else None
+        rows = [c.posterior(spec).predict_scaled(query.aug, mean, variance) for c in children]
+        means = np.column_stack([mu if p is None else p + mu
+                                 for p, (mu, _) in zip(priors, rows)]) if mean else None
+        variances = np.column_stack([var for _, var in rows]) if variance else None
+        if mean:
             for child in children:
                 node = child.prior  # up to the first node an earlier child released
                 while node is not None and node._memo is not None:
@@ -403,24 +437,19 @@ class LocalGpPool:
         row: a softmax of minus half the `_scores`, which leave out the row's
         constants sf2 and |x|^2, so no sum underflows and an overflowing
         |x|^2 does no harm."""
-        E = self._scores(query)
-        E -= E.min(axis=1, keepdims=True)
-        np.exp(-0.5 * E, out=E)
-        E /= E.sum(axis=1, keepdims=True)
-        return E
+        scores = self._scores(query)
+        E = np.exp(-0.5 * (scores - scores.min(axis=1, keepdims=True)))
+        return E / E.sum(axis=1, keepdims=True)
 
-    def _combine(self, query: Query, mean: bool,
-                 variance: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """The weighted mean and the variance under independence of the
-        children, sum_j w_j^2 v_j, at the query rows.  Every prediction entry
-        point comes through here, so a single-row `predict` and a one-row
-        batch do the same arithmetic."""
+    def _combine(self, query: Query, mean: bool, variance: bool):
+        """The weighted mean, the variance under independence of the children,
+        sum_j w_j^2 v_j, and the weights, at the query rows.  Every prediction
+        entry point comes through here, so a single-row `predict`,
+        `predict_mean` and a one-row batch do the same arithmetic."""
         weights = self._weights(query)
         means, variances = self._moments(query, mean, variance)
-        return (
-            np.sum(weights * means, axis=1) if mean else None,
-            np.sum(weights * weights * variances, axis=1) if variance else None,
-        )
+        return ((weights * means).sum(axis=1) if mean else None,
+                (weights * weights * variances).sum(axis=1) if variance else None, weights)
 
     def predict_mean_batch(self, Xstar: np.ndarray) -> np.ndarray:
         """Aggregate posterior mean over the children at query rows."""
@@ -433,7 +462,7 @@ class LocalGpPool:
     def predict(self, x_star: np.ndarray) -> tuple[float, float]:
         """(mean, variance) at a single point, given flat or as one row."""
         query = self._query(np.asarray(x_star, dtype=float).ravel()[None, :])
-        mean, var = self._combine(query, mean=True, variance=True)
+        mean, var, _ = self._combine(query, mean=True, variance=True)
         return float(mean[0]), float(var[0])
 
     # -- accounting ----------------------------------------------------------
@@ -506,6 +535,7 @@ class SplittingGP(LocalGpPool):
         if child.n > self.m:
             self._split_child(idx)
             return True
+        self._center_moved(idx)
         return False
 
     def _freeze(self, X: np.ndarray, alpha: np.ndarray, spec: KernelSpec,
@@ -520,15 +550,14 @@ class SplittingGP(LocalGpPool):
         node = self._freeze(child.X, child.posterior(self.spec).alpha, self.spec, child.prior)
         result = split(child.X, child.Y, child.center)
         self.children[idx] = self._new_child(*result.left, node)
+        self._center_moved(idx)
         self.children.append(self._new_child(*result.right, node))
 
     def predict_mean(self, x_star: np.ndarray) -> PredictionSummary:
         """Weighted-average prediction at a single point, with its weights."""
         query = self._query(np.asarray(x_star, dtype=float).ravel()[None, :])
-        weights = self._weights(query)
-        means = self._moments(query, mean=True, variance=False)[0]
-        return PredictionSummary(mean=float(np.sum(weights * means, axis=1)[0]),
-                                 weights=weights[0])
+        mean, _, weights = self._combine(query, mean=True, variance=False)
+        return PredictionSummary(mean=float(mean[0]), weights=weights[0])
 
     # -- accounting and persistence -----------------------------------------
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.blas import dtpsv, dtrsv
 from scipy.linalg.lapack import dtrtri
 
 import splitgp.gp as gp_module
@@ -706,3 +707,26 @@ def test_declined_append_changes_nothing(kind):
     assert not post.append(X, 0.25, X.shape[0], Query.of(X[-1:], spec).aug)
     for got, want in zip((post.chol, post.alpha, post.X, post.Y), state):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_alpha_built_on_read_is_the_eager_back_substitution():
+    # An append extends v = L^-1 Y only; alpha = L^-T v is back-substituted
+    # when read.  Read after every append or only at the end, it is bitwise
+    # what back-substituting after every append, as BLAS `dtrsv` on a fresh
+    # factor and `dtpsv` on a grown one, gives.
+    rng = np.random.default_rng(29)
+    spec = make_spec([0.8, 1.1], sf2=1.3, sn2=0.05)
+    X = rng.uniform(-2, 2, size=(40, 2))
+    Y = np.sin(X).sum(axis=1) + 0.1 * rng.standard_normal(40)
+    every, last = GpPosterior(X[:10], Y[:10], spec), GpPosterior(X[:10], Y[:10], spec)
+    L = every.chol
+    eager = dtrsv(L, dtrsv(L, Y[:10].copy(), lower=1), lower=1, trans=1)
+    assert every.alpha.tobytes() == eager.tobytes()
+    for i in range(10, 40):
+        scaled = Query.of(X[i:i + 1], spec).aug
+        for post in (every, last):
+            assert post.append(X[:i + 1], Y[i], 40, scaled)
+        eager = dtpsv(i + 1, every._store.packed, every._v.copy(), lower=0, trans=0)
+        assert every.alpha.tobytes() == eager.tobytes()
+    assert last.alpha.tobytes() == every.alpha.tobytes()
+    assert np.abs(last.alpha - GpPosterior(X, Y, spec).alpha).max() <= 1e-9

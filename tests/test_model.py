@@ -763,6 +763,9 @@ class TestRowsScaledOnce:
 
     @pytest.mark.parametrize("kind", ["splitting", "fullgp", "local", "rbcm"])
     def test_one_query_per_update_call(self, monkeypatch, kind):
+        # An update that follows a one-row read of the same row takes that
+        # read's `Query`, so it makes none; after a read of another row, or a
+        # call in between, it makes its own.
         rng = np.random.default_rng(71)
         X, Y = rng.uniform(-2, 2, size=(70, 2)), rng.normal(size=70)
         model = self.FACTORIES[kind](self.SPEC)
@@ -770,10 +773,14 @@ class TestRowsScaledOnce:
         model.update_batch(X[:30], Y[:30])
         assert len(calls) == 1
         for t in range(30, 50):
-            model.predict(X[t])  # caches every posterior, so the update grows one
+            # Each read caches every posterior, so the update grows one.
+            read = (X[t], X[t] + 0.5, X[t:t + 1])[t % 3]
+            (model.predict if t % 3 < 2 else model.predict_mean_batch)(read)
+            if t % 4 == 3:
+                model.predict_mean_batch(X[:2])  # drops the handoff
             calls.clear()
             model.update(X[t], Y[t])
-            assert len(calls) == 1
+            assert len(calls) == (1 if t % 3 == 1 or t % 4 == 3 else 0)
         model.predict(X[50])
         calls.clear()
         model.update_batch(X[50:], Y[50:])  # grows the cached posteriors
@@ -781,6 +788,21 @@ class TestRowsScaledOnce:
         assert sum(c._posterior is not None for c in model.children) >= 1
         if kind == "splitting":
             assert model.n_children == 1  # below the split limit
+
+    @pytest.mark.parametrize("kind", ["splitting", "fullgp", "local", "rbcm"])
+    def test_update_after_predicting_an_overflowing_row_is_rejected(self, kind):
+        # The read's `Query` holds |x / l|^2 = inf; the update that takes it
+        # still checks the row, rejects it and changes nothing.
+        rng = np.random.default_rng(73)
+        model = self.FACTORIES[kind](make_spec([1.0, 1.0], sn2=0.02))
+        model.update_batch(rng.uniform(-2, 2, size=(10, 2)), rng.normal(size=10))
+        x = np.array([1e200, 0.0])
+        mean, var = model.predict(x)
+        assert np.isfinite(mean) and np.isfinite(var)
+        sizes = [c.n for c in model.children]
+        with pytest.raises(ContractViolationError):
+            model.update(x, 1.0)
+        assert [c.n for c in model.children] == sizes
 
     def test_one_query_per_chain_walk(self, monkeypatch):
         rng = np.random.default_rng(72)
@@ -796,6 +818,128 @@ class TestRowsScaledOnce:
         residuals = ChildModel(child.X, child.Y, child.prior).residuals()
         assert len(calls) == 1 and residuals.shape == (child.n,)
         assert all(node._memo[0] == child.X.tobytes() for node in nodes)
+
+
+def _gathered_scores(model, Xq):
+    """The center scores from the centers gathered afresh from the children."""
+    query = Query.of(Xq, model.spec)
+    Cs = np.array([c.center for c in model.children]) / model.spec.lengthscales
+    return np.sum(Cs * Cs, axis=1) - 2.0 * (query.Xs @ Cs.T)
+
+
+def assert_pooled_scores(model, Xq):
+    """The pool's scores, read from its kept centers, are bitwise the
+    gathered ones."""
+    pooled = model._scores(Query.of(Xq, model.spec))
+    assert pooled.tobytes() == _gathered_scores(model, Xq).tobytes()
+
+
+class TestPooledCenters:
+    """The pool keeps its scaled centers in one array: an update rewrites the
+    row of the child it stores in, and a split rewrites one row and appends
+    one, so no update gathers the centers from the child list."""
+
+    SPEC = make_spec([0.7, 1.1], sn2=0.02)
+    GRID = np.random.default_rng(80).uniform(-2.5, 2.5, size=(9, 2))
+
+    def test_update_rewrites_one_row_and_a_split_two(self, monkeypatch):
+        rng = np.random.default_rng(81)
+        X = rng.uniform(-2, 2, size=(80, 2))
+        model = quiet_model(8, spec=self.SPEC)
+        model.update_batch(X[:20], np.sin(X[:20]).sum(axis=1))
+        moved, center_moved = [], SplittingGP._center_moved
+        monkeypatch.setattr(SplittingGP, "_center_moved",
+                            lambda self, idx: moved.append(idx) or center_moved(self, idx))
+        splits = 0
+        for x in X[20:]:
+            model.predict(x)  # brings the kept centers up to date
+            kept, n = model._centers[2], model.n_children
+            before = kept.copy()
+            moved.clear()
+            model.update(x, float(np.sin(x).sum()))
+            assert model._centers[2] is kept and len(moved) == 1  # one row, in place
+            rows = np.arange(n) != moved[0]
+            assert kept[rows].tobytes() == before[rows].tobytes()
+            Cs = model._scaled_centers()[0]
+            if model.n_children > n:  # a split: the rewrite, then one new row
+                splits += 1
+                assert Cs is not kept and len(Cs) == n + 1
+                assert Cs[:n].tobytes() == kept.tobytes()
+            else:
+                assert Cs is kept
+            assert_pooled_scores(model, self.GRID)
+        assert splits >= 3
+
+    def test_scores_follow_a_refit_and_a_reload(self, tmp_path):
+        rng = np.random.default_rng(82)
+        X = rng.uniform(-2, 2, size=(60, 2))
+        Y = np.sin(X).sum(axis=1)
+        model = SplittingGP(10, spec=self.SPEC, train_schedule=TrainSchedule(
+            on_split=False, on_batch=False, fit=FitSchedule(max_iters=3)))
+        model.update_batch(X[:40], Y[:40])
+        assert_pooled_scores(model, self.GRID)
+        spec = model.spec
+        model.refit()
+        assert model.spec != spec
+        assert_pooled_scores(model, self.GRID)
+        model.save(tmp_path / "model.npz")
+        loaded = SplittingGP.load(tmp_path / "model.npz")
+        for x, y in zip(X[40:], Y[40:]):
+            for m in (model, loaded):
+                m.predict(x)
+                m.update(x, y)
+                assert_pooled_scores(m, self.GRID)
+        assert model._scores(Query.of(self.GRID, model.spec)).tobytes() == (
+            loaded._scores(Query.of(self.GRID, loaded.spec)).tobytes())
+
+    @pytest.mark.parametrize("kind", ["splitting", "local"])
+    def test_scores_follow_children_and_centers_set_directly(self, kind):
+        # As some tests build a pool: the child list replaced or lengthened,
+        # and centers set before the first read.
+        rng = np.random.default_rng(83)
+        X, Y = rng.normal(size=(8, 2)), rng.normal(size=8)
+        model = (quiet_model(50, spec=self.SPEC) if kind == "splitting" else
+                 LocalGpWgen(0.9, spec=self.SPEC, train_schedule=TrainSchedule.never()))
+        model.children = [ChildModel(X.copy(), Y.copy()) for _ in range(3)]
+        for child in model.children:
+            child.center = rng.normal(size=2)
+        model.predict(X[0])
+        assert_pooled_scores(model, self.GRID)
+        model.children.append(ChildModel(X[:2], Y[:2]))
+        assert_pooled_scores(model, self.GRID)
+        model.children = model.children[1:]
+        assert_pooled_scores(model, self.GRID)
+        model.spec = make_spec([1.3, 0.4], sn2=0.02)
+        assert_pooled_scores(model, self.GRID)
+        model.update(X[1], 0.5)
+        assert_pooled_scores(model, self.GRID)
+
+
+@pytest.mark.parametrize("kind", ["splitting", "fullgp", "local", "rbcm"])
+def test_far_field_reads_raise_no_warning(kind):
+    # |x / l|^2 overflows at x = 1e200 under unit lengthscales: the row gets
+    # an exact zero kernel row, by design, and no read warns of the overflow,
+    # here with warnings as errors and no `np.errstate`.  The splitting
+    # model's nodes were frozen under other lengthscales, so they scale the
+    # row again.
+    rng = np.random.default_rng(84)
+    X = rng.uniform(-2, 2, size=(30, 2))
+    spec, never = make_spec([0.5, 0.5], sn2=0.02), TrainSchedule.never()
+    model = {"splitting": lambda: SplittingGP(8, spec=spec, train_schedule=never),
+             "fullgp": lambda: FullGp(spec=spec, train_schedule=never),
+             "local": lambda: LocalGpWgen(0.3, spec=spec, train_schedule=never),
+             "rbcm": lambda: Rbcm(3, seed=5, spec=spec, train_schedule=never)}[kind]()
+    model.update_batch(X, np.sin(X).sum(axis=1))
+    model.spec = make_spec([1.0, 1.0], sn2=0.02)
+    x = np.array([1e200, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reads = [*model.predict(x), *model.predict_mean_batch(np.array([x, X[0]])),
+                 *model.predict_variance_batch(x[None, :]), *model.predict_mean_batch(x[None, :])]
+        if kind == "splitting":
+            assert model.n_children > 1 and model.prior_nodes()
+            reads.append(model.predict_mean(x).mean)
+    assert np.all(np.isfinite(reads))
 
 
 class TestFactorStorage:

@@ -326,3 +326,23 @@ def test_centers_are_bitwise_row_means(pool, stream, more):
         for x, y in zip(*more):
             model.update(x, y)
         _assert_centers_are_row_means(model)
+
+
+@PROPERTY_SETTINGS
+@given(case=WIDTHS.flatmap(lambda ndim: st.tuples(
+    pools(spec=spec_of(ndim)), streams(ndim=ndim), query_rows(ndim))))
+def test_pooled_scores_are_the_gathered_ones(case):
+    # The pool keeps its scaled centers in one array, rewriting a row per
+    # update and adding rows as children are added; after every step its
+    # scores are bitwise those of the centers gathered afresh.  Every other
+    # update follows a read of the same row, whose scores route it.
+    (_, build), (X, Y), Xq = case
+    model = build()
+    for t, (x, y) in enumerate(zip(X, Y)):
+        if t % 2:
+            model.predict(x)
+        model.update(x, y)
+        query = Query.of(Xq, model.spec)
+        Cs = np.array([c.center for c in model.children]) / model.spec.lengthscales
+        gathered = np.sum(Cs * Cs, axis=1) - 2.0 * (query.Xs @ Cs.T)
+        assert model._scores(query).tobytes() == gathered.tobytes()
