@@ -40,7 +40,7 @@ class FullGp(LocalGpPool):
 
     def _route(self, query: Query, y: float) -> bool:
         if self.children:
-            self.children[0].append(query, y)
+            self._append(self.children[0], query, y)
             self._center_moved(0)
         else:
             self.children.append(ChildModel(query.X, [y]))
@@ -70,7 +70,7 @@ class LocalGpWgen(LocalGpPool):
         if self.children:
             idx, d2 = self._nearest(query)
             if d2 < self._radius2:
-                self.children[idx].append(query, y)
+                self._append(self.children[idx], query, y)
                 self._center_moved(idx)
                 return False
         self.children.append(ChildModel(query.X, [y]))
@@ -107,7 +107,7 @@ class Rbcm(LocalGpPool):
     def _route(self, query: Query, y: float) -> bool:
         k = int(self.rng.integers(self.n_experts))
         if k in self._experts:
-            self._experts[k].append(query, y)
+            self._append(self._experts[k], query, y)
             self._center_moved(self.children.index(self._experts[k]))
         else:
             self._experts[k] = ChildModel(query.X, [y])

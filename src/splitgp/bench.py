@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .baselines import FullGp, LocalGpWgen, Rbcm
 from .data import (
@@ -415,6 +414,7 @@ class SummaryRow:
 def summarize(records, metric: str = "mse") -> list[SummaryRow]:
     """Group by (model, parameters, n); average folds within a replicate, then
     report the mean over replicates with a t-based 95% interval."""
+    from scipy.special import stdtrit  # about 50 ms, so loaded on first use
     groups: dict[tuple, dict[int, list[float]]] = {}
     for rec in records:
         if rec.failed:

@@ -16,7 +16,8 @@ reserved for the caller's capacity, with the rows' augmented scaled form
 norm), the responses and v; the input rows stay the caller's.  Each later
 append writes one row of each there, with no O(n^2) allocation or copy and no
 alpha = L^-T v, built when read: a one-row read takes k.alpha as (L^-1 k).v
-(Rasmussen & Williams 2006, Alg. 2.1).  Full storage is copied once into
+(Rasmussen & Williams 2006, Alg. 2.1), and returns l = L^-1 k for an
+append of that row to take.  Full storage is copied once into
 storage for a new, larger capacity.  A kernel block reads the first n
 augmented rows in place.  Single-row solves read the packed factor in place
 through BLAS `dtpsv`; batch solves unpack it once.
@@ -179,10 +180,8 @@ class GpPosterior:
     `chol` is the n x n lower factor; a grown posterior unpacks it into a
     fresh array on each read.
 
-    A single-row query leaves a one-entry memo: the bytes of the query's
-    augmented row and its l = L^-1 k.  `append` at that row reuses l instead
-    of building the kernel row and solving again, and clears the memo, as
-    the factor it was solved against has grown.
+    A single-row query also returns l = L^-1 k, which `append` at that row
+    takes instead of building the kernel row and solving again.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
@@ -192,17 +191,13 @@ class GpPosterior:
             X = X.reshape(-1, spec.ndim)
         Y = np.asarray(Y, dtype=float).ravel()
         if X.shape[0] != Y.shape[0]:
-            raise ContractViolationError(
-                f"X has {X.shape[0]} rows but Y has {Y.shape[0]} entries"
-            )
+            raise ContractViolationError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]} entries")
         if not X.shape[0]:
             raise ContractViolationError("a posterior needs at least one observation")
         if not np.all(np.isfinite(Y)):
             raise ContractViolationError("Y contains non-finite entries")
         if X.shape[1] != spec.ndim:
-            raise ContractViolationError(
-                f"X has {X.shape[1]} columns, spec expects {spec.ndim}"
-            )
+            raise ContractViolationError(f"X has {X.shape[1]} columns, spec expects {spec.ndim}")
         self.X = X
         self.Y = Y
         self.spec = spec
@@ -223,7 +218,6 @@ class GpPosterior:
         self._alpha: np.ndarray | None = None  # L^-T v, built when read
         self._store: _Storage | None = None  # set on the first append
         self._scaled: np.ndarray | None = None
-        self._memo: tuple[bytes, np.ndarray] | None = None  # (row bytes, L^-1 k)
 
     @property
     def n(self) -> int:
@@ -258,16 +252,15 @@ class GpPosterior:
             return dtrsv(self._L, k, lower=1, overwrite_x=1)
         return dtpsv(self.n, self._store.packed, k, lower=0, trans=1, overwrite_x=1)
 
-    def predict_row(self, Xa: np.ndarray) -> tuple[float, float]:
-        """(mean, latent variance) at one row given as `predict_scaled` takes
-        it: l = L^-1 k gives l.v and sf2 - l.l, and is memoized for `append`."""
+    def predict_row(self, Xa: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """(mean, latent variance, l) at one row given as `predict_scaled`
+        takes it: l = L^-1 k gives l.v and sf2 - l.l, and `append` takes it."""
         sf2 = self.spec.signal_variance
         l = self._solve_lower(scaled_cross_gram(Xa, self.scaled_rows(), sf2)[0])
-        self._memo = (Xa.tobytes(), l)
         var = sf2 - float(l @ l)
         if var < -VARIANCE_SLACK:
             raise NumericalError(f"posterior variance {var} below round-off slack")
-        return float(l @ self._v), max(var, 0.0)
+        return float(l @ self._v), max(var, 0.0), l
 
     def predict_scaled(self, Xa: np.ndarray, mean: bool = True,
                        variance: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -280,7 +273,7 @@ class GpPosterior:
         K alpha, and the rows are solved against `chol` in one call.
         """
         if Xa.shape[0] == 1:
-            mu, var = self.predict_row(Xa)
+            mu, var, _ = self.predict_row(Xa)
             return np.array([mu]) if mean else None, np.array([var]) if variance else None
         sf2 = self.spec.signal_variance
         K = scaled_cross_gram(Xa, self.scaled_rows(), sf2)
@@ -307,7 +300,8 @@ class GpPosterior:
         store.scaled[:n], store.Y[:n], store.v[:n] = self.scaled_rows(), self.Y, self._v
         return store
 
-    def append(self, X: np.ndarray, y: float, capacity: int, scaled: np.ndarray) -> bool:
+    def append(self, X: np.ndarray, y: float, capacity: int, scaled: np.ndarray,
+               l: np.ndarray | None = None) -> bool:
         """Condition this posterior on one more observation, in place and in
         O(n^2): X is its n rows then the new row x, which it keeps as its
         rows, and y is x's response.  `capacity` is the number of rows the
@@ -317,12 +311,12 @@ class GpPosterior:
 
         Appends the row [l^T d] to the factor, with l = L^-1 k(X, x) and
         d^2 = sf2 + sn2 - l.l, and extends v = L^-1 Y by (y - l.v) / d; alpha
-        is dropped, to be back-substituted when read.  When x is the row of
-        the last single-row query, l is that query's; then the step is O(n)
-        bookkeeping.  Returns False and changes nothing, leaving the caller to
-        refactorize, when the factor needed jitter, or when any pivot, old or
-        new, is not above PIVOT_RTOL of sf2 + sn2: a nearly singular factor is
-        not built upon.
+        is dropped, to be back-substituted when read.  A caller that holds
+        `predict_row`'s l for x, solved by this posterior at its n rows,
+        passes it, and the step is O(n) bookkeeping.  Returns False and
+        changes nothing, leaving the caller to refactorize, when the factor
+        needed jitter, or when any pivot, old or new, is not above PIVOT_RTOL
+        of sf2 + sn2: a nearly singular factor is not built upon.
         """
         if self.jitter != 0.0:
             return False
@@ -335,9 +329,7 @@ class GpPosterior:
         if X.shape[0] != n + 1 or capacity <= n:
             raise ContractViolationError(f"{X.shape[0]} rows and capacity {capacity} for "
                                          f"{n + 1} rows")
-        if self._memo is not None and self._memo[0] == scaled.tobytes():
-            l = self._memo[1]
-        else:
+        if l is None:
             l = self._solve_lower(scaled_cross_gram(scaled, self.scaled_rows(),
                                                     self.spec.signal_variance)[0])
         d2 = prior_var - l @ l
@@ -356,7 +348,7 @@ class GpPosterior:
 
         n += 1
         self.X, self.Y, self._L = X, store.Y[:n], None
-        self._scaled, self._v, self._memo, self._alpha = store.scaled[:n], store.v[:n], None, None
+        self._scaled, self._v, self._alpha = store.scaled[:n], store.v[:n], None
         return True
 
 

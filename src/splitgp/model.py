@@ -45,37 +45,27 @@ class PriorMeanNode:
     spec, it scales its rows under that spec when it is made, into the
     augmented form of `kernels.scaled_rows`, which checks them; that covers
     rows read from a snapshot.  A query comes as a `Query`, whose `aug` is
-    used when its spec is the node's.
-
-    Each evaluation leaves a one-entry memo of the rows' bytes and the
-    chain's value there, so siblings that share the node, and the append
-    that follows a predict of the same row, read it without a kernel
-    evaluation.  The memo is all that changes; the pool drops it after a
-    read of more than one row.
+    used when its spec is the node's.  Nothing writes to a node once made.
     """
 
-    __slots__ = ("X", "alpha", "spec", "parent", "_scaled", "_memo")
+    __slots__ = ("X", "alpha", "spec", "parent", "_scaled")
 
     def __init__(self, X: np.ndarray, alpha: np.ndarray, spec: KernelSpec,
                  parent: "PriorMeanNode | None"):
-        self.X = X
-        self.alpha = alpha
-        self.spec = spec
-        self.parent = parent
+        self.X, self.alpha, self.spec, self.parent = X, alpha, spec, parent
         self._scaled = scaled_rows(X, spec)
-        self._memo: tuple[bytes, np.ndarray] | None = None
+
+    def expansion(self, query: Query) -> np.ndarray:
+        """This node's own kernel expansion at the query rows."""
+        return scaled_cross_gram(query.scaled(self.spec), self._scaled,
+                                 self.spec.signal_variance) @ self.alpha
 
     def evaluate(self, Xstar: np.ndarray, query: Query) -> np.ndarray:
-        """The chain's mean at rows Xstar: this node's expansion on top of
-        its ancestors'.  `query` holds the same rows, checked and scaled."""
-        key = Xstar.tobytes()
-        if self._memo is not None and self._memo[0] == key:
-            return self._memo[1]
-        base = self.parent.evaluate(Xstar, query) if self.parent is not None else 0.0
-        value = base + scaled_cross_gram(query.scaled(self.spec), self._scaled,
-                                         self.spec.signal_variance) @ self.alpha
-        value.flags.writeable = False  # every later hit returns this array
-        self._memo = (key, value)
+        """The chain's mean at rows Xstar, ((0.0 + root) + ...) + this node's
+        expansion.  `query` holds the same rows, checked and scaled."""
+        value = 0.0
+        for node in reversed(self.chain()):
+            value = value + node.expansion(query)
         return value
 
     def chain(self) -> list["PriorMeanNode"]:
@@ -117,14 +107,14 @@ class ChildModel:
     O(n^2) solve: the row goes into the buffer, the prior chain is evaluated
     at it only, and the cached posterior grows by one row over the new view,
     in place, in storage sized to the buffer's length (`GpPosterior.append`).
-    After a predict of the same row, the chain's value and the solve
-    l = L^-1 k are that predict's memos: no kernel row, no solve.  Without a
-    cached posterior, or when `GpPosterior.append` declines, the cache is
-    cleared and the next use rebuilds it in O(n^3).  The owning pool checks
-    and scales each row before it reaches `append`, as a one-row `Query`.  A
-    refit may leave the fit's posterior of all the rows in a slot apart:
-    `posterior(spec)` takes it at its spec instead of rebuilding, and an
-    append or `invalidate` drops it ungrown.
+    After a read of the same row, the pool passes that read's solve
+    l = L^-1 k and chain value, keyed by posterior: no kernel row, no solve.
+    Without a cached posterior, or when `GpPosterior.append` declines, the
+    cache is cleared and the next use rebuilds it in O(n^3).  The owning pool
+    checks and scales each row before it reaches `append`, as a one-row
+    `Query`.  A refit may leave the fit's posterior of all the rows in a slot
+    apart: `posterior(spec)` takes it at its spec instead of rebuilding, and
+    an append or `invalidate` drops it ungrown.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, prior: PriorMeanNode | None = None,
@@ -151,8 +141,9 @@ class ChildModel:
     def n(self) -> int:
         return self.X.shape[0]
 
-    def append(self, query: Query, y: float) -> None:
-        """Store one row, given as a checked and scaled one-row `Query`."""
+    def append(self, query: Query, y: float, solved: dict | None = None) -> None:
+        """Store one row, given as a checked and scaled one-row `Query`;
+        `solved` maps posteriors to a read's (l, chain value) at the row."""
         x, y = query.X[0], float(y)
         n = self.n
         if n == self._Xbuf.shape[0]:
@@ -164,9 +155,11 @@ class ChildModel:
         self.center = self._sum / (n + 1)
         post, self._adopted = self._posterior, None
         if post is not None:
-            prior = 0.0 if self.prior is None else self.prior.evaluate(query.X, query)[0]
+            l, prior = (solved or {}).get(post, (None, None))
+            if prior is None:
+                prior = 0.0 if self.prior is None else self.prior.evaluate(query.X, query)[0]
             if not post.append(self.X, y - prior, self._Xbuf.shape[0],
-                               query.scaled(post.spec)):
+                               query.scaled(post.spec), l):
                 post = None
         self._posterior = post
         self._residuals = None if post is None else post.Y
@@ -245,6 +238,17 @@ class PredictionSummary:
     weights: np.ndarray
 
 
+@dataclass
+class _Handoff:
+    """A one-row read's `Query`, its center scores with the scaled centers
+    they came from, and each child's posterior mapped to (l, chain value)."""
+
+    query: Query
+    scores: np.ndarray | None = None
+    centers: np.ndarray | None = None
+    solved: dict = field(default_factory=dict)
+
+
 class LocalGpPool:
     """A pool of local GPs under one shared kernel, with a router and a
     combiner.
@@ -260,11 +264,11 @@ class LocalGpPool:
     subclass may replace it.  The nearest center and the weights read one score
     per center, `_scores`, so a row routed to its nearest center lands where
     its weight is largest, from the centers scaled in one array, whose row a
-    router rewrites when it appends to a child.  A one-row read leaves its
-    `Query` and score row to the next `update` of the same row bytes, to route
-    from; any other read, update or refit drops them.  The four regressors are
-    subclasses: `SplittingGP`, and in `baselines` `FullGp` (one child),
-    `LocalGpWgen` and `Rbcm`.
+    router rewrites when it appends to a child.  A read changes nothing but
+    the `_Handoff` a one-row read leaves for an `update` of the same row bytes
+    to route and append with; any other read, update or refit drops it.  The
+    four regressors are subclasses: `SplittingGP`, and in `baselines`
+    `FullGp` (one child), `LocalGpWgen` and `Rbcm`.
     """
 
     def __init__(self, spec: KernelSpec | None = None,
@@ -275,7 +279,7 @@ class LocalGpPool:
         self.last_fit: FitResult | None = None
         self._node_lengthscales = np.inf  # elementwise minimum over frozen nodes
         self._centers: tuple | None = None  # (children, spec, scaled centers, norms)
-        self._handoff: list | None = None  # [(bytes, shape, spec), Query, scores, centers]
+        self._handoff: _Handoff | None = None
 
     # -- ingestion ---------------------------------------------------------
 
@@ -315,11 +319,11 @@ class LocalGpPool:
         would absorb the cross term.  Routing and the weights read these."""
         Cs, norms = self._scaled_centers()
         handoff = self._handoff
-        if handoff is None or handoff[1] is not query:
+        if handoff is None or handoff.query is not query:
             return norms - 2.0 * (query.Xs @ Cs.T)
-        if handoff[3] is not Cs:
-            handoff[2:] = norms - 2.0 * (query.Xs @ Cs.T), Cs
-        return handoff[2]
+        if handoff.centers is not Cs:
+            handoff.scores, handoff.centers = norms - 2.0 * (query.Xs @ Cs.T), Cs
+        return handoff.scores
 
     def _nearest(self, query: Query) -> tuple[int, float]:
         """(index, squared scaled distance) of the child whose center is
@@ -328,6 +332,11 @@ class LocalGpPool:
         scores = self._scores(query)[0]
         idx = int(scores.argmin())
         return idx, max(float(scores[idx]) + float(query.norms[0]), 0.0)
+
+    def _append(self, child: ChildModel, query: Query, y: float) -> ChildModel:
+        """Store the row in the child, with what the handoff's read solved."""
+        child.append(query, y, self._handoff and self._handoff.solved)
+        return child
 
     def update(self, x: np.ndarray, y: float) -> None:
         """Insert a single observation: a one-row batch through the checks
@@ -358,12 +367,13 @@ class LocalGpPool:
         if not np.isfinite(Y).all():
             raise ContractViolationError("batch Y contains non-finite values")
         spec = default_spec(Y[:1], X.shape[1]) if self.spec is None else self.spec
-        handoff = handoff if handoff and handoff[0] == (X.tobytes(), X.shape, spec) else None
-        query = Query.of(X, spec, "batch X") if handoff is None else handoff[1]
+        q = handoff and handoff.query  # a one-row read's, if of these rows
+        if not q or (q.X.tobytes(), q.X.shape, q.spec) != (X.tobytes(), X.shape, spec):
+            handoff, q = None, Query.of(X, spec, "batch X")
         check_scaled(X, np.minimum(spec.lengthscales, self._node_lengthscales))
         self.spec, self._handoff = spec, handoff  # read by the router's `_scores`
         try:
-            return [self._route(query.row(i), y) for i, y in enumerate(Y)]
+            return [self._route(q.row(i), y) for i, y in enumerate(Y)]
         finally:
             self._handoff = None
 
@@ -398,8 +408,7 @@ class LocalGpPool:
         if not self.children:
             raise EmptyModelError("model has no observations yet")
         query = Query.of(Xstar, self.spec)
-        key = (query.X.tobytes(), query.X.shape, query.spec)
-        self._handoff = [key, query, None, None] if len(query.X) == 1 else None
+        self._handoff = _Handoff(query) if len(query.X) == 1 else None
         return query
 
     def _moments(self, query: Query, mean: bool,
@@ -407,30 +416,39 @@ class LocalGpPool:
         """Each child's posterior mean and latent variance at the query rows,
         one column per child; None for what is not asked.
 
-        Each child builds one kernel row per query row for both moments.
-        Every chain value is read before any posterior, whose rebuild would
-        replace the memos with the chain at the child's own rows; so siblings
-        read a shared ancestor from its memo, and each node is evaluated once.
-        A mean read of more than one row then drops the chains' memos: no
-        batch outlives the call, and a single row's stays for the next `update`.
+        Each child builds one kernel row per query row for both moments; a
+        one-row read leaves each child's solve and chain value on the handoff.
         """
-        spec, children = self.spec, self.children
-        priors = [c.prior.evaluate(query.X, query) if mean and c.prior is not None else None
-                  for c in children]
+        values = self._chain_values(lambda node: node.expansion(query)) if mean else {}
+        priors = [values.get(c.prior) for c in self.children]  # None: no prior, or no mean
+        posts = [c.posterior(self.spec) for c in self.children]
         if query.X.shape[0] == 1:  # floats from each child's one solve
-            mv = [c.posterior(spec).predict_row(query.aug) for c in children]
-            means = np.array([[m if p is None else p[0] + m for p, (m, _) in zip(priors, mv)]])
-            return (means if mean else None), np.array([[v for _, v in mv]]) if variance else None
-        rows = [c.posterior(spec).predict_scaled(query.aug, mean, variance) for c in children]
+            rows = [post.predict_row(query.aug) for post in posts]
+            chains = [None if p is None else p[0] for p in priors]
+            if self._handoff is not None and self._handoff.query is query:
+                self._handoff.solved = {p: (l, c) for p, (_, _, l), c in zip(posts, rows, chains)}
+            means = np.array([[m if c is None else c + m for c, (m, _, _) in zip(chains, rows)]])
+            variances = np.array([[v for _, v, _ in rows]])
+            return (means if mean else None), (variances if variance else None)
+        rows = [post.predict_scaled(query.aug, mean, variance) for post in posts]
         means = np.column_stack([mu if p is None else p + mu
                                  for p, (mu, _) in zip(priors, rows)]) if mean else None
         variances = np.column_stack([var for _, var in rows]) if variance else None
-        if mean:
-            for child in children:
-                node = child.prior  # up to the first node an earlier child released
-                while node is not None and node._memo is not None:
-                    node._memo, node = None, node.parent
         return means, variances
+
+    def _chain_values(self, expand) -> dict:
+        """Each node on the children's chains, ancestors first, mapped to its
+        parent's value plus expand(node); a child climbs only to a node valued."""
+        values = {}
+        for child in self.children:
+            nodes, node = [], child.prior
+            while node is not None and node not in values:
+                nodes.append(node)
+                node = node.parent
+            value = 0.0 if node is None else values[node]
+            for node in reversed(nodes):
+                value = values[node] = value + expand(node)
+        return values
 
     def _weights(self, query: Query) -> np.ndarray:
         """Per-child weights k(c_j, x) / sum_i k(c_i, x), one row per query
@@ -469,15 +487,8 @@ class LocalGpPool:
 
     def prior_nodes(self) -> list[PriorMeanNode]:
         """Unique frozen prior nodes reachable from the live children,
-        ancestors before descendants."""
-        seen: list[PriorMeanNode] = []
-        ids = set()
-        for child in self.children:
-            for node in reversed(child.prior.chain() if child.prior else []):
-                if id(node) not in ids:
-                    ids.add(id(node))
-                    seen.append(node)
-        return seen
+        ancestors before descendants, in the climb a read values them in."""
+        return list(self._chain_values(lambda node: 0.0))
 
     def footprint(self) -> int:
         """Bytes for the children's Gram entries, rows, responses and
@@ -530,9 +541,7 @@ class SplittingGP(LocalGpPool):
             self.children.append(self._new_child(query.X, [y]))
             return False
         idx = self._nearest(query)[0]
-        child = self.children[idx]
-        child.append(query, y)
-        if child.n > self.m:
+        if self._append(self.children[idx], query, y).n > self.m:
             self._split_child(idx)
             return True
         self._center_moved(idx)
@@ -565,7 +574,7 @@ class SplittingGP(LocalGpPool):
         """Write a versioned snapshot: children, priors, kernel, split limit,
         training schedule and the last fit's outcome."""
         nodes = self.prior_nodes()
-        order = {id(node): i for i, node in enumerate(nodes)}
+        order = {node: i for i, node in enumerate(nodes)}  # None is -1
         payload = {
             "version": np.array(SNAPSHOT_VERSION),
             "m": np.array(self.m),
@@ -584,15 +593,11 @@ class SplittingGP(LocalGpPool):
             payload[f"node_{i}_X"] = node.X
             payload[f"node_{i}_alpha"] = node.alpha
             payload[f"node_{i}_spec"] = _spec_to_array(node.spec)
-            payload[f"node_{i}_parent"] = np.array(
-                -1 if node.parent is None else order[id(node.parent)]
-            )
+            payload[f"node_{i}_parent"] = np.array(order.get(node.parent, -1))
         for i, child in enumerate(self.children):
             payload[f"child_{i}_X"] = child.X
             payload[f"child_{i}_Y"] = child.Y
-            payload[f"child_{i}_prior"] = np.array(
-                -1 if child.prior is None else order[id(child.prior)]
-            )
+            payload[f"child_{i}_prior"] = np.array(order.get(child.prior, -1))
         np.savez(path, **payload)
 
     @classmethod

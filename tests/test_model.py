@@ -703,8 +703,8 @@ class TestSingleQueryPath:
 
     def test_posterior_rebuilds_leave_one_query_block_per_node(self, monkeypatch, tmp_path):
         # A loaded model rebuilds every posterior on its first read, and each
-        # rebuild evaluates the chain at its child's own rows, which replaces
-        # the memos; the chain at the query rows is still built once per node.
+        # rebuild evaluates the chain at its child's own rows; the chain at
+        # the query rows is still built once per node.
         model, queries = self._streamed(43)
         model.save(tmp_path / "model.npz")
         loaded = SplittingGP.load(tmp_path / "model.npz")
@@ -718,7 +718,8 @@ class TestSingleQueryPath:
 
     def test_batch_read_leaves_no_batch_on_the_nodes(self):
         # A batch's chain values serve its own call only; a single row's stay
-        # for the update that may follow.
+        # on the pool's handoff, one float per child, for the update that may
+        # follow, bitwise what the child's chain walk gives.
         rng = np.random.default_rng(47)
         model = SplittingGP(20, KernelSpec(np.ones(2), 1.0, 0.01), TrainSchedule.never())
         model.update_batch(rng.uniform(-10, 10, (1000, 2)), rng.normal(size=1000))
@@ -733,9 +734,17 @@ class TestSingleQueryPath:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert retained < 0.25e6
+        assert retained < 0.25e6 and model._handoff is None
         model.predict(queries[0])
-        assert all(node._memo is not None and node._memo[1].size == 1 for node in nodes)
+        solved = model._handoff.solved
+        assert list(solved) == [child._posterior for child in model.children]
+        row = queries[:1]
+        for child, (_, chain) in zip(model.children, solved.values()):
+            if child.prior is None:
+                assert chain is None
+            else:
+                walked = child.prior.evaluate(row, Query.of(row, model.spec))
+                assert np.shape(chain) == () and chain.tobytes() == walked[0].tobytes()
 
 
 class TestRowsScaledOnce:
@@ -812,12 +821,103 @@ class TestRowsScaledOnce:
         child = max((c for c in model.children if c.prior), key=lambda c: len(c.prior.chain()))
         nodes = child.prior.chain()
         assert len(nodes) >= 4
-        for node in nodes:
-            node._memo = None  # so the walk evaluates every node
         calls = self._count_queries(monkeypatch)
+        expanded, expansion = [], PriorMeanNode.expansion
+        monkeypatch.setattr(PriorMeanNode, "expansion", lambda node, query: (
+            expanded.append((node, query)) or expansion(node, query)))
         residuals = ChildModel(child.X, child.Y, child.prior).residuals()
         assert len(calls) == 1 and residuals.shape == (child.n,)
-        assert all(node._memo[0] == child.X.tobytes() for node in nodes)
+        # Every node expands the one query of the child's rows, root first.
+        assert [node for node, _ in expanded] == nodes[::-1]
+        assert all(query is expanded[0][1] for _, query in expanded)
+        assert expanded[0][1].X.tobytes() == child.X.tobytes()
+
+
+def _state(obj):
+    """obj's contents, to compare before and after a call: an array by
+    identity and bytes, a posterior by its attributes, an object with slots
+    (a prior node, a posterior's storage) by its slots, anything else by
+    identity."""
+    if isinstance(obj, np.ndarray):
+        return id(obj), obj.shape, obj.tobytes()
+    if isinstance(obj, GpPosterior):
+        return id(obj), {name: _state(value) for name, value in vars(obj).items()}
+    slots = getattr(type(obj), "__slots__", ())
+    return id(obj), {name: _state(getattr(obj, name)) for name in slots}
+
+
+class TestReadsChangeNothing:
+    """A read changes nothing but the pool's handoff: no slot of a prior
+    node or of a posterior, once a first read has cached the posteriors and
+    built their lazy alpha and scaled rows.  The nodes are visited in one
+    climb per read that stops where an earlier child's climb went."""
+
+    SPEC = make_spec([0.7, 1.1], sn2=0.02)
+    FACTORIES = TestRowsScaledOnce.FACTORIES
+
+    @pytest.mark.parametrize("kind", ["splitting", "fullgp", "local", "rbcm"])
+    def test_reads_leave_every_node_and_posterior_as_it_was(self, kind):
+        rng = np.random.default_rng(74)
+        X = rng.uniform(-2, 2, size=(120, 2))
+        Y = np.sin(X).sum(axis=1) + 0.1 * rng.standard_normal(120)
+        model = (quiet_model(10, spec=self.SPEC) if kind == "splitting"
+                 else self.FACTORIES[kind](self.SPEC))
+        for t in range(X.shape[0]):  # a predict before each update grows factors
+            if t:
+                model.predict(X[t])
+            model.update(X[t], Y[t])
+        grid = rng.uniform(-2.5, 2.5, size=(7, 2))
+        model.predict_mean_batch(grid)
+        model.predict_variance_batch(grid)
+        nodes, posts = model.prior_nodes(), [c._posterior for c in model.children]
+        assert all(post is not None for post in posts)
+        assert any(post._store is not None for post in posts)
+        if kind == "splitting":
+            assert len(nodes) >= 3
+        before = [_state(obj) for obj in nodes + posts]
+        model.predict(grid[0])
+        model.predict(X[-1])
+        model.predict_mean_batch(grid[:1])
+        model.predict_variance_batch(grid[1:2])
+        model.predict_mean_batch(grid)
+        model.predict_variance_batch(grid)
+        if kind == "splitting":
+            model.predict_mean(grid[2])
+        assert [c._posterior for c in model.children] == posts
+        assert [_state(obj) for obj in nodes + posts] == before
+
+    def test_one_climb_per_read_on_a_deep_chain(self, monkeypatch):
+        # A drifting stream at m = 6 builds a chain of about 70 nodes.  A read
+        # or a `prior_nodes()` call reads each node's parent at most once,
+        # where walking every child's whole chain would read thousands, and
+        # a read expands each node once.
+        rng = np.random.default_rng(75)
+        X = np.column_stack([np.linspace(0, 20, 600), rng.uniform(-1, 1, 600)])
+        model = quiet_model(6, spec=make_spec([1.0, 1.0], sn2=0.01))
+        model.update_batch(X, np.sin(X[:, 0]) + 0.1 * rng.standard_normal(600))
+        nodes = model.prior_nodes()
+        depths = [len(c.prior.chain()) for c in model.children if c.prior]
+        assert max(depths) >= 50 and sum(depths) > 10 * len(nodes)
+        grid = np.column_stack([np.linspace(-1, 21, 5), np.zeros(5)])
+        model.predict_mean_batch(grid)  # caches every posterior
+        visits, parent = [], PriorMeanNode.parent
+        monkeypatch.setattr(PriorMeanNode, "parent", property(
+            lambda node: visits.append(node) or parent.__get__(node)))
+        expanded, expansion = [], PriorMeanNode.expansion
+        monkeypatch.setattr(PriorMeanNode, "expansion", lambda node, query: (
+            expanded.append(node) or expansion(node, query)))
+        bound = len(nodes) + model.n_children
+        assert model.prior_nodes() == nodes and len(visits) <= bound
+        for call, rows in ((model.predict, grid[0]), (model.predict_mean_batch, grid),
+                           (model.predict_mean, grid[4])):
+            visits.clear()
+            expanded.clear()
+            call(rows)
+            assert len(visits) <= bound
+            assert sorted(map(id, expanded)) == sorted(map(id, nodes))
+        visits.clear()
+        model.footprint()
+        assert len(visits) <= bound
 
 
 def _gathered_scores(model, Xq):
@@ -1018,8 +1118,8 @@ class TestFactorStorage:
 
 class TestQueryReuse:
     """An update that follows a predict of the same row reuses that
-    predict's prior-chain value and its solve l = L^-1 k; the result is
-    bitwise what computing them afresh gives."""
+    predict's prior-chain value and its solve l = L^-1 k, which the pool's
+    handoff holds; the result is bitwise what computing them afresh gives."""
 
     SPEC = make_spec([0.7, 1.1], sn2=0.02)
 
@@ -1049,8 +1149,8 @@ class TestQueryReuse:
         # Both models cache every child's posterior before each update, so
         # both extend the same factors.  One caches them by a predict of the
         # row about to arrive; the other by a two-row batch mean, which
-        # leaves no single-row memo, so its updates build every kernel row
-        # and solve themselves.
+        # leaves no handoff, so its updates build every kernel row and solve
+        # themselves.
         X, Y = self._stream(seed)
         probe = np.array([[0.3, -0.4], [-1.2, 0.8]])
         reuse, fresh = self.FACTORIES[kind](self.SPEC), self.FACTORIES[kind](self.SPEC)
@@ -1157,6 +1257,45 @@ class TestQueryReuse:
         model.update(x, 0.25)
         assert counts["gp_kernel"] == 1 and counts["solve"] == 1
         self._assert_matches_fresh_posterior(model, child)
+
+    @pytest.mark.parametrize("between", ["refit", "children", "invalidate", "other_row"])
+    def test_update_after_a_change_takes_no_stale_handoff(self, monkeypatch, between):
+        # Predict x, then change what that read solved against, then update
+        # x: no append takes the read's solve, and the result is bitwise an
+        # update-only twin's, which makes the same change.  A rebuilt child
+        # list, like an invalidated child, holds posteriors the read never
+        # solved against.
+        schedule = TrainSchedule(on_split=False, on_batch=False, fit=FitSchedule(max_iters=3))
+        reuse, _, x = self._streamed(55, schedule)
+        twin = self._streamed(55, schedule)[0]
+        probe = np.array([[0.3, -0.4], [-1.2, 0.8]])
+        for model in (reuse, twin):
+            model.predict_mean_batch(probe)  # caches every posterior
+        reuse.predict(x)
+        for model in (reuse, twin):
+            if between == "refit":
+                model.refit()
+            elif between == "children":
+                model.children = [model._new_child(c.X, c.Y, c.prior) for c in model.children]
+            elif between == "invalidate":
+                for child in model.children:
+                    child.invalidate()
+            else:
+                model.predict(x + 0.5)
+            for child in model.children:
+                child.posterior(model.spec)
+        taken, append = [], GpPosterior.append
+        monkeypatch.setattr(GpPosterior, "append", lambda post, *args: (
+            taken.append(args[4:]) or append(post, *args)))
+        for model in (reuse, twin):
+            model.update(x, 0.25)
+        assert taken == [(None,), (None,)]
+        for a, b in zip(reuse.children, twin.children, strict=True):
+            assert a.X.tobytes() == b.X.tobytes() and a.Y.tobytes() == b.Y.tobytes()
+            assert a._posterior.chol.tobytes() == b._posterior.chol.tobytes()
+            assert a._posterior.alpha.tobytes() == b._posterior.alpha.tobytes()
+        grid = np.random.default_rng(55).uniform(-2.5, 2.5, size=(25, 2))
+        assert self._batch(reuse, grid).tobytes() == self._batch(twin, grid).tobytes()
 
 
 class TestChildStorage:
