@@ -30,6 +30,10 @@ class FullGp(LocalGpPool):
 
     The router puts every row in the one child, which the first row
     creates; the similarity combiner then gives that child weight exactly 1.
+    A batch goes into the child as one extension, bitwise the rows appended
+    one by one, unless the child caches a posterior, which then grows row by
+    row.  The kernel is fit as the schedule asks, but a batch does not end
+    with a factorization: a FullGp is read once its stream is in.
     """
 
     # perfbench/tracing.py wraps these methods where it finds them, in this
@@ -38,13 +42,19 @@ class FullGp(LocalGpPool):
     refit = LocalGpPool.refit
     predict_mean_batch = LocalGpPool.predict_mean_batch
 
-    def _route(self, query: Query, y: float) -> bool:
-        if self.children:
-            self._append(self.children[0], query, y)
-            self._center_moved(0)
+    def _route_rows(self, query: Query, Y: np.ndarray) -> list[bool]:
+        start = 0
+        if not self.children:
+            self.children.append(ChildModel(query.X[:1], Y[:1]))
+            start = 1
+        child, rows = self.children[0], range(start, Y.size)
+        if child._posterior is None and len(rows) > 1:
+            child.extend(query.X[start:], Y[start:])
         else:
-            self.children.append(ChildModel(query.X, [y]))
-        return False
+            for i in rows:
+                self._append(child, query.row(i), Y[i])
+        self._center_moved(0)
+        return [False] * Y.size
 
 
 class LocalGpWgen(LocalGpPool):

@@ -39,10 +39,10 @@ _MODELS = {
 }
 MODELS = tuple(_MODELS)
 
-# Each train schedule: its refit flags, TrainSchedule's (on_split, on_batch).
-# (True, False) would run as "default" at batch_size 1 and as "never" above.
-_SCHEDULE_FLAGS = {"default": (True, True), "batch": (False, True),
-                   "never": (False, False)}
+# Each train schedule: TrainSchedule's `fit_once`.  "batch" fits the kernel
+# once, at the end of the first batch or at the first split of a row-by-row
+# stream; "never" keeps the kernel the first row seeds.
+_SCHEDULE_FLAGS = {"batch": True, "never": False}
 SCHEDULES = tuple(_SCHEDULE_FLAGS)
 
 
@@ -68,7 +68,7 @@ class ExperimentConfig:
     replicates: int = 10
     seed: int = 0
     sweep: tuple[int, int, int] | None = None
-    train_schedule: str = "default"
+    train_schedule: str = "batch"
     fit_iters: int = 50
     fit_subsample: int = 0
     standardize_x: bool = False
@@ -192,7 +192,7 @@ CSV_COLUMNS = tuple(f.name for f in fields(MetricRecord))
 
 def _schedule_for(cfg: ExperimentConfig, seeds: SeedPlan, replicate: int) -> TrainSchedule:
     return TrainSchedule(
-        *_SCHEDULE_FLAGS[cfg.train_schedule],
+        _SCHEDULE_FLAGS[cfg.train_schedule],
         fit=FitSchedule(max_iters=cfg.fit_iters),
         fit_subsample=cfg.fit_subsample or None,
         subsample_seed=seeds.seed_int("subsample", replicate),

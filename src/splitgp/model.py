@@ -5,14 +5,17 @@ the router that places each row, and may replace the similarity combiner.
 
 In `SplittingGP`, observations stream in one at a time or in batches; each
 lands in the local model whose center is nearest in lengthscale-scaled
-distance, read from the scores the similarity weights use, so the most
-similar under the kernel even where every similarity underflows to zero.  A
+distance, read from the pool's center scores, so the most similar under the
+kernel even where every similarity underflows to zero.  A
 local model that grows past the splitting limit is bisected along its
 principal direction into two children.  Each child inherits the parent's
 predictive mean, frozen at split time, as its prior mean and models only the
 residuals against it, so a freshly split pair predicts like the parent did.
-Predictions aggregate *all* children with similarity weights, which keeps
-the mean continuous in the input.
+Predictions aggregate *all* children under a gate that weights each child
+by its share of the rows and a Gaussian of its own spread about its center,
+which keeps the mean continuous in the input.  The shared kernel is fit
+once (`TrainSchedule`), so an update's cost is bounded by the splitting
+limit.
 
 Rows are checked and scaled once, where they enter the pool, as one
 `kernels.Query` per batch whose one-row slices reach the router, the child
@@ -31,7 +34,23 @@ from .gp import FitResult, FitSchedule, GpPosterior, fit
 from .kernels import KernelSpec, Query, default_spec, scaled_cross_gram, scaled_rows
 from .partition import split
 
-SNAPSHOT_VERSION = 6
+SNAPSHOT_VERSION = 7
+
+# Added to each child's mean squared deviation per scaled dimension, the
+# variance of its gate Gaussian; a child of one row, or of duplicates, needs it.
+GATE_RIDGE = 1e-3
+
+# A query row whose |x / l|^2 is below this takes its log gate weights as one
+# product with the pooled gate rows, which adds a rounding error of about
+# eps |x / l|^2 / GATE_RIDGE, 2e-7 here, to that of the scores; a row farther
+# out takes them from the center scores, which keep the distances that
+# |x / l|^2 would swamp.
+_GATE_NEAR = 1e6
+
+# There the scores and |x / l|^2 are clamped to this magnitude, so that no
+# product with a precision 1 / (2 s^2) <= 1 / (2 GATE_RIDGE) overflows.
+_FLOAT_MAX = float(np.finfo(float).max)
+_GATE_FAR = 0.5 * GATE_RIDGE * _FLOAT_MAX
 
 
 class PriorMeanNode:
@@ -102,6 +121,10 @@ class ChildModel:
     no rows raise ContractViolationError.  The center is a running row sum
     divided by n; for inputs of two or more columns it is bitwise
     `X.mean(axis=0)`: NumPy sums axis 0 of a C-ordered array row by row.
+    Beside it runs a Welford sum per column, M2 += (x - c_old)(x - c_new),
+    the spread the pool's gate reads.  Both run row by row from the first
+    row, in `__init__` and `extend` as in `append`, so a split or loaded
+    child holds bitwise what a streamed one does.
 
     An append to a child whose posterior is cached costs a kernel row and an
     O(n^2) solve: the row goes into the buffer, the prior chain is evaluated
@@ -112,34 +135,65 @@ class ChildModel:
     Without a cached posterior, or when `GpPosterior.append` declines, the
     cache is cleared and the next use rebuilds it in O(n^3).  The owning pool
     checks and scales each row before it reaches `append`, as a one-row
-    `Query`.  A refit may leave the fit's posterior of all the rows in a slot
-    apart: `posterior(spec)` takes it at its spec instead of rebuilding, and
-    an append or `invalidate` drops it ungrown.
+    `Query`.  A refit, or `factorize` at the end of a batch, may leave a
+    posterior of all the rows in a slot apart: `posterior(spec)` takes it at
+    its spec instead of rebuilding, and an append or `invalidate` drops it
+    ungrown.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, prior: PriorMeanNode | None = None,
                  max_rows: int | None = None):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.asarray(Y, dtype=float).ravel()
-        n = X.shape[0]
+        n, ndim = X.shape
         if not n:
             raise ContractViolationError("a child needs at least one row")
-        self._Xbuf = np.empty((max(n, max_rows or 0), X.shape[1]))
+        self._Xbuf = np.empty((max(n, max_rows or 0), ndim))
         self._Ybuf = np.empty(self._Xbuf.shape[0])
-        self._Xbuf[:n], self._Ybuf[:n] = X, Y
-        self.X, self.Y = self._Xbuf[:n], self._Ybuf[:n]
-        # Accumulated row by row, as appends continue the sum; `X.sum(axis=0)`
-        # would sum one column pairwise.  + 0.0 makes a -0 sum +0, as NumPy's.
-        self._sum = np.add.accumulate(X)[-1] + 0.0
-        self.center = self._sum / n
+        self.X, self.Y = self._Xbuf[:0], self._Ybuf[:0]
+        self._sum, self._m2 = np.zeros(ndim), [0.0] * ndim
         self.prior = prior
         self._residuals: np.ndarray | None = None
         self._posterior: GpPosterior | None = None
         self._adopted: GpPosterior | None = None
+        self.extend(X, Y)
 
     @property
     def n(self) -> int:
         return self.X.shape[0]
+
+    def _reserve(self, rows: int) -> None:
+        """Double the buffer's length until it holds `rows` rows, with one
+        copy of the stored rows."""
+        size = self._Xbuf.shape[0]
+        if size < rows:
+            while size < rows:
+                size *= 2
+            Xbuf, Ybuf = np.empty((size, self._Xbuf.shape[1])), np.empty(size)
+            Xbuf[:self.n], Ybuf[:self.n] = self.X, self.Y
+            self._Xbuf, self._Ybuf = Xbuf, Ybuf
+
+    def extend(self, X: np.ndarray, Y: np.ndarray) -> None:
+        """Store rows, checked by the caller, as appends of each in turn
+        would, without a posterior to grow: any cached one is dropped."""
+        n, k = self.n, X.shape[0]
+        if not k:
+            return
+        self._reserve(n + k)
+        self._Xbuf[n:n + k], self._Ybuf[n:n + k] = X, Y
+        self.X, self.Y = self._Xbuf[:n + k], self._Ybuf[:n + k]
+        # The running sums and centers as appends form them, one row at a
+        # time: `accumulate` adds in order.  The first row's old center is itself.
+        sums = np.add.accumulate(np.concatenate([self._sum[None, :], X]))[1:]
+        centers = sums / np.arange(n + 1, n + k + 1)[:, None]
+        before = np.concatenate([[self.center if n else X[0]], centers[:-1]])
+        with np.errstate(over="ignore", invalid="ignore"):  # a row past 1e154 where l > 1
+            terms = (X - before) * (X - centers)
+        self._m2 = np.add.accumulate(np.concatenate([[self._m2], terms]))[-1].tolist()
+        # + 0.0 makes a -0 sum +0, as NumPy's.
+        self._sum = sums[-1] + 0.0
+        self.center = self._sum / (n + k)
+        self._posterior = self._adopted = self._residuals = None
 
     def append(self, query: Query, y: float, solved: dict | None = None) -> None:
         """Store one row, given as a checked and scaled one-row `Query`;
@@ -147,12 +201,15 @@ class ChildModel:
         x, y = query.X[0], float(y)
         n = self.n
         if n == self._Xbuf.shape[0]:
-            self._Xbuf = np.concatenate([self._Xbuf, np.empty_like(self._Xbuf)])
-            self._Ybuf = np.concatenate([self._Ybuf, np.empty_like(self._Ybuf)])
+            self._reserve(n + 1)
         self._Xbuf[n], self._Ybuf[n] = x, y
         self.X, self.Y = self._Xbuf[:n + 1], self._Ybuf[:n + 1]
+        old = self.center
         self._sum += x
         self.center = self._sum / (n + 1)
+        # Python floats overflow to inf without a warning.
+        self._m2 = [m + (a - o) * (a - c) for m, a, o, c in
+                    zip(self._m2, x.tolist(), old.tolist(), self.center.tolist())]
         post, self._adopted = self._posterior, None
         if post is not None:
             l, prior = (solved or {}).get(post, (None, None))
@@ -183,23 +240,52 @@ class ChildModel:
                 GpPosterior(self.X, self.residuals(), spec))
         return self._posterior
 
+    def factorize(self, spec: KernelSpec) -> None:
+        """Build the posterior at spec into the slot apart, if the child holds
+        none: bitwise the one a read would build, and dropped by an append."""
+        if self._posterior is None and self._adopted is None:
+            self._adopted = GpPosterior(self.X, self.residuals(), spec)
+
     def footprint_bytes(self, ndim: int) -> int:
         # Gram entries + stored rows + responses + center, 8 bytes a scalar.
         return 8 * (self.n * self.n + self.n * ndim + self.n + ndim)
 
 
+def _gate_rows(Cs: np.ndarray, norms: np.ndarray, a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Rows [2 p_j c_j, 2 p_j, a_j - p_j |c_j|^2], (C, d + 2), from the scaled
+    centers, their squared norms and the gate terms: a query row's
+    `Query.aug`, [x, -|x|^2 / 2, 1], times row j is a_j - p_j |x - c_j|^2."""
+    return np.column_stack([2.0 * p[:, None] * Cs, 2.0 * p, a - p * norms])
+
+
+def _gate_entry(child: ChildModel, lengthscales: list) -> tuple[float, float]:
+    """(log n - d/2 log s^2, 1 / (2 s^2)) for the child's gate: s^2 is the mean
+    squared deviation per dimension of its rows scaled by the lengthscales,
+    plus GATE_RIDGE, and at most the largest float.  Python floats, so the
+    pool's rebuild and its one-row rewrite agree bitwise and warn of no
+    overflow."""
+    d = len(lengthscales)
+    s2 = sum(m / l / l for m, l in zip(child._m2, lengthscales)) / (child.n * d) + GATE_RIDGE
+    s2 = s2 if s2 < _FLOAT_MAX else _FLOAT_MAX  # and NaN, from inf * 0
+    return math.log(child.n) - 0.5 * d * math.log(s2), 0.5 / s2
+
+
 @dataclass
 class TrainSchedule:
-    """When to re-optimize the shared kernel parameters, and with what budget.
+    """When the pool fits the shared kernel parameters, and with what budget.
 
-    `on_split` refits after a split during single-observation updates;
-    `on_batch` refits once at the end of every batch.  `fit_subsample`, when
-    set, caps the number of rows per shard used for the hyperparameter search
-    (seeded) and is at least 1; posteriors always condition on all data.
+    With `fit_once` the kernel is fit once, on the rows seen by then: at the
+    end of the first batch, or at the first split of a row-by-row stream.
+    Updates never fit it again, so an update's cost is bounded by the split
+    limit, not by the number of children.  `never()` leaves the kernel as
+    set; an explicit `refit()` fits it under either.  A model counts as fit
+    once it holds a `last_fit`, which a snapshot keeps.  `fit_subsample`,
+    when set, caps the number of rows per shard used for the hyperparameter
+    search (seeded) and is at least 1; posteriors always condition on all
+    data.
     """
 
-    on_split: bool = True
-    on_batch: bool = True
+    fit_once: bool = True
     fit: FitSchedule = field(default_factory=FitSchedule)
     fit_subsample: int | None = None
     subsample_seed: int = 0
@@ -210,7 +296,7 @@ class TrainSchedule:
 
     @classmethod
     def never(cls) -> "TrainSchedule":
-        return cls(on_split=False, on_batch=False)
+        return cls(fit_once=False)
 
 
 def subsample_shards(shards, schedule: TrainSchedule):
@@ -254,21 +340,23 @@ class LocalGpPool:
     combiner.
 
     A subclass supplies the router, `_route(query, y)`, which stores one row,
-    a one-row `Query`, in a child and returns True when that split a child.
-    The pool owns everything else: row checks and scaling, once per batch,
-    seeding the spec from the first row, the ingest loop, the nearest center,
-    the kernel refit over the children's residuals, each child's predictive
-    moments at the query rows, and the combiner.  The default combiner weights
-    every child by its similarity k(c_j, x) to the query row, normalized to
-    sum to one, and far from every center gives the weight to the nearest; a
-    subclass may replace it.  The nearest center and the weights read one score
-    per center, `_scores`, so a row routed to its nearest center lands where
-    its weight is largest, from the centers scaled in one array, whose row a
-    router rewrites when it appends to a child.  A read changes nothing but
-    the `_Handoff` a one-row read leaves for an `update` of the same row bytes
-    to route and append with; any other read, update or refit drops it.  The
-    four regressors are subclasses: `SplittingGP`, and in `baselines`
-    `FullGp` (one child), `LocalGpWgen` and `Rbcm`.
+    a one-row `Query`, in a child and returns True when that split a child;
+    it may take a whole batch in `_route_rows` instead.  The pool owns
+    everything else: row checks and scaling, once per batch, seeding the spec
+    from the first row, the ingest loop, the nearest center, the one kernel
+    fit over the children's residuals that the schedule asks for (see
+    `TrainSchedule`), each child's predictive moments at the query rows, and
+    the combiner.  The default combiner weights every child by its
+    similarity k(c_j, x) to the query row, normalized to sum to one, and far
+    from every center gives the weight to the nearest; a subclass may
+    replace it.  The nearest center and the weights read one score per
+    center, `_scores`, from the centers scaled in one array, whose row a
+    router rewrites when it appends to a child, with the child's gate row
+    (`_gate_rows`) beside them.  A read changes nothing but the `_Handoff` a
+    one-row read leaves for an `update` of the same row bytes to route and
+    append with; any other read, update or refit drops it.  The four
+    regressors are subclasses: `SplittingGP`, and in `baselines` `FullGp`
+    (one child), `LocalGpWgen` and `Rbcm`.
     """
 
     def __init__(self, spec: KernelSpec | None = None,
@@ -278,7 +366,8 @@ class LocalGpPool:
         self.children: list[ChildModel] = []
         self.last_fit: FitResult | None = None
         self._node_lengthscales = np.inf  # elementwise minimum over frozen nodes
-        self._centers: tuple | None = None  # (children, spec, scaled centers, norms)
+        # (children, spec, scaled centers, their squared norms, gate rows)
+        self._centers: tuple | None = None
         self._handoff: _Handoff | None = None
 
     # -- ingestion ---------------------------------------------------------
@@ -295,29 +384,40 @@ class LocalGpPool:
     def ndim(self) -> int | None:
         return self.children[0].X.shape[1] if self.children else None
 
-    def _scaled_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Scaled centers, (C, d), and squared norms: extended, or rebuilt if stale."""
+    def _scaled_centers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scaled centers, (C, d), their squared norms, and the gate rows,
+        (C, d + 2) (`_gate_rows`): extended, or rebuilt if stale."""
         kept, children, spec = self._centers, self.children, self.spec
         fresh = kept is not None and kept[0] is children and kept[1] is spec
         if not fresh or len(kept[2]) != len(children):
-            old = kept[2] if fresh and len(kept[2]) < len(children) else np.empty((0, spec.ndim))
-            Cs = np.concatenate([old, [c.center / spec.lengthscales for c in children[len(old):]]])
-            kept = self._centers = (children, spec, Cs, np.sum(Cs * Cs, axis=1))
-        return kept[2], kept[3]
+            d = spec.ndim
+            old = (kept[2:] if fresh and len(kept[2]) < len(children) else
+                   (np.empty((0, d)), np.empty(0), np.empty((0, d + 2))))
+            new, ls = children[len(old[0]):], spec.lengthscales.tolist()
+            Cs = np.reshape([c.center / spec.lengthscales for c in new], (-1, d))
+            norms = np.sum(Cs * Cs, axis=1)
+            G = _gate_rows(Cs, norms, *np.reshape([_gate_entry(c, ls) for c in new], (-1, 2)).T)
+            kept = self._centers = (children, spec, *map(np.concatenate, zip(old, (Cs, norms, G))))
+        return kept[2:]
 
     def _center_moved(self, idx: int) -> None:
-        """Rewrite child idx's row of the kept centers, if it has one."""
+        """Rewrite child idx's row of the kept centers and gate, if it has one."""
         kept = self._centers
         if kept is not None and idx < len(kept[2]):
-            c = self.children[idx].center[None, :] / self.spec.lengthscales
-            kept[2][idx], kept[3][idx] = c[0], (c * c).sum(axis=1)[0]
+            child = self.children[idx]
+            c = child.center[None, :] / self.spec.lengthscales
+            norm = (c * c).sum(axis=1)[0]
+            a, p = _gate_entry(child, self.spec.lengthscales.tolist())
+            G, d = kept[4], c.shape[1]
+            kept[2][idx], kept[3][idx] = c[0], norm
+            G[idx, :d], G[idx, d], G[idx, d + 1] = 2.0 * p * c[0], 2.0 * p, a - p * norm
 
     def _scores(self, query: Query) -> np.ndarray:
         """|c_j|^2 - 2 x.c_j for each query row x and center c_j, (B, C): the
         squared scaled distance d_j^2 less the row's own |x|^2, which no
         comparison between centers needs and which, far from every center,
         would absorb the cross term.  Routing and the weights read these."""
-        Cs, norms = self._scaled_centers()
+        Cs, norms, _ = self._scaled_centers()
         handoff = self._handoff
         if handoff is None or handoff.query is not query:
             return norms - 2.0 * (query.Xs @ Cs.T)
@@ -327,8 +427,7 @@ class LocalGpPool:
 
     def _nearest(self, query: Query) -> tuple[int, float]:
         """(index, squared scaled distance) of the child whose center is
-        nearest to the one query row, the lowest score, which is the child
-        the weights favour most."""
+        nearest to the one query row, the lowest score."""
         scores = self._scores(query)[0]
         idx = int(scores.argmin())
         return idx, max(float(scores[idx]) + float(query.norms[0]), 0.0)
@@ -340,24 +439,28 @@ class LocalGpPool:
 
     def update(self, x: np.ndarray, y: float) -> None:
         """Insert a single observation: a one-row batch through the checks
-        and routing of `update_batch`, refit after a split per schedule.  y
-        may be a float or a one-entry array; a rejected row changes nothing."""
-        split = any(self._add_rows(np.asarray(x, dtype=float).reshape(1, -1), y))
-        if split and self.schedule.on_split:
-            self.refit()
+        and routing of `update_batch`; a split fits the kernel if the
+        schedule still asks for its one fit.  y may be a float or a
+        one-entry array; a rejected row changes nothing."""
+        if any(self._add_rows(np.asarray(x, dtype=float).reshape(1, -1), y)):
+            self._fit_once()
 
     def update_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
         """Insert rows in order, checked as one batch before the first is
-        stored; the kernel is refit once at the end."""
-        if self._add_rows(X, Y) and self.schedule.on_batch:
+        stored; the batch's end fits the kernel if the schedule still asks
+        for its one fit."""
+        if self._add_rows(X, Y):
+            self._fit_once()
+
+    def _fit_once(self) -> None:
+        if self.schedule.fit_once and self.last_fit is None:
             self.refit()
 
     def _add_rows(self, X: np.ndarray, Y: np.ndarray) -> list[bool]:
         """Check the rows as one batch, before any is stored, seed the spec
         from the first row if unset, scale them as one `Query`, or take the
-        handoff's when it holds these row bytes, and route them in order,
-        each as its one-row slice; True for each row that split a child.  The
-        routers, children and posteriors take those slices as they are."""
+        handoff's when it holds these row bytes, and route them in order
+        (`_route_rows`); True for each row that split a child."""
         handoff, self._handoff = self._handoff, None
         X, Y = np.atleast_2d(np.asarray(X, dtype=float)), np.asarray(Y, dtype=float).ravel()
         if X.shape[0] != Y.shape[0]:
@@ -373,9 +476,14 @@ class LocalGpPool:
         check_scaled(X, np.minimum(spec.lengthscales, self._node_lengthscales))
         self.spec, self._handoff = spec, handoff  # read by the router's `_scores`
         try:
-            return [self._route(q.row(i), y) for i, y in enumerate(Y)]
+            return self._route_rows(q, Y)
         finally:
             self._handoff = None
+
+    def _route_rows(self, query: Query, Y: np.ndarray) -> list[bool]:
+        """Route each row as its one-row slice, which the routers, children
+        and posteriors take as it is."""
+        return [self._route(query.row(i), y) for i, y in enumerate(Y)]
 
     def ingest_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
         self.update_batch(X, Y)
@@ -501,10 +609,16 @@ class LocalGpPool:
 
 
 class SplittingGP(LocalGpPool):
-    """Streaming GP regressor with similarity-routed local models.
+    """Streaming GP regressor with nearest-center routing and a gated
+    combiner.
 
     The router sends each row to the child with the nearest center and
-    bisects a child that passes the split limit.
+    bisects a child that passes the split limit.  A batch ends with every
+    child that holds no posterior factorized (`ChildModel.factorize`), so the
+    first read after it builds no factor.  The combiner is the gate of a
+    mixture of experts (Xu, Jordan & Hinton 1995; Meeds & Osindero 2006),
+    `_weights`, not the paper's similarity weights k(c_j, x): a child's
+    weight follows the spread of its own rows, not the kernel's width.
 
     Parameters
     ----------
@@ -514,6 +628,7 @@ class SplittingGP(LocalGpPool):
     spec : KernelSpec, optional
         Shared kernel; defaults are derived from the first data seen.
     train_schedule : TrainSchedule, optional
+        By default the kernel is fit once (`TrainSchedule`).
     """
 
     def __init__(self, split_limit: int, spec: KernelSpec | None = None,
@@ -530,6 +645,47 @@ class SplittingGP(LocalGpPool):
     predict = LocalGpPool.predict
     predict_mean_batch = LocalGpPool.predict_mean_batch
     predict_variance_batch = LocalGpPool.predict_variance_batch
+
+    def update_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
+        """Insert rows in order, as `LocalGpPool.update_batch`, then
+        factorize each child that holds no posterior."""
+        super().update_batch(X, Y)
+        for child in self.children:
+            child.factorize(self.spec)
+
+    def _weights(self, query: Query) -> np.ndarray:
+        """The gate, one row per query row: w_j(x) proportional to
+        n_j (s_j^2)^(-d/2) exp(-|x - c_j|^2 / (2 s_j^2)), s_j^2 the child's
+        mean squared deviation per scaled dimension plus GATE_RIDGE: a
+        softmax of a_j - p_j |x - c_j|^2, with a_j = log n_j - d/2 log s_j^2
+        and p_j = 1 / (2 s_j^2).
+
+        A row with |x|^2 below _GATE_NEAR takes these as `Query.aug` times
+        the pooled gate rows (`_gate_rows`).  Farther out |x|^2 would swamp
+        the distances that set the children apart, so such a row takes them
+        from the `_scores`, |x - c_j|^2 = |x|^2 + score_j, less the row's
+        constant (min p) |x|^2: a_j - p_j score_j - (p_j - min p) |x|^2.  No
+        |x|^2 is added to a score, so even an overflowing |x|^2 does no
+        harm: the widest children differ by their scores alone, and the
+        others get weight 0.  There scores and |x|^2 are clamped to
+        _GATE_FAR, so no product overflows.  O(C) work per row, no loop over
+        the children."""
+        _, norms, G = self._scaled_centers()
+        far = query.norms >= _GATE_NEAR
+        if not far.any():
+            logw = query.aug @ G.T
+        else:  # the product only for the near rows, whose aug cannot overflow it
+            near, d = ~far, query.Xs.shape[1]
+            p = 0.5 * G[:, d]
+            a = G[:, d + 1] + p * norms
+            scores = np.maximum(np.minimum(self._scores(query), _GATE_FAR), -_GATE_FAR)
+            logw = a - p * scores - np.multiply.outer(np.minimum(query.norms, _GATE_FAR),
+                                                      p - p.min())
+            logw[near] = query.aug[near] @ G.T
+        logw -= logw.max(axis=1, keepdims=True)
+        np.exp(logw, out=logw)
+        logw /= logw.sum(axis=1, keepdims=True)
+        return logw
 
     def _new_child(self, X: np.ndarray, Y: np.ndarray,
                    prior: PriorMeanNode | None = None) -> ChildModel:
@@ -642,7 +798,7 @@ def _spec_from_array(arr: np.ndarray) -> KernelSpec:
 def _schedule_to_payload(schedule: TrainSchedule) -> dict[str, np.ndarray]:
     subsample = schedule.fit_subsample
     return {
-        "schedule_flags": np.array([schedule.on_split, schedule.on_batch]),
+        "schedule_fit_once": np.array(schedule.fit_once),
         "schedule_fit": np.array(schedule.fit.max_iters),
         "schedule_subsample": np.array(-1 if subsample is None else subsample),
         # Text, because a seed may not fit in 64 bits.
@@ -651,8 +807,7 @@ def _schedule_to_payload(schedule: TrainSchedule) -> dict[str, np.ndarray]:
 
 
 def _schedule_from_payload(data) -> TrainSchedule:
-    on_split, on_batch = (bool(v) for v in data["schedule_flags"])
     subsample = int(data["schedule_subsample"])
-    return TrainSchedule(on_split, on_batch, FitSchedule(int(data["schedule_fit"])),
+    return TrainSchedule(bool(data["schedule_fit_once"]), FitSchedule(int(data["schedule_fit"])),
                          None if subsample < 0 else subsample,
                          int(str(data["schedule_subsample_seed"])))

@@ -158,8 +158,7 @@ def _two_child_model():
     for x, y in zip(xs, ys):
         model.update(np.array([x]), y)
     assert model.n_children == 2
-    model.schedule = TrainSchedule(on_split=False, on_batch=True,
-                                   fit=FitSchedule(max_iters=40))
+    model.schedule = TrainSchedule(fit=FitSchedule(max_iters=40))
     model.refit()
     return model
 
@@ -349,8 +348,7 @@ def test_criterion_9_baseline_degeneracies():
     seeds = SeedPlan(MASTER_SEED + 2)
     ds = synth_dataset(200, seeds)
     queries = synth_dataset(50, seeds, replicate=1).X
-    schedule = lambda: TrainSchedule(on_split=False, on_batch=True,
-                                     fit=FitSchedule(max_iters=15))
+    schedule = lambda: TrainSchedule(fit=FitSchedule(max_iters=15))
     full = FullGp(train_schedule=schedule())
     local = LocalGpWgen(1e-15, train_schedule=schedule())
     committee = Rbcm(1, seed=0, train_schedule=schedule())

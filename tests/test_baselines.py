@@ -10,7 +10,7 @@ from splitgp.data import SeedPlan, synth_dataset
 from splitgp.exceptions import ContractViolationError, EmptyModelError
 from splitgp.gp import FitSchedule, GpPosterior, posterior_mean, posterior_variance
 from splitgp.kernels import KernelSpec, default_spec
-from splitgp.model import SplittingGP, TrainSchedule
+from splitgp.model import ChildModel, SplittingGP, TrainSchedule
 
 
 def make_spec(ls, sf2=1.0, sn2=0.1):
@@ -35,6 +35,26 @@ class TestFullGp:
         # similarity weight exp(0) / exp(0) is exactly 1.
         assert mean == posterior_mean(post, x)
         assert var == posterior_variance(post, x)
+
+    def test_batch_goes_into_the_child_as_one_extension(self, monkeypatch):
+        # With no posterior cached, a batch is stored with no per-row append,
+        # in a buffer doubled to fit it, bitwise as rows appended one by one.
+        rng = np.random.default_rng(5)
+        X, Y = rng.normal(size=(700, 2)), rng.normal(size=700)
+        rowwise = FullGp(**quiet(spec=make_spec([1.0, 1.0])))
+        for x, y in zip(X, Y):
+            rowwise.update(x, y)
+        appends, append = [], ChildModel.append
+        monkeypatch.setattr(ChildModel, "append",
+                            lambda *args: appends.append(1) or append(*args))
+        batched = FullGp(**quiet(spec=make_spec([1.0, 1.0])))
+        batched.update_batch(X[:200], Y[:200])
+        batched.update_batch(X[200:], Y[200:])
+        assert not appends
+        a, b = rowwise.children[0], batched.children[0]
+        assert (a.X.tobytes(), a.Y.tobytes(), a._sum.tobytes(), a.center.tobytes(), a._m2,
+                a._Xbuf.shape) == (b.X.tobytes(), b.Y.tobytes(), b._sum.tobytes(),
+                                   b.center.tobytes(), b._m2, b._Xbuf.shape)
 
     def test_far_field_predict_raises_no_warning(self):
         rng = np.random.default_rng(2)

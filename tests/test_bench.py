@@ -105,10 +105,17 @@ class TestConfig:
             ExperimentConfig.from_kv_text("train_schedule=every\n")
 
     def test_split_schedule_is_gone(self):
-        # `update` never reads on_batch and `update_batch` never reads
-        # on_split, so a split-only schedule ran as "default" or as "never".
+        # The kernel is fit once, at the first batch's end or the first
+        # split, so a split-only schedule would run as "batch".
         with pytest.raises(ContractViolationError, match="unknown schedule"):
             ExperimentConfig(train_schedule="split")
+
+    def test_default_schedule_is_gone(self):
+        # Once the kernel is fit once, refits on split and on batch are the
+        # one fit "batch" makes; the config's default schedule is "batch".
+        with pytest.raises(ContractViolationError, match="unknown schedule"):
+            ExperimentConfig.from_kv_text("train_schedule=default\n")
+        assert ExperimentConfig().train_schedule == "batch"
 
     @pytest.mark.parametrize("sweep", [(10, 100, 0), (100, 20, -40)])
     def test_sweep_step_below_one_rejected(self, sweep):

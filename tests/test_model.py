@@ -12,7 +12,7 @@ from splitgp.data import SeedPlan, synth_dataset
 from splitgp.exceptions import ContractViolationError, EmptyModelError, NumericalError
 from splitgp.gp import FitSchedule, GpPosterior, posterior_mean, posterior_variance
 from splitgp.kernels import KernelSpec, Query, cross_gram, gram
-from splitgp.model import ChildModel, PriorMeanNode, SplittingGP, TrainSchedule
+from splitgp.model import GATE_RIDGE, ChildModel, PriorMeanNode, SplittingGP, TrainSchedule
 
 
 def make_spec(ls, sf2=1.0, sn2=0.1):
@@ -21,6 +21,13 @@ def make_spec(ls, sf2=1.0, sn2=0.1):
 
 def quiet_model(m, spec=None, **kwargs):
     return SplittingGP(m, spec=spec, train_schedule=TrainSchedule.never(), **kwargs)
+
+
+def _count_fits(monkeypatch):
+    """A list that grows by one entry per kernel fit the model makes."""
+    fits, fit = [], model_module.fit
+    monkeypatch.setattr(model_module, "fit", lambda *args: fits.append(1) or fit(*args))
+    return fits
 
 
 def _row(x):
@@ -59,6 +66,8 @@ class TestUpdate:
     def test_far_field_row_joins_the_child_its_weights_pick(self):
         # At |x / l| = 1e150 the row's own |x|^2 = 1e300 absorbs the cross
         # term 2 x.c ~ 1e151, so a distance that adds it ties every center.
+        # The row joins the child of the lowest score; the two children are
+        # equally wide, so the gate gives that child all the weight too.
         model = quiet_model(3, spec=make_spec([1.0, 1.0], sf2=1.0, sn2=0.1))
         for x in ((-5.0, 0.0), (-5.1, 0.0), (5.0, 0.0), (5.1, 0.0)):
             model.update(np.array(x), 0.0)
@@ -68,8 +77,9 @@ class TestUpdate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             weights = model.predict_mean(x).weights
+            scores = model._scores(Query.of(x, model.spec))[0]
             model.update(x, 1.0)
-        assert weights[left] == 1.0
+        assert scores.argmin() == left and weights[left] == 1.0
         assert [c.n for c in model.children] == [2 + (j == left) for j in range(2)]
         assert model.children[left].X[-1].tolist() == x.tolist()
 
@@ -245,8 +255,13 @@ class TestPredict:
             X = rng.normal(size=(5, 2))
             model.children.append(ChildModel(X, rng.normal(size=5)))
         x = np.array([0.25, -0.4])
-        sims = np.array([cross_gram(c.center, x, spec)[0, 0] for c in model.children])
-        weights = sims / sims.sum()
+        # The gate: n_j N(x; c_j, s_j^2 I) in scaled coordinates, formed naively.
+        ls = spec.lengthscales
+        s2 = np.array([np.mean(((c.X - c.X.mean(axis=0)) / ls) ** 2) + GATE_RIDGE
+                       for c in model.children])
+        d2 = np.array([np.sum(((x - c.center) / ls) ** 2) for c in model.children])
+        dens = np.array([c.n for c in model.children]) * s2 ** -1.0 * np.exp(-d2 / (2 * s2))
+        weights = dens / dens.sum()
         variances = np.array([
             posterior_variance(c.posterior(spec), x) for c in model.children
         ])
@@ -329,7 +344,7 @@ class TestPriorInheritance:
         rng = np.random.default_rng(7)
         X = rng.uniform(-1, 1, size=(41, 1))
         Y = np.sin(3 * X[:, 0]) + rng.normal(0, 0.05, 41)
-        sched = TrainSchedule(on_split=False, on_batch=True, fit=FitSchedule(max_iters=30))
+        sched = TrainSchedule(fit=FitSchedule(max_iters=30))
         model = SplittingGP(40, train_schedule=sched)
         model.update_batch(X[:40], Y[:40])
         grid = np.linspace(-1, 1, 50)[:, None]
@@ -385,7 +400,7 @@ class TestSnapshot:
     def test_round_trip_preserves_predictions(self, tmp_path):
         seeds = SeedPlan(11)
         ds = synth_dataset(250, seeds)
-        sched = TrainSchedule(on_split=False, on_batch=True, fit=FitSchedule(max_iters=10))
+        sched = TrainSchedule(fit=FitSchedule(max_iters=10))
         model = SplittingGP(60, train_schedule=sched)
         model.update_batch(ds.X, ds.Y)
         path = tmp_path / "model.npz"
@@ -424,15 +439,16 @@ class TestSnapshot:
     @pytest.mark.parametrize("warm", [False, True])
     def test_save_load_continue_matches_uninterrupted(self, tmp_path, seed, m, refit, warm):
         X, Y = self._stream(seed)
-        sched = (TrainSchedule(on_split=True, on_batch=False, fit=FitSchedule(max_iters=3))
+        sched = (TrainSchedule(fit=FitSchedule(max_iters=3))
                  if refit else TrainSchedule.never())
         model = SplittingGP(m, train_schedule=sched)
         for t in range(100):
             if warm and model.children:
                 model.predict(X[t])
             model.update(X[t], Y[t])
+        assert (model.last_fit is not None) == refit  # the one fit, at the first split
         if warm:
-            # A refit clears every cache, so the warm model ends on a read.
+            # The fit clears every cache, so the warm model ends on a read.
             model.predict(X[100])
         assert any(c._posterior is not None for c in model.children) == warm
         model.save(tmp_path / "model.npz")
@@ -466,9 +482,8 @@ class TestSnapshot:
 
     def test_schedule_and_last_fit_round_trip(self, tmp_path):
         X, Y = self._stream(35, n=60)
-        sched = TrainSchedule(on_split=False, on_batch=True,
-                              fit=FitSchedule(max_iters=4),
-                              fit_subsample=20, subsample_seed=2**70 + 3)
+        sched = TrainSchedule(fit=FitSchedule(max_iters=4), fit_subsample=20,
+                              subsample_seed=2**70 + 3)
         model = SplittingGP(25, train_schedule=sched)
         model.update_batch(X, Y)
         assert model.last_fit is not None
@@ -512,15 +527,102 @@ class TestSnapshot:
         # Version 5 stores each child's center, which a child now derives.
         self._rejected(tmp_path, 5, child_0_c=np.zeros(2))
 
+    def test_version_6_snapshot_rejected(self, tmp_path):
+        # Version 6 stores the refit flags (on_split, on_batch), which the
+        # fit-once schedule replaced.
+        self._rejected(tmp_path, 6, schedule_fit_once=None,
+                       schedule_flags=np.array([True, True]))
+
+    def test_model_saved_after_its_fit_never_fits_again(self, tmp_path, monkeypatch):
+        X, Y = self._stream(36, n=200)
+        model = SplittingGP(15, train_schedule=TrainSchedule(fit=FitSchedule(max_iters=3)))
+        for x, y in zip(X[:60], Y[:60]):
+            model.update(x, y)
+        assert model.n_children > 1 and model.last_fit is not None
+        model.save(tmp_path / "model.npz")
+        loaded = SplittingGP.load(tmp_path / "model.npz")
+        fits = _count_fits(monkeypatch)
+        n = loaded.n_children
+        for x, y in zip(X[60:140], Y[60:140]):
+            loaded.update(x, y)
+        loaded.update_batch(X[140:], Y[140:])
+        assert not fits and loaded.n_children > n + 2
+        assert loaded.spec == model.spec and loaded.last_fit == model.last_fit
+
+    @pytest.mark.parametrize("then", ["batch", "split"])
+    def test_model_saved_before_its_fit_fits_at_its_first_batch_or_split(
+            self, tmp_path, monkeypatch, then):
+        X, Y = self._stream(37, n=120)
+        model = SplittingGP(15, train_schedule=TrainSchedule(fit=FitSchedule(max_iters=3)))
+        for x, y in zip(X[:10], Y[:10]):
+            model.update(x, y)
+        assert model.n_children == 1 and model.last_fit is None
+        model.save(tmp_path / "model.npz")
+        loaded = SplittingGP.load(tmp_path / "model.npz")
+        fits = _count_fits(monkeypatch)
+        if then == "batch":
+            loaded.update_batch(X[10:12], Y[10:12])  # no split: the batch's end fits
+            assert loaded.n_children == 1 and len(fits) == 1
+        else:
+            for x, y in zip(X[10:], Y[10:]):
+                splits = loaded.n_children
+                loaded.update(x, y)
+                assert len(fits) == (loaded.n_children > 1)
+                if loaded.n_children > splits > 1:
+                    break
+        assert loaded.last_fit is not None
+        loaded.update_batch(X[-5:], Y[-5:])
+        assert len(fits) == 1
+
 
 def test_update_refits_on_split_per_schedule():
     rng = np.random.default_rng(13)
-    sched = TrainSchedule(on_split=True, on_batch=False, fit=FitSchedule(max_iters=3))
+    sched = TrainSchedule(fit=FitSchedule(max_iters=3))
     model = SplittingGP(10, train_schedule=sched)
     for i in range(11):
         model.update(rng.uniform(-1, 1, size=2), rng.normal())
     assert model.n_children == 2
     assert model.last_fit is not None
+
+
+class TestFitOnce:
+    """The default schedule fits the kernel once, at the first split of a
+    row-by-row stream; after that an update factorizes at most the child it
+    splits, whatever the number of children, as the paper's bound on an
+    update's cost asks.  Counted, not timed."""
+
+    @staticmethod
+    def _collinear(rng):
+        t = rng.uniform(-2, 2, 400)
+        return np.column_stack([t, 0.5 * t]), np.sin(2 * t) + 0.05 * rng.standard_normal(400)
+
+    @staticmethod
+    def _uniform(rng):
+        X = rng.uniform(-2, 2, size=(2000, 2))
+        return X, np.sin(X).sum(axis=1) + 0.05 * rng.standard_normal(2000)
+
+    @pytest.mark.parametrize("stream, m, children", [("collinear", 10, 40), ("uniform", 50, 40)])
+    def test_one_fit_then_an_update_factorizes_at_most_its_split_child(
+            self, monkeypatch, stream, m, children):
+        X, Y = getattr(self, f"_{stream}")(np.random.default_rng(91))
+        fits = _count_fits(monkeypatch)
+        built, init = [], GpPosterior.__init__
+
+        def counted(post, X, *args, **kwargs):
+            built.append(X.shape[0])
+            init(post, X, *args, **kwargs)
+
+        monkeypatch.setattr(GpPosterior, "__init__", counted)
+        model = SplittingGP(m)
+        splits = 0
+        for x, y in zip(X, Y):
+            fitted, n_children, start = bool(fits), model.n_children, len(built)
+            model.update(x, y)
+            if fitted:
+                split = model.n_children > n_children
+                splits += split
+                assert built[start:] == ([m + 1] if split else [])
+        assert len(fits) == 1 and model.n_children >= children and splits >= children - 2
 
 
 @pytest.mark.parametrize("cap", [0, -5])
@@ -575,7 +677,7 @@ class TestIncrementalUpdate:
         rng = np.random.default_rng(seed)
         X, Y = self._stream(kind, rng, 160)
         model = SplittingGP(25, spec=make_spec([0.8, 1.2], sn2=sn2),
-                            train_schedule=TrainSchedule(on_split=False, on_batch=False,
+                            train_schedule=TrainSchedule(fit_once=False,
                                                          fit=FitSchedule(max_iters=3)))
         taken = self._record_branches(monkeypatch)
         for t in range(X.shape[0]):
@@ -975,7 +1077,7 @@ class TestPooledCenters:
         X = rng.uniform(-2, 2, size=(60, 2))
         Y = np.sin(X).sum(axis=1)
         model = SplittingGP(10, spec=self.SPEC, train_schedule=TrainSchedule(
-            on_split=False, on_batch=False, fit=FitSchedule(max_iters=3)))
+            fit_once=False, fit=FitSchedule(max_iters=3)))
         model.update_batch(X[:40], Y[:40])
         assert_pooled_scores(model, self.GRID)
         spec = model.spec
@@ -1245,7 +1347,7 @@ class TestQueryReuse:
 
     @pytest.mark.parametrize("before", ["other_row", "refit"])
     def test_update_without_memo_computes_its_own_solve(self, monkeypatch, before):
-        schedule = TrainSchedule(on_split=False, on_batch=False, fit=FitSchedule(max_iters=3))
+        schedule = TrainSchedule(fit_once=False, fit=FitSchedule(max_iters=3))
         model, child, x = self._streamed(54, schedule)
         model.predict(x)
         if before == "refit":
@@ -1265,7 +1367,7 @@ class TestQueryReuse:
         # update-only twin's, which makes the same change.  A rebuilt child
         # list, like an invalidated child, holds posteriors the read never
         # solved against.
-        schedule = TrainSchedule(on_split=False, on_batch=False, fit=FitSchedule(max_iters=3))
+        schedule = TrainSchedule(fit_once=False, fit=FitSchedule(max_iters=3))
         reuse, _, x = self._streamed(55, schedule)
         twin = self._streamed(55, schedule)[0]
         probe = np.array([[0.3, -0.4], [-1.2, 0.8]])
@@ -1365,7 +1467,7 @@ class TestRefitAdoption:
     of the fit's last evaluation, so the first read after it rebuilds
     nothing; the adopted factor is bitwise the one a rebuild makes."""
 
-    BATCH_FIT = TrainSchedule(on_split=False, on_batch=True, fit=FitSchedule(max_iters=5))
+    BATCH_FIT = TrainSchedule(fit=FitSchedule(max_iters=5))
 
     FACTORIES = {
         "splitting": lambda schedule: SplittingGP(12, train_schedule=schedule),
@@ -1405,16 +1507,25 @@ class TestRefitAdoption:
         assert not built
         assert all(c._posterior is not None and c._adopted is None for c in live)
 
+    @staticmethod
+    def _assert_rebuilt(model):
+        """Every child holds, apart, bitwise the posterior a read would build."""
+        for c in model.children:
+            fresh = GpPosterior(c.X, c.residuals(), model.spec)
+            assert c._adopted is not None and c._adopted.chol.tobytes() == fresh.chol.tobytes()
+
     def test_child_cut_by_fit_subsample_adopts_nothing(self):
+        # The fit's posterior of a child cut by the subsample covers only
+        # some of its rows, so the child does not adopt it: the batch's end
+        # factorizes the child over all of them instead.  A FullGp batch
+        # ends with no factor.
         cap = 8
-        schedule = TrainSchedule(on_split=False, on_batch=True, fit=FitSchedule(max_iters=5),
-                                 fit_subsample=cap)
+        schedule = TrainSchedule(fit=FitSchedule(max_iters=5), fit_subsample=cap)
         model = SplittingGP(12, train_schedule=schedule)
         model.update_batch(*self._data(73))
         sizes = {c.n <= cap for c in model.children}
         assert sizes == {True, False}
-        for c in model.children:
-            assert (c._adopted is not None) == (c.n <= cap)
+        self._assert_rebuilt(model)
         full = FullGp(train_schedule=schedule)
         full.update_batch(*self._data(73))
         assert full.children[0]._adopted is None
@@ -1423,7 +1534,8 @@ class TestRefitAdoption:
         # From the third on, every evaluation fails once it has rewritten the
         # arrays of the one before.  L-BFGS-B returns an iterate it accepted
         # before that, at whose spec the fit's posteriors were built, but
-        # they now hold the factors of a later point.
+        # they now hold the factors of a later point.  No child adopts them:
+        # the batch's end factorizes each at the returned spec.
         shard_lml, calls = gp_module._shard_lml, []
 
         def failing(*args):
@@ -1437,7 +1549,8 @@ class TestRefitAdoption:
         model = SplittingGP(12, train_schedule=self.BATCH_FIT)
         model.update_batch(*self._data(74))
         assert len(calls) > 3 and model.last_fit.warning and model.last_fit.iterations > 0
-        assert all(c._adopted is None for c in model.children)
+        monkeypatch.undo()
+        self._assert_rebuilt(model)
 
     def test_update_only_stream_extends_no_factor(self, monkeypatch):
         # Refits on split adopt posteriors; the appends that follow drop
@@ -1449,7 +1562,7 @@ class TestRefitAdoption:
             return post_append(self, *args)
 
         monkeypatch.setattr(GpPosterior, "append", counted)
-        schedule = TrainSchedule(on_split=True, on_batch=False, fit=FitSchedule(max_iters=3))
+        schedule = TrainSchedule(fit=FitSchedule(max_iters=3))
         model = SplittingGP(10, train_schedule=schedule)
         adopted = 0
         for x, y in zip(*self._data(75, 80)):

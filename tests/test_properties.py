@@ -4,8 +4,9 @@ LocalGpWgen and Rbcm.
 Streams mix free rows with duplicates of earlier rows and rows on one line,
 and the queries include far-field rows, where every similarity underflows;
 the routing property streams rows farther still.  Inputs have two columns,
-except in the stream invariants, which also draw 1, 3 and 9.
-The kernel is fixed and never refit, so each example stays cheap.
+except in the stream invariants, which also draw 1, 3 and 9, and in the
+splitting model's gate properties, which draw 1 to 4 and 9.
+The kernel is fixed and never fit, so each example stays cheap.
 """
 
 import io
@@ -15,11 +16,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from splitgp import model as model_module
 from splitgp.baselines import FullGp, LocalGpWgen, Rbcm
 from splitgp.exceptions import ContractViolationError
 from splitgp.gp import GpPosterior
 from splitgp.kernels import KernelSpec, Query, cross_gram
-from splitgp.model import SplittingGP, TrainSchedule
+from splitgp.model import GATE_RIDGE, SplittingGP, TrainSchedule, _gate_entry, _gate_rows
 
 SPEC = KernelSpec(np.array([0.4, 0.9]), 1.0, 0.05)
 FAR = np.array([[40.0, -40.0], [1e3, 1e3]])
@@ -121,6 +123,11 @@ def test_stream_invariants(case):
         assert min(c.n for c in model.children) >= 1
         if kind == "rbcm":
             assert model.n_children <= model.n_experts
+    # A FullGp batch goes in as one extension: its running sums, and so the
+    # center and the gate's spread, are bitwise the row-by-row ones.
+    for a, b in zip(rowwise.children, batched.children):
+        assert (a._sum.tobytes(), a.center.tobytes(), a._m2) == (
+            b._sum.tobytes(), b.center.tobytes(), b._m2)
     assert rowwise.predict_mean_batch(Xq).tobytes() == batched.predict_mean_batch(Xq).tobytes()
 
 
@@ -153,20 +160,21 @@ def test_weights_are_a_partition_of_unity(pool, stream, Xq):
 
 @PROPERTY_SETTINGS
 @given(pool=pools(kinds=("splitting", "local")), stream=far_streams())
-def test_a_row_joins_the_child_of_its_largest_weight(pool, stream):
-    # The routers that pick the nearest center; a LocalGpWgen row that
+def test_a_row_joins_the_child_of_its_lowest_score(pool, stream):
+    # The routers that pick the nearest center, the lowest of `_scores`,
+    # which the gate's weights need not favour most; a LocalGpWgen row that
     # spawns a child joins none.
     _, build = pool
     model = build()
     for x, y in zip(*stream):
         before, sizes = list(model.children), [c.n for c in model.children]
-        weights = model._weights(model._query(x[None, :]))[0] if before else None
+        scores = model._scores(model._query(x[None, :]))[0] if before else None
         model.update(x, y)
         joined = [j for j, c in enumerate(before)
                   if model.children[j] is not c or c.n != sizes[j]]
         assert len(joined) <= 1
         if joined:
-            assert weights[joined[0]] == weights.max()
+            assert scores[joined[0]] == scores.min()
 
 
 @st.composite
@@ -346,3 +354,98 @@ def test_pooled_scores_are_the_gathered_ones(case):
         Cs = np.array([c.center for c in model.children]) / model.spec.lengthscales
         gathered = np.sum(Cs * Cs, axis=1) - 2.0 * (query.Xs @ Cs.T)
         assert model._scores(query).tobytes() == gathered.tobytes()
+        a, p = np.reshape([_gate_entry(c, model.spec.lengthscales.tolist())
+                           for c in model.children], (-1, 2)).T
+        G = _gate_rows(Cs, np.sum(Cs * Cs, axis=1), a, p)
+        assert model._scaled_centers()[2].tobytes() == G.tobytes()
+
+
+# The gate's widths, and factors on their lengthscales: at 1e-6 the scaled
+# rows lie millions of units apart and every similarity underflows.
+GATE_WIDTHS = st.sampled_from((1, 2, 3, 4, 9))
+SCALES = st.sampled_from((1.0, 1e-3, 1e-6))
+
+
+def _gated(m, spec, X, Y):
+    model = SplittingGP(m, spec=spec, train_schedule=TrainSchedule.never())
+    for x, y in zip(X, Y):
+        model.update(x, y)
+    return model
+
+
+@PROPERTY_SETTINGS
+@given(case=GATE_WIDTHS.flatmap(lambda ndim: st.tuples(
+    st.integers(2, 8), SCALES, streams(ndim=ndim), query_rows(ndim))))
+def test_gate_is_a_partition_of_unity_that_reruns_bitwise(case):
+    # Common random numbers: a second model fed the same stream gives the
+    # same weights and means, byte for byte.
+    m, scale, (X, Y), Xq = case
+    spec = KernelSpec(spec_of(X.shape[1]).lengthscales * scale, 1.0, 0.05)
+    runs = []
+    for model in (_gated(m, spec, X, Y), _gated(m, spec, X, Y)):
+        weights = model._weights(model._query(Xq))
+        runs.append((weights.tobytes(), model.predict_mean_batch(Xq).tobytes()))
+    assert weights.shape == (Xq.shape[0], model.n_children)
+    assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
+    assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12
+    assert runs[0] == runs[1]
+    # Rows near the origin take the product with the pooled gate rows; the
+    # score-based form that rows past _GATE_NEAR take agrees with it.
+    near = model_module._GATE_NEAR
+    try:
+        model_module._GATE_NEAR = 0.0
+        scored = model._weights(model._query(Xq))
+    finally:
+        model_module._GATE_NEAR = near
+    assert np.abs(scored - weights).max() <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(case=GATE_WIDTHS.flatmap(lambda ndim: st.tuples(
+    st.integers(2, 8), SCALES, streams(ndim=ndim), st.booleans())))
+def test_gate_spread_is_the_scaled_rows_mean_squared_deviation(case):
+    # The children's Welford sums, split, streamed or taken as a batch,
+    # against a two-pass oracle in scaled coordinates; a child of one row
+    # has s^2 = GATE_RIDGE exactly.
+    m, scale, (X, Y), batch = case
+    ndim = X.shape[1]
+    spec = KernelSpec(spec_of(ndim).lengthscales * scale, 1.0, 0.05)
+    model = SplittingGP(m, spec=spec, train_schedule=TrainSchedule.never())
+    if batch:
+        model.update_batch(X, Y)
+    else:
+        model = _gated(m, spec, X, Y)
+    for child in model.children:
+        a, p = _gate_entry(child, spec.lengthscales.tolist())
+        S = child.X / spec.lengthscales
+        s2 = float(np.mean((S - S.mean(axis=0)) ** 2)) + GATE_RIDGE
+        if child.n == 1:
+            assert p == 0.5 / GATE_RIDGE and child._m2 == [0.0] * ndim
+        assert p == pytest.approx(0.5 / s2, rel=1e-9)
+        assert a == pytest.approx(np.log(child.n) - 0.5 * ndim * np.log(s2), rel=1e-9, abs=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(case=GATE_WIDTHS.flatmap(lambda ndim: st.tuples(
+    st.integers(2, 8), streams(ndim=ndim),
+    st.lists(coordinate, min_size=ndim, max_size=ndim),
+    st.lists(st.floats(-1.0, 1.0), min_size=ndim, max_size=ndim))))
+def test_gate_mean_is_continuous(case):
+    # Along a segment the largest jump between successive means shrinks with
+    # the step, as for a continuous mean; a jump, as a nearest-child mean
+    # makes where the nearest center changes, does not shrink.
+    m, (X, Y), x, v = case
+    v = np.array(v)
+    assume(np.abs(v).max() > 0.1)
+    model = SplittingGP(m, spec=spec_of(X.shape[1]), train_schedule=TrainSchedule.never())
+    model.update_batch(X, Y)
+
+    def largest_jump(start, length):
+        t = np.linspace(0.0, length, 1001)
+        means = model.predict_mean_batch(start + t[:, None] * v)
+        at = int(np.abs(np.diff(means)).argmax())
+        return float(np.abs(np.diff(means)).max()), start + t[at] * v
+
+    coarse, at = largest_jump(np.array(x), 1e-2)
+    fine, _ = largest_jump(at - 5e-4 * v, 1e-3)
+    assert fine <= 0.3 * coarse + 1e-12
