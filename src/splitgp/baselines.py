@@ -32,8 +32,9 @@ class FullGp(LocalGpPool):
     creates; the similarity combiner then gives that child weight exactly 1.
     A batch goes into the child as one extension, bitwise the rows appended
     one by one, unless the child caches a posterior, which then grows row by
-    row.  The kernel is fit as the schedule asks, but a batch does not end
-    with a factorization: a FullGp is read once its stream is in.
+    row.  The kernel is fit as the schedule asks, right after the FIT_ROWS-th
+    row, but a batch does not end with a factorization: a FullGp is read
+    once its stream is in.
     """
 
     # perfbench/tracing.py wraps these methods where it finds them, in this
@@ -42,7 +43,7 @@ class FullGp(LocalGpPool):
     refit = LocalGpPool.refit
     predict_mean_batch = LocalGpPool.predict_mean_batch
 
-    def _route_rows(self, query: Query, Y: np.ndarray) -> list[bool]:
+    def _route_rows(self, query: Query, Y: np.ndarray) -> None:
         start = 0
         if not self.children:
             self.children.append(ChildModel(query.X[:1], Y[:1]))
@@ -54,7 +55,6 @@ class FullGp(LocalGpPool):
             for i in rows:
                 self._append(child, query.row(i), Y[i])
         self._center_moved(0)
-        return [False] * Y.size
 
 
 class LocalGpWgen(LocalGpPool):
@@ -76,15 +76,14 @@ class LocalGpWgen(LocalGpPool):
         self.w_gen = float(w_gen)
         self._radius2 = -2.0 * np.log(self.w_gen)
 
-    def _route(self, query: Query, y: float) -> bool:
+    def _route(self, query: Query, y: float) -> None:
         if self.children:
             idx, d2 = self._nearest(query)
             if d2 < self._radius2:
                 self._append(self.children[idx], query, y)
                 self._center_moved(idx)
-                return False
+                return
         self.children.append(ChildModel(query.X, [y]))
-        return False
 
 
 class Rbcm(LocalGpPool):
@@ -114,7 +113,7 @@ class Rbcm(LocalGpPool):
         self.rng = np.random.default_rng(seed)
         self._experts: dict[int, ChildModel] = {}  # the created experts, by slot
 
-    def _route(self, query: Query, y: float) -> bool:
+    def _route(self, query: Query, y: float) -> None:
         k = int(self.rng.integers(self.n_experts))
         if k in self._experts:
             self._append(self._experts[k], query, y)
@@ -122,13 +121,12 @@ class Rbcm(LocalGpPool):
         else:
             self._experts[k] = ChildModel(query.X, [y])
             self.children = [self._experts[slot] for slot in sorted(self._experts)]
-        return False
 
     def _combine(self, query: Query, mean: bool,
                  variance: bool) -> tuple[np.ndarray, np.ndarray, None]:
         """Product-of-Gaussians combination of the experts; no weights."""
         mus, sigs = self._moments(query, True, True)
-        prior_var = self.spec.signal_variance
+        prior_var = self._spec.signal_variance
         sigs = np.maximum(sigs, EXPERT_VARIANCE_FLOOR)
         beta = 0.5 * (np.log(prior_var) - np.log(sigs))
         np.maximum(beta, 0.0, out=beta)

@@ -40,8 +40,9 @@ _MODELS = {
 MODELS = tuple(_MODELS)
 
 # Each train schedule: TrainSchedule's `fit_once`.  "batch" fits the kernel
-# once, at the end of the first batch or at the first split of a row-by-row
-# stream; "never" keeps the kernel the first row seeds.
+# once, right after the model's `FIT_ROWS`-th row (min(FIT_ROWS, m) for the
+# splitting model), whatever the batch size; "never" keeps the kernel the
+# first row seeds.
 _SCHEDULE_FLAGS = {"batch": True, "never": False}
 SCHEDULES = tuple(_SCHEDULE_FLAGS)
 

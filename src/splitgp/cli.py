@@ -43,8 +43,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--train-fraction", dest="train_fraction", type=float)
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--sweep", help="checkpoint counts start:stop:step")
-    parser.add_argument("--train-schedule", dest="train_schedule",
-                        choices=SCHEDULES)
+    parser.add_argument("--train-schedule", dest="train_schedule", choices=SCHEDULES,
+                        help="batch: fit the kernel once, right after the 500th row "
+                             "(min(500, m) for splitting); never: do not fit it")
     parser.add_argument("--fit-iters", dest="fit_iters", type=int)
     parser.add_argument("--fit-subsample", dest="fit_subsample", type=int)
     parser.add_argument("--standardize-x", dest="standardize_x", action="store_const",

@@ -15,6 +15,8 @@ from scipy.linalg.blas import dgemm, dsyr2k
 
 from .exceptions import ContractViolationError
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
@@ -134,15 +136,26 @@ def scaled_rows(X: np.ndarray, spec: KernelSpec, arg: str = "X") -> np.ndarray:
     return _scale(_check_rows(X, spec, arg), spec, spec.ndim + 1)[0]
 
 
+# A stored row's 4 |x / l|^2 is finite (`model.check_scaled`), so its
+# |x / l|^2 is below this, and so is a center's.
+FAR_NORM = 0.25 * _FLOAT_MAX
+
+
 class Query(NamedTuple):
     """Query rows checked once and scaled once under `spec`, so that every
     consumer of one call shares them.
 
     `aug` is the query side of `scaled_cross_gram`: each row x as
-    [x / l, -|x / l|^2 / 2, 1] in a C-ordered (B, d + 2) array.  `Xs` is a
-    view of its first d columns, and `norms` holds the squared norms |x / l|^2
-    exactly; the pool's center scores read those two.  A row whose |x / l|^2
-    overflows keeps inf there, without a warning, for an exact zero kernel row.
+    [x / l, -|x / l|^2 / 2, 1] in a C-ordered (B, d + 2) array, and `norms`
+    holds the squared norms |x / l|^2 exactly.  `Xs` holds the scaled rows
+    that the pool's center scores read, a view of aug's first d columns.
+
+    A far row, whose |x / l|^2 is at least FAR_NORM, keeps its direction in
+    `Xs` but not its length: it is scaled there by a power of two to a norm
+    below 2^511, where no product with a center's row overflows (an entry
+    x / l that overflowed counts as the largest float).  One whose |x / l|^2
+    overflows keeps inf in `norms`, without a warning, and zeros in aug's
+    first d columns, for an exact zero kernel row.
     """
 
     X: np.ndarray
@@ -154,23 +167,27 @@ class Query(NamedTuple):
     @classmethod
     def of(cls, X: np.ndarray, spec: KernelSpec, arg: str = "Xstar") -> "Query":
         X = _check_rows(X, spec, arg)
+        d = spec.ndim
         with np.errstate(over="ignore"):
-            aug, norms = _scale(X, spec, spec.ndim)
-        return cls(X, aug[:, :spec.ndim], norms, aug, spec)
+            aug, norms = _scale(X, spec, d)
+        Xs = aug[:, :d]
+        if not norms.max(initial=0.0) < FAR_NORM:
+            # A power of two takes each row's largest entry, below 2^e, below
+            # 2^511 / sqrt(d), so its norm below 2^511.
+            far = ~(norms < FAR_NORM)
+            Xs, rows = Xs.copy(), np.clip(Xs[far], -_FLOAT_MAX, _FLOAT_MAX)
+            e = np.frexp(np.abs(rows).max(axis=1))[1]
+            Xs[far] = np.ldexp(rows, (511 - (d.bit_length() + 1) // 2 - e)[:, None])
+            aug[np.isinf(norms), :d] = 0.0
+        return cls(X, Xs, norms, aug, spec)
 
-    def row(self, i: int) -> "Query":
-        """Row i alone, as views of this query's arrays, or itself if one row."""
-        if self.X.shape[0] == 1:
-            return self
-        s = slice(i, i + 1)
+    def rows(self, s: slice) -> "Query":
+        """Rows s, as views of this query's arrays."""
         return Query(self.X[s], self.Xs[s], self.norms[s], self.aug[s], self.spec)
 
-    def scaled(self, spec: KernelSpec) -> np.ndarray:
-        """The rows' `aug` under `spec`: the kept one when spec equals the
-        query's, else built afresh."""
-        if spec is self.spec or spec == self.spec:
-            return self.aug
-        return Query.of(self.X, spec).aug
+    def row(self, i: int) -> "Query":
+        """Row i alone, or this query itself if it holds one row."""
+        return self if self.X.shape[0] == 1 else self.rows(slice(i, i + 1))
 
 
 def scaled_cross_gram(Xa: np.ndarray, Za: np.ndarray, sf2: float) -> np.ndarray:
@@ -185,8 +202,8 @@ def scaled_cross_gram(Xa: np.ndarray, Za: np.ndarray, sf2: float) -> np.ndarray:
     over it in place, and its transpose is returned: K[0] is contiguous and
     K.T goes to BLAS and LAPACK without a copy.  Both arguments are
     C-ordered, so their transposes reach BLAS without a copy too.  A query
-    row whose |x / l|^2 overflowed has -inf in its norm column and gets an
-    exact zero row.
+    row whose |x / l|^2 overflowed is [0, -inf, 1] and gets an exact zero
+    row, whatever the stored rows.
     """
     K = dgemm(1.0, Za.T, Xa.T, trans_a=1)
     np.minimum(K, 0.0, out=K)

@@ -14,8 +14,8 @@ residuals against it, so a freshly split pair predicts like the parent did.
 Predictions aggregate *all* children under a gate that weights each child
 by its share of the rows and a Gaussian of its own spread about its center,
 which keeps the mean continuous in the input.  The shared kernel is fit
-once (`TrainSchedule`), so an update's cost is bounded by the splitting
-limit.
+once, before the first split (`TrainSchedule`), so an update's cost is
+bounded by the splitting limit and every frozen mean shares one spec.
 
 Rows are checked and scaled once, where they enter the pool, as one
 `kernels.Query` per batch whose one-row slices reach the router, the child
@@ -34,7 +34,9 @@ from .gp import FitResult, FitSchedule, GpPosterior, fit
 from .kernels import KernelSpec, Query, default_spec, scaled_cross_gram, scaled_rows
 from .partition import split
 
-SNAPSHOT_VERSION = 7
+SNAPSHOT_VERSION = 8
+
+FIT_ROWS = 500  # the row after which a pool makes its one fit (`TrainSchedule`)
 
 # Added to each child's mean squared deviation per scaled dimension, the
 # variance of its gate Gaussian; a child of one row, or of duplicates, needs it.
@@ -57,27 +59,24 @@ class PriorMeanNode:
     """A frozen kernel expansion recording a parent's predictive mean.
 
     Created when a local model splits: it takes the parent's residual weights
-    and rows, which the dropped parent never writes again, with the kernel
-    spec current at that moment, chained to the parent's own prior.  A node's
-    expansion never changes afterwards, so children can be refit without
-    touching their inherited mean.  Because a node is frozen with its own
-    spec, it scales its rows under that spec when it is made, into the
-    augmented form of `kernels.scaled_rows`, which checks them; that covers
-    rows read from a snapshot.  A query comes as a `Query`, whose `aug` is
-    used when its spec is the node's.  Nothing writes to a node once made.
+    and rows, which the dropped parent never writes again, chained to the
+    parent's own prior.  No fit follows a freeze (`LocalGpPool.refit`), so
+    every node shares the pool's spec: it scales its rows under that spec
+    when made, as `kernels.scaled_rows`, which checks them (rows read from a
+    snapshot too), and takes a query as a `Query` under it.  Nothing writes
+    to a node once made.
     """
 
-    __slots__ = ("X", "alpha", "spec", "parent", "_scaled")
+    __slots__ = ("X", "alpha", "parent", "_scaled")
 
     def __init__(self, X: np.ndarray, alpha: np.ndarray, spec: KernelSpec,
                  parent: "PriorMeanNode | None"):
-        self.X, self.alpha, self.spec, self.parent = X, alpha, spec, parent
+        self.X, self.alpha, self.parent = X, alpha, parent
         self._scaled = scaled_rows(X, spec)
 
     def expansion(self, query: Query) -> np.ndarray:
         """This node's own kernel expansion at the query rows."""
-        return scaled_cross_gram(query.scaled(self.spec), self._scaled,
-                                 self.spec.signal_variance) @ self.alpha
+        return scaled_cross_gram(query.aug, self._scaled, query.spec.signal_variance) @ self.alpha
 
     def evaluate(self, Xstar: np.ndarray, query: Query) -> np.ndarray:
         """The chain's mean at rows Xstar, ((0.0 + root) + ...) + this node's
@@ -135,10 +134,10 @@ class ChildModel:
     Without a cached posterior, or when `GpPosterior.append` declines, the
     cache is cleared and the next use rebuilds it in O(n^3).  The owning pool
     checks and scales each row before it reaches `append`, as a one-row
-    `Query`.  A refit, or `factorize` at the end of a batch, may leave a
-    posterior of all the rows in a slot apart: `posterior(spec)` takes it at
-    its spec instead of rebuilding, and an append or `invalidate` drops it
-    ungrown.
+    `Query`, and passes its one spec, dropping every posterior when a fit
+    changes it.  A fit, or `factorize` at the end of a batch, may leave a
+    posterior of all the rows in a slot apart: `posterior` takes it instead
+    of rebuilding, and an append or `invalidate` drops it ungrown.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, prior: PriorMeanNode | None = None,
@@ -215,8 +214,7 @@ class ChildModel:
             l, prior = (solved or {}).get(post, (None, None))
             if prior is None:
                 prior = 0.0 if self.prior is None else self.prior.evaluate(query.X, query)[0]
-            if not post.append(self.X, y - prior, self._Xbuf.shape[0],
-                               query.scaled(post.spec), l):
+            if not post.append(self.X, y - prior, self._Xbuf.shape[0], query.aug, l):
                 post = None
         self._posterior = post
         self._residuals = None if post is None else post.Y
@@ -224,27 +222,27 @@ class ChildModel:
     def invalidate(self) -> None:
         self._posterior = self._adopted = None
 
-    def residuals(self) -> np.ndarray:
+    def residuals(self, spec: KernelSpec) -> np.ndarray:
         """Responses minus the inherited prior mean, what the local GP models;
-        the chain walk shares one `Query` of the rows."""
+        the chain walk shares one `Query` of the rows under spec."""
         if self._residuals is None:
             prior = self.prior
             self._residuals = self.Y - (0.0 if prior is None else
-                                        prior.evaluate(self.X, Query.of(self.X, prior.spec)))
+                                        prior.evaluate(self.X, Query.of(self.X, spec)))
         return self._residuals
 
     def posterior(self, spec: KernelSpec) -> GpPosterior:
-        if self._posterior is None or self._posterior.spec != spec:
+        if self._posterior is None:
             adopted, self._adopted = self._adopted, None
-            self._posterior = adopted if adopted is not None and adopted.spec == spec else (
-                GpPosterior(self.X, self.residuals(), spec))
+            self._posterior = adopted if adopted is not None else (
+                GpPosterior(self.X, self.residuals(spec), spec))
         return self._posterior
 
     def factorize(self, spec: KernelSpec) -> None:
         """Build the posterior at spec into the slot apart, if the child holds
         none: bitwise the one a read would build, and dropped by an append."""
         if self._posterior is None and self._adopted is None:
-            self._adopted = GpPosterior(self.X, self.residuals(), spec)
+            self._adopted = GpPosterior(self.X, self.residuals(spec), spec)
 
     def footprint_bytes(self, ndim: int) -> int:
         # Gram entries + stored rows + responses + center, 8 bytes a scalar.
@@ -274,15 +272,16 @@ def _gate_entry(child: ChildModel, lengthscales: list) -> tuple[float, float]:
 class TrainSchedule:
     """When the pool fits the shared kernel parameters, and with what budget.
 
-    With `fit_once` the kernel is fit once, on the rows seen by then: at the
-    end of the first batch, or at the first split of a row-by-row stream.
-    Updates never fit it again, so an update's cost is bounded by the split
-    limit, not by the number of children.  `never()` leaves the kernel as
-    set; an explicit `refit()` fits it under either.  A model counts as fit
-    once it holds a `last_fit`, which a snapshot keeps.  `fit_subsample`,
-    when set, caps the number of rows per shard used for the hyperparameter
-    search (seeded) and is at least 1; posteriors always condition on all
-    data.
+    With `fit_once` the pool fits the kernel once, right after it stores its
+    FIT_ROWS-th row (a `SplittingGP`'s min(FIT_ROWS, m)-th, before any
+    split), in whichever `update` or `update_batch` carries that row.  No
+    update fits again, so its cost is bounded by the split limit, not by the
+    number of children.  `never()` keeps the given or first-row spec; an
+    explicit `refit()` fits under either, until the first split.  A model
+    counts as fit once it holds a `last_fit`, which a snapshot keeps.
+    `fit_subsample`, when set, caps the rows per shard used for the
+    hyperparameter search (seeded) and is at least 1; posteriors always
+    condition on all data.
     """
 
     fit_once: bool = True
@@ -301,18 +300,10 @@ class TrainSchedule:
 
 def subsample_shards(shards, schedule: TrainSchedule):
     """Cap rows per shard for the hyperparameter search when configured."""
-    cap = schedule.fit_subsample
-    if cap is None:
-        return shards
-    rng = np.random.default_rng(schedule.subsample_seed)
-    out = []
-    for X, Y in shards:
-        if X.shape[0] > cap:
-            idx = np.sort(rng.choice(X.shape[0], cap, replace=False))
-            out.append((X[idx], Y[idx]))
-        else:
-            out.append((X, Y))
-    return out
+    cap, rng = schedule.fit_subsample, np.random.default_rng(schedule.subsample_seed)
+    picks = [np.sort(rng.choice(len(Y), cap, replace=False)) if cap is not None and len(Y) > cap
+             else slice(None) for _, Y in shards]
+    return [(X[i], Y[i]) for (X, Y), i in zip(shards, picks)]
 
 
 @dataclass
@@ -340,35 +331,39 @@ class LocalGpPool:
     combiner.
 
     A subclass supplies the router, `_route(query, y)`, which stores one row,
-    a one-row `Query`, in a child and returns True when that split a child;
-    it may take a whole batch in `_route_rows` instead.  The pool owns
-    everything else: row checks and scaling, once per batch, seeding the spec
-    from the first row, the ingest loop, the nearest center, the one kernel
-    fit over the children's residuals that the schedule asks for (see
+    a one-row `Query`, in a child; it may take a whole batch in `_route_rows`
+    instead.  The pool owns everything else: row checks and scaling, once
+    per batch, the ingest loop, the nearest center, the one kernel fit (see
     `TrainSchedule`), each child's predictive moments at the query rows, and
-    the combiner.  The default combiner weights every child by its
+    the combiner.  Its one kernel spec is read-only: the first row seeds it
+    if none is given, and only a fit changes it, which `refit` refuses once
+    a node is frozen.  The default combiner weights every child by its
     similarity k(c_j, x) to the query row, normalized to sum to one, and far
-    from every center gives the weight to the nearest; a subclass may
-    replace it.  The nearest center and the weights read one score per
-    center, `_scores`, from the centers scaled in one array, whose row a
-    router rewrites when it appends to a child, with the child's gate row
-    (`_gate_rows`) beside them.  A read changes nothing but the `_Handoff` a
+    from every center gives the weight to the nearest (along the row's
+    direction for a `Query`'s far row); a subclass may replace it.  The
+    nearest center and the weights read one score per center, `_scores`,
+    from the centers scaled in one array, whose row a router rewrites when
+    it appends to a child, with the child's gate row (`_gate_rows`) beside
+    them.  A read changes nothing but the `_Handoff` a
     one-row read leaves for an `update` of the same row bytes to route and
     append with; any other read, update or refit drops it.  The four
     regressors are subclasses: `SplittingGP`, and in `baselines` `FullGp`
     (one child), `LocalGpWgen` and `Rbcm`.
     """
 
+    _fit_rows = FIT_ROWS
+
     def __init__(self, spec: KernelSpec | None = None,
                  train_schedule: TrainSchedule | None = None):
-        self.spec = spec
+        self._spec = spec
         self.schedule = train_schedule or TrainSchedule()
         self.children: list[ChildModel] = []
         self.last_fit: FitResult | None = None
-        self._node_lengthscales = np.inf  # elementwise minimum over frozen nodes
         # (children, spec, scaled centers, their squared norms, gate rows)
         self._centers: tuple | None = None
         self._handoff: _Handoff | None = None
+
+    spec = property(lambda self: self._spec, doc="The kernel spec; None until a row seeds it.")
 
     # -- ingestion ---------------------------------------------------------
 
@@ -387,7 +382,7 @@ class LocalGpPool:
     def _scaled_centers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Scaled centers, (C, d), their squared norms, and the gate rows,
         (C, d + 2) (`_gate_rows`): extended, or rebuilt if stale."""
-        kept, children, spec = self._centers, self.children, self.spec
+        kept, children, spec = self._centers, self.children, self._spec
         fresh = kept is not None and kept[0] is children and kept[1] is spec
         if not fresh or len(kept[2]) != len(children):
             d = spec.ndim
@@ -405,9 +400,9 @@ class LocalGpPool:
         kept = self._centers
         if kept is not None and idx < len(kept[2]):
             child = self.children[idx]
-            c = child.center[None, :] / self.spec.lengthscales
+            c = child.center[None, :] / self._spec.lengthscales
             norm = (c * c).sum(axis=1)[0]
-            a, p = _gate_entry(child, self.spec.lengthscales.tolist())
+            a, p = _gate_entry(child, self._spec.lengthscales.tolist())
             G, d = kept[4], c.shape[1]
             kept[2][idx], kept[3][idx] = c[0], norm
             G[idx, :d], G[idx, d], G[idx, d + 1] = 2.0 * p * c[0], 2.0 * p, a - p * norm
@@ -438,52 +433,50 @@ class LocalGpPool:
         return child
 
     def update(self, x: np.ndarray, y: float) -> None:
-        """Insert a single observation: a one-row batch through the checks
-        and routing of `update_batch`; a split fits the kernel if the
-        schedule still asks for its one fit.  y may be a float or a
-        one-entry array; a rejected row changes nothing."""
-        if any(self._add_rows(np.asarray(x, dtype=float).reshape(1, -1), y)):
-            self._fit_once()
+        """Insert a single observation: a one-row batch through this class's
+        `update_batch`, without a subclass's batch end.  y may be a float or
+        a one-entry array; a rejected row changes nothing."""
+        LocalGpPool.update_batch(self, np.asarray(x, dtype=float).reshape(1, -1), y)
 
     def update_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
-        """Insert rows in order, checked as one batch before the first is
-        stored; the batch's end fits the kernel if the schedule still asks
-        for its one fit."""
-        if self._add_rows(X, Y):
-            self._fit_once()
-
-    def _fit_once(self) -> None:
-        if self.schedule.fit_once and self.last_fit is None:
-            self.refit()
-
-    def _add_rows(self, X: np.ndarray, Y: np.ndarray) -> list[bool]:
-        """Check the rows as one batch, before any is stored, seed the spec
-        from the first row if unset, scale them as one `Query`, or take the
-        handoff's when it holds these row bytes, and route them in order
-        (`_route_rows`); True for each row that split a child."""
+        """Insert rows in order: check them as one batch before any is stored,
+        seed the spec from the first row if unset, scale them as one `Query`,
+        or take the handoff's when it holds these row bytes, and route them.
+        The schedule's one fit comes right after the row it is due at; the
+        rest are checked and scaled again under the fitted spec, so one that
+        overflows only there is rejected with the rows before it stored."""
         handoff, self._handoff = self._handoff, None
         X, Y = np.atleast_2d(np.asarray(X, dtype=float)), np.asarray(Y, dtype=float).ravel()
         if X.shape[0] != Y.shape[0]:
             raise ContractViolationError("batch X rows and Y entries must match")
         if X.shape[0] == 0:
-            return []
+            return
         if not np.isfinite(Y).all():
             raise ContractViolationError("batch Y contains non-finite values")
-        spec = default_spec(Y[:1], X.shape[1]) if self.spec is None else self.spec
+        spec = default_spec(Y[:1], X.shape[1]) if self._spec is None else self._spec
         q = handoff and handoff.query  # a one-row read's, if of these rows
-        if not q or (q.X.tobytes(), q.X.shape, q.spec) != (X.tobytes(), X.shape, spec):
+        if not q or (q.X.tobytes(), q.X.shape) != (X.tobytes(), X.shape):
             handoff, q = None, Query.of(X, spec, "batch X")
-        check_scaled(X, np.minimum(spec.lengthscales, self._node_lengthscales))
-        self.spec, self._handoff = spec, handoff  # read by the router's `_scores`
+        check_scaled(X, spec.lengthscales)
+        self._spec, self._handoff = spec, handoff  # read by the router's `_scores`
+        due = (self._fit_rows - self.n_observations
+               if self.schedule.fit_once and self.last_fit is None else 0)
+        k = due if 0 < due <= len(Y) else len(Y)  # rows stored before the fit
         try:
-            return self._route_rows(q, Y)
+            self._route_rows(q if k == len(Y) else q.rows(slice(k)), Y[:k])
         finally:
             self._handoff = None
+        if k == due:
+            self.refit()
+            if k < len(Y):
+                check_scaled(X[k:], self._spec.lengthscales)
+                self._route_rows(Query.of(X[k:], self._spec, "batch X"), Y[k:])
 
-    def _route_rows(self, query: Query, Y: np.ndarray) -> list[bool]:
+    def _route_rows(self, query: Query, Y: np.ndarray) -> None:
         """Route each row as its one-row slice, which the routers, children
         and posteriors take as it is."""
-        return [self._route(query.row(i), y) for i, y in enumerate(Y)]
+        for i, y in enumerate(Y):
+            self._route(query.row(i), y)
 
     def ingest_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
         self.update_batch(X, Y)
@@ -491,17 +484,21 @@ class LocalGpPool:
     # -- training ----------------------------------------------------------
 
     def refit(self) -> FitResult:
-        """Re-optimize the shared kernel parameters on the residuals of the
-        children.  Every cached posterior is dropped; a child whose
-        rows the fit saw whole, not cut by `fit_subsample`, adopts the one the
-        fit returns for it, if any, as it is; an append takes the bound of its
-        storage from the child's buffer.  `last_fit` keeps no posterior."""
+        """Optimize the shared kernel parameters on the children's rows and
+        responses, each child a shard.  Every cached posterior is dropped; a
+        child whose rows the fit saw whole, not cut by `fit_subsample`, adopts
+        the one the fit returns for it, if any, as it is; an append takes the
+        bound of its storage from the child's buffer.  `last_fit` keeps no
+        posterior.  Every prior node shares the pool's spec, so once one is
+        frozen this raises ContractViolationError and changes nothing."""
         if not self.children:
             raise EmptyModelError("cannot fit an empty model")
-        shards = subsample_shards([(c.X, c.residuals()) for c in self.children], self.schedule)
-        result = fit(shards, self.spec, self.schedule.fit)
+        if any(c.prior is not None for c in self.children):
+            raise ContractViolationError("the kernel is fixed once a prior node is frozen")
+        shards = subsample_shards([(c.X, c.Y) for c in self.children], self.schedule)
+        result = fit(shards, self._spec, self.schedule.fit)
         posteriors, result.posteriors = result.posteriors or [], None
-        self.spec, self._handoff = result.spec, None
+        self._spec, self._handoff = result.spec, None
         self.last_fit = result
         for child in self.children:
             child.invalidate()
@@ -515,7 +512,7 @@ class LocalGpPool:
     def _query(self, Xstar: np.ndarray) -> Query:
         if not self.children:
             raise EmptyModelError("model has no observations yet")
-        query = Query.of(Xstar, self.spec)
+        query = Query.of(Xstar, self._spec)
         self._handoff = _Handoff(query) if len(query.X) == 1 else None
         return query
 
@@ -529,7 +526,7 @@ class LocalGpPool:
         """
         values = self._chain_values(lambda node: node.expansion(query)) if mean else {}
         priors = [values.get(c.prior) for c in self.children]  # None: no prior, or no mean
-        posts = [c.posterior(self.spec) for c in self.children]
+        posts = [c.posterior(self._spec) for c in self.children]
         if query.X.shape[0] == 1:  # floats from each child's one solve
             rows = [post.predict_row(query.aug) for post in posts]
             chains = [None if p is None else p[0] for p in priors]
@@ -628,7 +625,8 @@ class SplittingGP(LocalGpPool):
     spec : KernelSpec, optional
         Shared kernel; defaults are derived from the first data seen.
     train_schedule : TrainSchedule, optional
-        By default the kernel is fit once (`TrainSchedule`).
+        By default the kernel is fit once, before the first split
+        (`TrainSchedule`).
     """
 
     def __init__(self, split_limit: int, spec: KernelSpec | None = None,
@@ -637,6 +635,7 @@ class SplittingGP(LocalGpPool):
             raise ContractViolationError("split limit must be at least 2")
         super().__init__(spec, train_schedule)
         self.m = int(split_limit)
+        self._fit_rows = min(FIT_ROWS, self.m)
 
     # perfbench/tracing.py wraps these methods where it finds them, in this
     # class's own __dict__.
@@ -651,7 +650,7 @@ class SplittingGP(LocalGpPool):
         factorize each child that holds no posterior."""
         super().update_batch(X, Y)
         for child in self.children:
-            child.factorize(self.spec)
+            child.factorize(self._spec)
 
     def _weights(self, query: Query) -> np.ndarray:
         """The gate, one row per query row: w_j(x) proportional to
@@ -692,27 +691,20 @@ class SplittingGP(LocalGpPool):
         # A child holds at most m + 1 rows: the one past m triggers its split.
         return ChildModel(X, Y, prior, max_rows=self.m + 1)
 
-    def _route(self, query: Query, y: float) -> bool:
+    def _route(self, query: Query, y: float) -> None:
         if not self.children:
             self.children.append(self._new_child(query.X, [y]))
-            return False
-        idx = self._nearest(query)[0]
-        if self._append(self.children[idx], query, y).n > self.m:
-            self._split_child(idx)
-            return True
-        self._center_moved(idx)
-        return False
-
-    def _freeze(self, X: np.ndarray, alpha: np.ndarray, spec: KernelSpec,
-                parent: PriorMeanNode | None) -> PriorMeanNode:
-        """A new prior node, whose lengthscales join every later row's check."""
-        self._node_lengthscales = np.minimum(self._node_lengthscales, spec.lengthscales)
-        return PriorMeanNode(X, alpha, spec, parent)
+        else:
+            idx = self._nearest(query)[0]
+            if self._append(self.children[idx], query, y).n > self.m:
+                self._split_child(idx)
+            else:
+                self._center_moved(idx)
 
     def _split_child(self, idx: int) -> None:
         # The child is dropped with its buffer full: nothing writes X or alpha again.
         child = self.children[idx]
-        node = self._freeze(child.X, child.posterior(self.spec).alpha, self.spec, child.prior)
+        node = PriorMeanNode(child.X, child.posterior(self._spec).alpha, self._spec, child.prior)
         result = split(child.X, child.Y, child.center)
         self.children[idx] = self._new_child(*result.left, node)
         self._center_moved(idx)
@@ -727,17 +719,13 @@ class SplittingGP(LocalGpPool):
     # -- accounting and persistence -----------------------------------------
 
     def save(self, path) -> None:
-        """Write a versioned snapshot: children, priors, kernel, split limit,
-        training schedule and the last fit's outcome."""
+        """Write a snapshot of version SNAPSHOT_VERSION: children, priors, the
+        one kernel, split limit, training schedule and the last fit's outcome."""
         nodes = self.prior_nodes()
         order = {node: i for i, node in enumerate(nodes)}  # None is -1
-        payload = {
-            "version": np.array(SNAPSHOT_VERSION),
-            "m": np.array(self.m),
-            "n_children": np.array(self.n_children),
-            "n_nodes": np.array(len(nodes)),
-        }
-        payload.update(_schedule_to_payload(self.schedule))
+        payload = {"version": np.array(SNAPSHOT_VERSION), "m": np.array(self.m),
+                   "n_children": np.array(self.n_children), "n_nodes": np.array(len(nodes)),
+                   **_schedule_to_payload(self.schedule)}
         if self.spec is not None:
             payload["spec"] = _spec_to_array(self.spec)
         if self.last_fit is not None:
@@ -748,7 +736,6 @@ class SplittingGP(LocalGpPool):
         for i, node in enumerate(nodes):
             payload[f"node_{i}_X"] = node.X
             payload[f"node_{i}_alpha"] = node.alpha
-            payload[f"node_{i}_spec"] = _spec_to_array(node.spec)
             payload[f"node_{i}_parent"] = np.array(order.get(node.parent, -1))
         for i, child in enumerate(self.children):
             payload[f"child_{i}_X"] = child.X
@@ -772,18 +759,13 @@ class SplittingGP(LocalGpPool):
             nodes: list[PriorMeanNode] = []
             for i in range(int(data["n_nodes"])):
                 parent_idx = int(data[f"node_{i}_parent"])
-                nodes.append(model._freeze(
-                    data[f"node_{i}_X"],
-                    data[f"node_{i}_alpha"],
-                    _spec_from_array(data[f"node_{i}_spec"]),
-                    nodes[parent_idx] if parent_idx >= 0 else None,
-                ))
+                nodes.append(PriorMeanNode(data[f"node_{i}_X"], data[f"node_{i}_alpha"], spec,
+                                           nodes[parent_idx] if parent_idx >= 0 else None))
             for i in range(int(data["n_children"])):
                 prior_idx = int(data[f"child_{i}_prior"])
                 model.children.append(model._new_child(
                     data[f"child_{i}_X"], data[f"child_{i}_Y"],
-                    nodes[prior_idx] if prior_idx >= 0 else None,
-                ))
+                    nodes[prior_idx] if prior_idx >= 0 else None))
         return model
 
 

@@ -154,12 +154,11 @@ def _two_child_model():
     rng = np.random.default_rng(404)
     xs = rng.uniform(-1, 1, 101)
     ys = 2.0 * np.tanh(8.0 * xs) + 0.3 * xs + rng.normal(0, 0.05, 101)
-    model = SplittingGP(60, train_schedule=TrainSchedule.never())
+    # The kernel is fit at row 60, before the split at row 61 freezes a node.
+    model = SplittingGP(60, train_schedule=TrainSchedule(fit=FitSchedule(max_iters=40)))
     for x, y in zip(xs, ys):
         model.update(np.array([x]), y)
-    assert model.n_children == 2
-    model.schedule = TrainSchedule(fit=FitSchedule(max_iters=40))
-    model.refit()
+    assert model.n_children == 2 and model.last_fit is not None
     return model
 
 
@@ -179,7 +178,7 @@ def test_criterion_4_continuity_contrast():
 
     def child_mean(child, G):  # inherited prior plus the residual layer
         prior = 0.0 if child.prior is None else child.prior.evaluate(
-            G, Query.of(G, child.prior.spec))
+            G, Query.of(G, model.spec))
         return prior + posterior_mean(child.posterior(model.spec), G)
 
     def nearest_only(G):

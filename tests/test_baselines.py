@@ -10,7 +10,7 @@ from splitgp.data import SeedPlan, synth_dataset
 from splitgp.exceptions import ContractViolationError, EmptyModelError
 from splitgp.gp import FitSchedule, GpPosterior, posterior_mean, posterior_variance
 from splitgp.kernels import KernelSpec, default_spec
-from splitgp.model import ChildModel, SplittingGP, TrainSchedule
+from splitgp.model import FIT_ROWS, ChildModel, SplittingGP, TrainSchedule
 
 
 def make_spec(ls, sf2=1.0, sn2=0.1):
@@ -290,12 +290,12 @@ class TestRbcm:
         # A NaN gradient at the warm start makes L-BFGS-B's next point NaN.
         monkeypatch.setattr(gp_module, "lml_gradient",
                             lambda post, K=None: np.full(post.spec.ndim + 2, np.nan))
-        X = np.random.default_rng(0).uniform(-1, 1, (20, 2))
-        Y = np.random.default_rng(1).normal(size=20)
+        X = np.random.default_rng(0).uniform(-1, 1, (FIT_ROWS, 2))
+        Y = np.random.default_rng(1).normal(size=FIT_ROWS)
         model = Rbcm(3, seed=0, train_schedule=TrainSchedule(fit=FitSchedule(3)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model.update_batch(X, Y)
+            model.update_batch(X, Y)  # fits after its last row
             mean, var = model.predict_mean_batch(X), model.predict_variance_batch(X)
         assert model.last_fit.warning and not model.last_fit.converged
         assert model.spec == model.last_fit.spec
@@ -304,20 +304,21 @@ class TestRbcm:
 
     def test_far_row_leaves_the_fit_working(self):
         # One row at 1e100 has kernel entries of exactly 0 with the others,
-        # so it must not reach the lengthscale gradient.
+        # so it must not reach the lengthscale gradient.  The fit comes after
+        # the FIT_ROWS-th row, in the sixth batch.
         X = np.random.default_rng(0).uniform(-1, 1, (20, 2))
         X[3] = [1e100, 0.0]
         Y = np.random.default_rng(1).normal(size=20)
         model = Rbcm(3, seed=0, train_schedule=TrainSchedule(fit=FitSchedule(3)))
         rng = np.random.default_rng(2)
+        batch = (FIT_ROWS - 20) // 5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             model.update_batch(X, Y)
-            fits = [model.last_fit]
             for _ in range(5):
-                model.update_batch(rng.uniform(-1, 1, (20, 2)), rng.normal(size=20))
-                fits.append(model.last_fit)
-        assert not any(f.warning for f in fits)
+                model.update_batch(rng.uniform(-1, 1, (batch, 2)), rng.normal(size=batch))
+        assert model.n_observations == FIT_ROWS
+        assert model.last_fit is not None and not model.last_fit.warning
         assert not np.array_equal(model.spec.lengthscales, [1.0, 1.0])
 
     def test_first_row_creates_each_expert_in_slot_order(self):

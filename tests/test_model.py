@@ -8,11 +8,12 @@ import pytest
 from splitgp import gp as gp_module
 from splitgp import model as model_module
 from splitgp.baselines import FullGp, LocalGpWgen, Rbcm
-from splitgp.data import SeedPlan, synth_dataset
+from splitgp.data import SeedPlan, synth_dataset, synth_latent
 from splitgp.exceptions import ContractViolationError, EmptyModelError, NumericalError
 from splitgp.gp import FitSchedule, GpPosterior, posterior_mean, posterior_variance
 from splitgp.kernels import KernelSpec, Query, cross_gram, gram
-from splitgp.model import GATE_RIDGE, ChildModel, PriorMeanNode, SplittingGP, TrainSchedule
+from splitgp.model import (FIT_ROWS, GATE_RIDGE, SNAPSHOT_VERSION, ChildModel, PriorMeanNode,
+                           SplittingGP, TrainSchedule)
 
 
 def make_spec(ls, sf2=1.0, sn2=0.1):
@@ -115,31 +116,6 @@ class TestUpdate:
         with pytest.raises(ContractViolationError, match="overflows"):
             model.update_batch(np.array([[0.0, 0.0], [0.0, -1e200]]), [1.0, 2.0])
         assert model.spec is None and model.n_observations == 0
-
-    def test_row_overflowing_under_a_frozen_node_rejected(self, tmp_path):
-        # A node frozen at l = 1 scales the rows of the children below it by
-        # its own lengthscale; after the spec moves to l = 100, as a refit
-        # towards longer lengthscales leaves it, 5e154 is safe under the spec
-        # but |x / l|^2 overflows under the node's.  A loaded model keeps the
-        # node's bound.
-        model = quiet_model(3)
-        for x in (0.0, 0.1, 0.2, 0.3):
-            model.update(np.array([x]), x)
-        assert len(model.prior_nodes()) == 1
-        model.spec = make_spec([100.0], model.spec.signal_variance, model.spec.noise_variance)
-        model.save(tmp_path / "model.npz")
-        Xq = np.array([[0.05], [0.25]])
-        for m in (model, SplittingGP.load(tmp_path / "model.npz")):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                before = (m.n_observations, m.predict_mean_batch(Xq).tobytes(),
-                          m.predict_variance_batch(Xq).tobytes())
-                with pytest.raises(ContractViolationError, match="overflows"):
-                    m.update(np.array([5e154]), 0.0)
-                with pytest.raises(ContractViolationError, match="overflows"):
-                    m.update_batch(np.array([[0.15], [5e154]]), [0.0, 0.0])
-                assert (m.n_observations, m.predict_mean_batch(Xq).tobytes(),
-                        m.predict_variance_batch(Xq).tobytes()) == before
 
     def test_identical_inputs_split_by_arrival_rank(self):
         model = quiet_model(10)
@@ -367,7 +343,7 @@ class TestPriorInheritance:
         for child in model.children:
             if child.prior is not None:
                 offset = child.prior.evaluate(child.X, Query.of(child.X, model.spec))
-                assert np.allclose(child.residuals(), child.Y - offset, atol=1e-12)
+                assert np.allclose(child.residuals(model.spec), child.Y - offset, atol=1e-12)
 
 
 class TestMemoryFootprint:
@@ -446,7 +422,7 @@ class TestSnapshot:
             if warm and model.children:
                 model.predict(X[t])
             model.update(X[t], Y[t])
-        assert (model.last_fit is not None) == refit  # the one fit, at the first split
+        assert (model.last_fit is not None) == refit  # the one fit, at row m
         if warm:
             # The fit clears every cache, so the warm model ends on a read.
             model.predict(X[100])
@@ -533,6 +509,12 @@ class TestSnapshot:
         self._rejected(tmp_path, 6, schedule_fit_once=None,
                        schedule_flags=np.array([True, True]))
 
+    def test_version_7_snapshot_rejected(self, tmp_path):
+        # Version 7 stores a spec per prior node; every node now shares the
+        # pool's one spec.
+        assert SNAPSHOT_VERSION == 8
+        self._rejected(tmp_path, 7, node_0_spec=np.array([1.0, 0.1, 1.0, 1.0]))
+
     def test_model_saved_after_its_fit_never_fits_again(self, tmp_path, monkeypatch):
         X, Y = self._stream(36, n=200)
         model = SplittingGP(15, train_schedule=TrainSchedule(fit=FitSchedule(max_iters=3)))
@@ -549,9 +531,10 @@ class TestSnapshot:
         assert not fits and loaded.n_children > n + 2
         assert loaded.spec == model.spec and loaded.last_fit == model.last_fit
 
-    @pytest.mark.parametrize("then", ["batch", "split"])
-    def test_model_saved_before_its_fit_fits_at_its_first_batch_or_split(
-            self, tmp_path, monkeypatch, then):
+    @pytest.mark.parametrize("then", ["batch", "row"])
+    def test_model_saved_before_its_fit_fits_at_its_fit_row(self, tmp_path, monkeypatch, then):
+        # At m = 15 the fit comes right after the 15th row, before the
+        # first split, whether that row arrives alone or inside a batch.
         X, Y = self._stream(37, n=120)
         model = SplittingGP(15, train_schedule=TrainSchedule(fit=FitSchedule(max_iters=3)))
         for x, y in zip(X[:10], Y[:10]):
@@ -561,16 +544,14 @@ class TestSnapshot:
         loaded = SplittingGP.load(tmp_path / "model.npz")
         fits = _count_fits(monkeypatch)
         if then == "batch":
-            loaded.update_batch(X[10:12], Y[10:12])  # no split: the batch's end fits
-            assert loaded.n_children == 1 and len(fits) == 1
+            loaded.update_batch(X[10:20], Y[10:20])  # fits after its fifth row, then splits
+            assert loaded.n_children == 2 and len(fits) == 1
         else:
-            for x, y in zip(X[10:], Y[10:]):
-                splits = loaded.n_children
+            for x, y in zip(X[10:20], Y[10:20]):
                 loaded.update(x, y)
-                assert len(fits) == (loaded.n_children > 1)
-                if loaded.n_children > splits > 1:
-                    break
-        assert loaded.last_fit is not None
+                assert len(fits) == (loaded.n_observations >= 15)
+                assert loaded.n_children == 1 + (loaded.n_observations > 15)
+        assert loaded.last_fit is not None and loaded.prior_nodes()
         loaded.update_batch(X[-5:], Y[-5:])
         assert len(fits) == 1
 
@@ -586,10 +567,10 @@ def test_update_refits_on_split_per_schedule():
 
 
 class TestFitOnce:
-    """The default schedule fits the kernel once, at the first split of a
-    row-by-row stream; after that an update factorizes at most the child it
-    splits, whatever the number of children, as the paper's bound on an
-    update's cost asks.  Counted, not timed."""
+    """The default schedule fits the kernel once, right after row
+    min(FIT_ROWS, m), before the first split; after that an update
+    factorizes at most the child it splits, whatever the number of children,
+    as the paper's bound on an update's cost asks.  Counted, not timed."""
 
     @staticmethod
     def _collinear(rng):
@@ -623,6 +604,61 @@ class TestFitOnce:
                 splits += split
                 assert built[start:] == ([m + 1] if split else [])
         assert len(fits) == 1 and model.n_children >= children and splits >= children - 2
+
+    @pytest.mark.parametrize("m", [7, 40])
+    @pytest.mark.parametrize("ingest", ["rows", "batch"])
+    def test_the_fit_comes_before_the_first_node_is_frozen(self, monkeypatch, m, ingest):
+        # Row min(FIT_ROWS, m) fits; a split needs m + 1 rows in one child,
+        # so every node is frozen under the fitted spec, the pool's one spec.
+        X, Y = self._uniform(np.random.default_rng(92))
+        model = SplittingGP(m, train_schedule=TrainSchedule(fit=FitSchedule(max_iters=3)))
+        frozen, init = [], PriorMeanNode.__init__
+
+        def recorded(node, X, alpha, spec, parent):
+            frozen.append((model.last_fit, spec))
+            init(node, X, alpha, spec, parent)
+
+        monkeypatch.setattr(PriorMeanNode, "__init__", recorded)
+        if ingest == "rows":
+            for x, y in zip(X[:200], Y[:200]):
+                model.update(x, y)
+        else:
+            model.update_batch(X[:200], Y[:200])
+        assert len(frozen) >= 3 and model.last_fit is not None
+        assert all(fit is model.last_fit and spec is model.spec for fit, spec in frozen)
+
+    def test_refit_after_a_split_is_refused_and_changes_nothing(self):
+        X, Y = self._uniform(np.random.default_rng(93))
+        model = SplittingGP(10, train_schedule=TrainSchedule(fit=FitSchedule(max_iters=3)))
+        model.update_batch(X[:60], Y[:60])
+        assert model.prior_nodes()
+        grid = X[100:120]
+        state = (model.spec, model.last_fit)
+        before = (model.predict_mean_batch(grid).tobytes(),
+                  model.predict_variance_batch(grid).tobytes())
+        with pytest.raises(ContractViolationError, match="fixed"):
+            model.refit()
+        assert (model.spec, model.last_fit) == state and model.spec is state[0]
+        with pytest.raises(AttributeError):  # and the spec is read-only
+            model.spec = make_spec([1.0, 1.0])
+        assert (model.predict_mean_batch(grid).tobytes(),
+                model.predict_variance_batch(grid).tobytes()) == before
+
+    @pytest.mark.parametrize("seed, unfitted", [(5, 0.0071), (6, 0.00746)])
+    def test_nodes_under_the_fitted_spec_track_the_latent_surface(self, seed, unfitted):
+        # A 500-row warm batch at m = 100 fits at row 100, before its first
+        # split; 1,500 single updates follow.  When the first split came
+        # before the fit, 6 or 7 of about 28 nodes held the one-row default
+        # spec, and the mean's squared error against the noise-free surface
+        # on the last 1,000 rows was `unfitted`.
+        ds = synth_dataset(3000, SeedPlan(seed))
+        model = SplittingGP(100, train_schedule=TrainSchedule(fit=FitSchedule(15)))
+        model.update_batch(ds.X[:500], ds.Y[:500])
+        for x, y in zip(ds.X[500:2000], ds.Y[500:2000]):
+            model.update(x, y)
+        Xq = ds.X[2000:]
+        mse_f = float(np.mean((model.predict_mean_batch(Xq) - synth_latent(*Xq.T)) ** 2))
+        assert mse_f < unfitted
 
 
 @pytest.mark.parametrize("cap", [0, -5])
@@ -681,7 +717,7 @@ class TestIncrementalUpdate:
                                                          fit=FitSchedule(max_iters=3)))
         taken = self._record_branches(monkeypatch)
         for t in range(X.shape[0]):
-            if t == 80 and kind == "smooth":
+            if t == 20 and kind == "smooth":  # before the first split, at row 26
                 before = model.spec
                 model.refit()  # a spec change: the next append finds no cache
                 assert model.spec != before
@@ -693,7 +729,7 @@ class TestIncrementalUpdate:
                 if post is None:
                     continue
                 assert post.spec == model.spec
-                prior = (c.prior.evaluate(c.X, Query.of(c.X, c.prior.spec))
+                prior = (c.prior.evaluate(c.X, Query.of(c.X, model.spec))
                          if c.prior is not None else 0.0)
                 fresh = GpPosterior(c.X, c.Y - prior, model.spec)
                 assert self._relative_gap(post.Y, fresh.Y) <= 1e-9
@@ -927,7 +963,7 @@ class TestRowsScaledOnce:
         expanded, expansion = [], PriorMeanNode.expansion
         monkeypatch.setattr(PriorMeanNode, "expansion", lambda node, query: (
             expanded.append((node, query)) or expansion(node, query)))
-        residuals = ChildModel(child.X, child.Y, child.prior).residuals()
+        residuals = ChildModel(child.X, child.Y, child.prior).residuals(model.spec)
         assert len(calls) == 1 and residuals.shape == (child.n,)
         # Every node expands the one query of the child's rows, root first.
         assert [node for node, _ in expanded] == nodes[::-1]
@@ -1078,11 +1114,14 @@ class TestPooledCenters:
         Y = np.sin(X).sum(axis=1)
         model = SplittingGP(10, spec=self.SPEC, train_schedule=TrainSchedule(
             fit_once=False, fit=FitSchedule(max_iters=3)))
-        model.update_batch(X[:40], Y[:40])
+        model.update_batch(X[:10], Y[:10])
         assert_pooled_scores(model, self.GRID)
         spec = model.spec
-        model.refit()
+        model.refit()  # before the first split, which fixes the kernel
         assert model.spec != spec
+        assert_pooled_scores(model, self.GRID)
+        model.update_batch(X[10:40], Y[10:40])
+        assert model.prior_nodes()
         assert_pooled_scores(model, self.GRID)
         model.save(tmp_path / "model.npz")
         loaded = SplittingGP.load(tmp_path / "model.npz")
@@ -1097,7 +1136,7 @@ class TestPooledCenters:
     @pytest.mark.parametrize("kind", ["splitting", "local"])
     def test_scores_follow_children_and_centers_set_directly(self, kind):
         # As some tests build a pool: the child list replaced or lengthened,
-        # and centers set before the first read.
+        # and centers set before the first read; then a refit moves the spec.
         rng = np.random.default_rng(83)
         X, Y = rng.normal(size=(8, 2)), rng.normal(size=8)
         model = (quiet_model(50, spec=self.SPEC) if kind == "splitting" else
@@ -1111,7 +1150,9 @@ class TestPooledCenters:
         assert_pooled_scores(model, self.GRID)
         model.children = model.children[1:]
         assert_pooled_scores(model, self.GRID)
-        model.spec = make_spec([1.3, 0.4], sn2=0.02)
+        spec = model.spec
+        model.refit()
+        assert model.spec != spec
         assert_pooled_scores(model, self.GRID)
         model.update(X[1], 0.5)
         assert_pooled_scores(model, self.GRID)
@@ -1119,11 +1160,9 @@ class TestPooledCenters:
 
 @pytest.mark.parametrize("kind", ["splitting", "fullgp", "local", "rbcm"])
 def test_far_field_reads_raise_no_warning(kind):
-    # |x / l|^2 overflows at x = 1e200 under unit lengthscales: the row gets
-    # an exact zero kernel row, by design, and no read warns of the overflow,
-    # here with warnings as errors and no `np.errstate`.  The splitting
-    # model's nodes were frozen under other lengthscales, so they scale the
-    # row again.
+    # |x / l|^2 overflows at x = 1e200: the row gets an exact zero kernel
+    # row, by design, and no read warns of the overflow, here with warnings
+    # as errors and no `np.errstate`.
     rng = np.random.default_rng(84)
     X = rng.uniform(-2, 2, size=(30, 2))
     spec, never = make_spec([0.5, 0.5], sn2=0.02), TrainSchedule.never()
@@ -1132,7 +1171,6 @@ def test_far_field_reads_raise_no_warning(kind):
              "local": lambda: LocalGpWgen(0.3, spec=spec, train_schedule=never),
              "rbcm": lambda: Rbcm(3, seed=5, spec=spec, train_schedule=never)}[kind]()
     model.update_batch(X, np.sin(X).sum(axis=1))
-    model.spec = make_spec([1.0, 1.0], sn2=0.02)
     x = np.array([1e200, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1311,8 +1349,10 @@ class TestQueryReuse:
         monkeypatch.setattr(GpPosterior, "_reserve", flagged_reserve)
         return counts
 
-    def _streamed(self, seed, schedule=None):
-        X, Y = self._stream(seed, n=150)
+    def _streamed(self, seed, schedule=None, n=150):
+        """A model streamed n rows; below its split limit, which fixes the
+        kernel, it may still be refit."""
+        X, Y = self._stream(seed, n=n)
         model = SplittingGP(10, spec=self.SPEC, train_schedule=schedule or TrainSchedule.never())
         for t in range(X.shape[0]):
             if t:
@@ -1321,14 +1361,15 @@ class TestQueryReuse:
         # A child with room for two more rows, and the point at its center,
         # which routes to it.
         child = next(c for c in model.children if c.n <= model.m - 2)
-        assert child.prior is not None
+        assert (child.prior is not None) == (n > model.m)
         return model, child, child.center.copy()
 
     @staticmethod
     def _assert_matches_fresh_posterior(model, child):
         post = child._posterior
         assert post is not None and post.n == child.n  # extended, not cleared
-        chain = child.prior.evaluate(child.X, Query.of(child.X, model.spec))
+        chain = 0.0 if child.prior is None else child.prior.evaluate(
+            child.X, Query.of(child.X, model.spec))
         fresh = GpPosterior(child.X, child.Y - chain, model.spec)
         assert _relative_gap(post.chol, fresh.chol) <= 1e-9
         assert _relative_gap(post.alpha, fresh.alpha) <= 1e-9
@@ -1348,7 +1389,7 @@ class TestQueryReuse:
     @pytest.mark.parametrize("before", ["other_row", "refit"])
     def test_update_without_memo_computes_its_own_solve(self, monkeypatch, before):
         schedule = TrainSchedule(fit_once=False, fit=FitSchedule(max_iters=3))
-        model, child, x = self._streamed(54, schedule)
+        model, child, x = self._streamed(54, schedule, n=8 if before == "refit" else 150)
         model.predict(x)
         if before == "refit":
             spec = model.spec
@@ -1368,8 +1409,9 @@ class TestQueryReuse:
         # list, like an invalidated child, holds posteriors the read never
         # solved against.
         schedule = TrainSchedule(fit_once=False, fit=FitSchedule(max_iters=3))
-        reuse, _, x = self._streamed(55, schedule)
-        twin = self._streamed(55, schedule)[0]
+        n = 8 if between == "refit" else 150
+        reuse, _, x = self._streamed(55, schedule, n)
+        twin = self._streamed(55, schedule, n)[0]
         probe = np.array([[0.3, -0.4], [-1.2, 0.8]])
         for model in (reuse, twin):
             model.predict_mean_batch(probe)  # caches every posterior
@@ -1484,16 +1526,18 @@ class TestRefitAdoption:
 
     @pytest.mark.parametrize("kind", ["splitting", "local", "rbcm", "fullgp"])
     def test_adopted_factor_is_bitwise_the_rebuilt_one(self, monkeypatch, kind):
+        # The batch ends at the row the fit is due at: a splitting model's
+        # m-th, before its first split, so it holds one child.
         model = self.FACTORIES[kind](self.BATCH_FIT)
-        model.update_batch(*self._data(71))
+        model.update_batch(*self._data(71, model._fit_rows))
         live = [c for c in model.children if c.n > 0]
-        assert len(live) >= (1 if kind == "fullgp" else 2)
+        assert len(live) >= (1 if kind in ("fullgp", "splitting") else 2)
         assert model.last_fit.posteriors is None
         for c in live:
             post = c._adopted
             assert post is not None and c._posterior is None
             assert post.spec == model.spec
-            fresh = GpPosterior(c.X, c.residuals(), model.spec)
+            fresh = GpPosterior(c.X, c.residuals(model.spec), model.spec)
             assert post.chol.tobytes() == fresh.chol.tobytes()
             assert post.alpha.tobytes() == fresh.alpha.tobytes()
         init, built = GpPosterior.__init__, []
@@ -1511,24 +1555,23 @@ class TestRefitAdoption:
     def _assert_rebuilt(model):
         """Every child holds, apart, bitwise the posterior a read would build."""
         for c in model.children:
-            fresh = GpPosterior(c.X, c.residuals(), model.spec)
+            fresh = GpPosterior(c.X, c.residuals(model.spec), model.spec)
             assert c._adopted is not None and c._adopted.chol.tobytes() == fresh.chol.tobytes()
 
     def test_child_cut_by_fit_subsample_adopts_nothing(self):
         # The fit's posterior of a child cut by the subsample covers only
-        # some of its rows, so the child does not adopt it: the batch's end
-        # factorizes the child over all of them instead.  A FullGp batch
-        # ends with no factor.
+        # some of its rows, so the child does not adopt it: the batch's end,
+        # at the fit's row, factorizes the child over all of them instead.
+        # A FullGp batch ends with no factor.
         cap = 8
         schedule = TrainSchedule(fit=FitSchedule(max_iters=5), fit_subsample=cap)
         model = SplittingGP(12, train_schedule=schedule)
-        model.update_batch(*self._data(73))
-        sizes = {c.n <= cap for c in model.children}
-        assert sizes == {True, False}
+        model.update_batch(*self._data(73, 12))
+        assert model.last_fit is not None and [c.n for c in model.children] == [12]
         self._assert_rebuilt(model)
         full = FullGp(train_schedule=schedule)
-        full.update_batch(*self._data(73))
-        assert full.children[0]._adopted is None
+        full.update_batch(*self._data(73, FIT_ROWS))
+        assert full.last_fit is not None and full.children[0]._adopted is None
 
     def test_nothing_adopted_when_the_last_evaluation_failed(self, monkeypatch):
         # From the third on, every evaluation fails once it has rewritten the
@@ -1547,14 +1590,14 @@ class TestRefitAdoption:
 
         monkeypatch.setattr(gp_module, "_shard_lml", failing)
         model = SplittingGP(12, train_schedule=self.BATCH_FIT)
-        model.update_batch(*self._data(74))
+        model.update_batch(*self._data(74, 12))  # fits after its last row
         assert len(calls) > 3 and model.last_fit.warning and model.last_fit.iterations > 0
         monkeypatch.undo()
         self._assert_rebuilt(model)
 
     def test_update_only_stream_extends_no_factor(self, monkeypatch):
-        # Refits on split adopt posteriors; the appends that follow drop
-        # them instead of growing them.
+        # The fit adopts posteriors; the appends that follow drop them
+        # instead of growing them.
         post_append, calls = GpPosterior.append, []
 
         def counted(self, *args):

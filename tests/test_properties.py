@@ -6,10 +6,12 @@ and the queries include far-field rows, where every similarity underflows;
 the routing property streams rows farther still.  Inputs have two columns,
 except in the stream invariants, which also draw 1, 3 and 9, and in the
 splitting model's gate properties, which draw 1 to 4 and 9.
-The kernel is fixed and never fit, so each example stays cheap.
+The kernel is fixed and never fit, so each example stays cheap, except in
+the fit-trigger property, whose fit takes a budget of two iterations.
 """
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -19,9 +21,10 @@ from hypothesis import strategies as st
 from splitgp import model as model_module
 from splitgp.baselines import FullGp, LocalGpWgen, Rbcm
 from splitgp.exceptions import ContractViolationError
-from splitgp.gp import GpPosterior
+from splitgp.gp import FitSchedule, GpPosterior
 from splitgp.kernels import KernelSpec, Query, cross_gram
-from splitgp.model import GATE_RIDGE, SplittingGP, TrainSchedule, _gate_entry, _gate_rows
+from splitgp.model import (FIT_ROWS, GATE_RIDGE, SplittingGP, TrainSchedule, _gate_entry,
+                           _gate_rows)
 
 SPEC = KernelSpec(np.array([0.4, 0.9]), 1.0, 0.05)
 FAR = np.array([[40.0, -40.0], [1e3, 1e3]])
@@ -284,7 +287,7 @@ def test_chain_values_match_the_summed_expansions(m, stream, Xq):
     model = _deep(m, stream)
     model.predict_mean_batch(Xq)
     for child in model.children:
-        terms = [cross_gram(Xq, node.X, node.spec) * node.alpha
+        terms = [cross_gram(Xq, node.X, model.spec) * node.alpha
                  for node in reversed(child.prior.chain())]
         want = sum(t.sum(axis=1) for t in terms)
         scale = sum(np.abs(t).sum(axis=1) for t in terms)
@@ -449,3 +452,87 @@ def test_gate_mean_is_continuous(case):
     coarse, at = largest_jump(np.array(x), 1e-2)
     fine, _ = largest_jump(at - 5e-4 * v, 1e-3)
     assert fine <= 0.3 * coarse + 1e-12
+
+
+# Lengthscales of the far-read property: SPEC's, and ones so short that a
+# row's scaled cross term with a center overflows far below |x| = 1e300.
+FAR_SPECS = (SPEC, KernelSpec(np.full(2, 1e-6), 1.0, 0.01))
+
+
+@st.composite
+def far_reads(draw, spec):
+    """One to four query rows whose entries x / l reach 1e308 in size, of
+    either sign and often past 1e300, each scaled back by spec's
+    lengthscales."""
+    exponent = st.floats(-3.0, 308.0) | st.floats(300.0, 308.0)
+    size = st.tuples(st.sampled_from((1.0, -1.0)), exponent).map(lambda t: t[0] * 10.0 ** t[1])
+    rows = draw(st.lists(st.lists(st.one_of(size, coordinate), min_size=2, max_size=2),
+                         min_size=1, max_size=4))
+    return np.array(rows) * spec.lengthscales
+
+
+@settings(PROPERTY_SETTINGS, max_examples=120)
+@given(data=st.data(), spec=st.sampled_from(FAR_SPECS), stream=streams(),
+       rowwise=st.booleans())
+def test_far_reads_are_finite(data, spec, stream, rowwise):
+    # |x / l| up to 1e308: a row's own |x / l|^2 and its products with the
+    # centers may overflow.  Such a row gets exact zero kernel rows, and its
+    # weights go to the centers nearest along its direction; no read warns.
+    _, build = data.draw(pools(spec=spec))
+    model = build()
+    if rowwise:
+        for x, y in zip(*stream):
+            model.update(x, y)
+    else:
+        model.update_batch(*stream)
+    Xq = data.draw(far_reads(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = np.array([model.predict(x) for x in Xq])
+        means = model.predict_mean_batch(Xq)
+        variances = model.predict_variance_batch(Xq)
+        weights = None if isinstance(model, Rbcm) else model._weights(model._query(Xq))
+    assert np.isfinite(single).all() and np.isfinite(means).all()
+    assert np.isfinite(variances).all() and (variances >= 0.0).all()
+    assert (single[:, 1] >= 0.0).all()
+    if weights is not None:
+        assert np.isfinite(weights).all() and np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def _fit_stream(seed, n):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, size=(n, 2))
+    return X, np.sin(X).sum(axis=1) + 0.1 * rng.standard_normal(n)
+
+
+def _spec_bytes(spec):
+    return spec.lengthscales.tobytes(), spec.signal_variance, spec.noise_variance
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(kind=st.sampled_from(("splitting", "fullgp", "local", "rbcm")),
+       m=st.integers(2, 40), seed=st.integers(0, 2**16),
+       cuts=st.lists(st.integers(1, 2**16), max_size=6))
+def test_every_pool_fits_after_the_same_row_whatever_the_batch_cuts(kind, m, seed, cuts):
+    # One stream, ingested row by row and in batches cut anywhere: both fit
+    # right after the same row, the pool's `_fit_rows`-th, to the same spec.
+    schedule = TrainSchedule(fit=FitSchedule(max_iters=2))
+    build = {"splitting": lambda: SplittingGP(m, train_schedule=schedule),
+             "fullgp": lambda: FullGp(train_schedule=schedule),
+             "local": lambda: LocalGpWgen(0.4, train_schedule=schedule),
+             "rbcm": lambda: Rbcm(3, seed=seed, train_schedule=schedule)}[kind]
+    rowwise, batched = build(), build()
+    due = rowwise._fit_rows
+    assert due == (min(FIT_ROWS, m) if kind == "splitting" else FIT_ROWS)
+    X, Y = _fit_stream(seed, due + 30)
+    for t, (x, y) in enumerate(zip(X, Y)):
+        rowwise.update(x, y)
+        assert (rowwise.last_fit is not None) == (t + 1 >= due)
+    bounds = [0, *sorted({c % len(Y) for c in cuts} - {0}), len(Y)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        batched.update_batch(X[lo:hi], Y[lo:hi])
+        assert (batched.last_fit is not None) == (hi >= due)
+    assert _spec_bytes(rowwise.spec) == _spec_bytes(batched.spec)
+    assert _spec_bytes(rowwise.last_fit.spec) == _spec_bytes(batched.last_fit.spec)
+    assert rowwise.last_fit == batched.last_fit
+    assert [c.X.tobytes() for c in rowwise.children] == [c.X.tobytes() for c in batched.children]

@@ -15,7 +15,7 @@ import pytest
 import splitgp  # noqa: F401  (loads every submodule)
 from splitgp.baselines import FullGp
 from splitgp.gp import FitSchedule
-from splitgp.model import SplittingGP, TrainSchedule
+from splitgp.model import FIT_ROWS, SplittingGP, TrainSchedule
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -71,8 +71,9 @@ def test_traced_model_calls_are_recorded(tracing):
             model.update(x, y)
         model.predict_mean_batch(X[:5])
         model.predict_variance_batch(X[:5])
+        # The fit comes right after the FIT_ROWS-th row.
         full = FullGp(train_schedule=TrainSchedule(fit=FitSchedule(max_iters=2)))
-        full.ingest_batch(X, Y)
+        full.ingest_batch(rng.uniform(-1, 1, size=(FIT_ROWS, 2)), rng.normal(size=FIT_ROWS))
         full.predict_mean_batch(X[:5])
     finally:
         tracer.uninstall()
