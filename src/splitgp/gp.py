@@ -41,7 +41,7 @@ finiteness scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
@@ -49,7 +49,7 @@ from scipy.linalg.blas import dsymv, dsyr, dtpsv, dtrmm, dtrsv
 from scipy.linalg.lapack import dlauum, dtpttr, dtrtri, dtrttp
 
 from .exceptions import ContractViolationError, NumericalError
-from .kernels import PANEL, KernelSpec, Query, gram_lower, scaled_cross_gram, scaled_rows
+from .kernels import FAR_NORM, PANEL, KernelSpec, Query, gram_lower, scaled_cross_gram, scaled_rows
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -467,15 +467,13 @@ class FitSchedule:
 class FitResult:
     """Outcome of a fit call: the spec, the maximized objective (summed LML
     plus log prior) there, SciPy's iteration count and convergence flag, and
-    `warning`, set when an evaluation failed numerically.  `posteriors` are
-    `fit`'s shard posteriors at `spec`, or None; equality ignores them."""
+    `warning`, set when an evaluation failed numerically."""
 
     spec: KernelSpec
     objective: float
     iterations: int
     converged: bool
     warning: bool = False
-    posteriors: list[GpPosterior] | None = field(default=None, compare=False, repr=False)
 
 
 def _shard_lml(theta: np.ndarray, shards, spec: KernelSpec,
@@ -486,9 +484,14 @@ def _shard_lml(theta: np.ndarray, shards, spec: KernelSpec,
     The posterior factorizes the Gram matrix and the gradient reuses it.
     `spare` is such a list from an earlier evaluation, whose arrays are
     overwritten: a fit reuses one set of n x n arrays rather than mapping and
-    faulting fresh pages for every evaluation.
+    faulting fresh pages for every evaluation.  A trial spec that scales a
+    row to |x / l|^2 >= `kernels.FAR_NORM`, past the bound a pool stores its
+    rows under, would overflow both: NumericalError.
     """
     cand = spec.with_log_vector(theta)
+    with np.errstate(over="ignore"):
+        if not all(((X / cand.lengthscales) ** 2).sum(axis=1).max() < FAR_NORM for X, _ in shards):
+            raise NumericalError("a row overflows when scaled by the trial lengthscales")
     fitted, total = [], 0.0
     for i, (X, Y) in enumerate(shards):
         old_post, old_K = spare[i] if spare else (None, None)
@@ -506,9 +509,7 @@ def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitRes
     (R&W 5.4.1).  A zero noise variance, whose log is -inf, is held at zero.
     An evaluation that fails numerically reads +inf to the optimizer and sets
     `warning`.  If the warm start fails, or nothing beats it, spec itself is
-    returned.  The result holds the last evaluation's shard posteriors,
-    bitwise what `GpPosterior(X, Y, result.spec)` builds, when it succeeded
-    at the returned spec; an evaluation overwrites the arrays of the last.
+    returned.
     """
     from scipy.optimize import minimize  # about 0.2 s, so loaded on first use
 
@@ -523,12 +524,10 @@ def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitRes
     start = theta[free].copy()
     buffers = None  # the first evaluation's arrays, overwritten by every later one
     warning = False
-    last = None  # a copy of x at the latest evaluation, while that one succeeded
 
     def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal buffers, warning, last
+        nonlocal buffers, warning
         theta[free] = x
-        last = None
         try:
             if not np.abs(x).max() < 700.0:  # exp would overflow or underflow, or x is NaN
                 raise NumericalError("log parameters out of range")
@@ -539,26 +538,19 @@ def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitRes
                 raise  # the warm start has no objective
             warning = True
             return np.inf, np.zeros_like(x)
-        last = x.copy()
         pull = (x - start) / PRIOR_SCALE**2
         return 0.5 * pull @ (x - start) - lml, pull - grad[free]
 
-    def kept(x: np.ndarray, final: KernelSpec) -> list[GpPosterior] | None:
-        """The last evaluation's posteriors, if it succeeded at x under final."""
-        if last is None or last.tobytes() != x.tobytes() or buffers[0][0].spec != final:
-            return None
-        return [post for post, _ in buffers]
-
     try:
         if schedule.max_iters < 1:  # SciPy would still take one step
-            return FitResult(spec, -negated(start)[0], 0, False, warning, kept(start, spec))
+            return FitResult(spec, -negated(start)[0], 0, False, warning)
         res = minimize(negated, start, jac=True, method="L-BFGS-B",
                        options={"maxiter": schedule.max_iters})
     except NumericalError:
         return FitResult(spec, -np.inf, 0, converged=False, warning=True)
     if not np.isfinite(res.x).all():  # SciPy kept a step to NaN: nothing beat the start
-        return FitResult(spec, -negated(start)[0], res.nit, False, True, kept(start, spec))
+        return FitResult(spec, -negated(start)[0], res.nit, False, True)
     # Otherwise L-BFGS-B returns an accepted iterate, never one worse than the start.
     theta[free] = res.x
     final = spec if np.array_equal(res.x, start) else spec.with_log_vector(theta)
-    return FitResult(final, -res.fun, res.nit, res.success, warning, kept(res.x, final))
+    return FitResult(final, -res.fun, res.nit, res.success, warning)

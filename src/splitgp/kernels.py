@@ -136,8 +136,9 @@ def scaled_rows(X: np.ndarray, spec: KernelSpec, arg: str = "X") -> np.ndarray:
     return _scale(_check_rows(X, spec, arg), spec, spec.ndim + 1)[0]
 
 
-# A stored row's 4 |x / l|^2 is finite (`model.check_scaled`), so its
-# |x / l|^2 is below this, and so is a center's.
+# A pool stores a row only if its |x / l|^2 is below this
+# (`model.LocalGpPool.update_batch`), so 4 |x / l|^2, which bounds a squared
+# distance between two stored rows, is finite; a center's is below it too.
 FAR_NORM = 0.25 * _FLOAT_MAX
 
 

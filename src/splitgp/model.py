@@ -31,7 +31,7 @@ import numpy as np
 
 from .exceptions import ContractViolationError, EmptyModelError
 from .gp import FitResult, FitSchedule, GpPosterior, fit
-from .kernels import KernelSpec, Query, default_spec, scaled_cross_gram, scaled_rows
+from .kernels import FAR_NORM, KernelSpec, Query, default_spec, scaled_cross_gram, scaled_rows
 from .partition import split
 
 SNAPSHOT_VERSION = 8
@@ -49,8 +49,8 @@ GATE_RIDGE = 1e-3
 # |x / l|^2 would swamp.
 _GATE_NEAR = 1e6
 
-# There the scores and |x / l|^2 are clamped to this magnitude, so that no
-# product with a precision 1 / (2 s^2) <= 1 / (2 GATE_RIDGE) overflows.
+# A far row's scores and |x / l|^2, and every center's |c / l|^2 in the gate, are
+# clamped to this, so no product with p = 1 / (2 s^2) <= 1 / (2 GATE_RIDGE) overflows.
 _FLOAT_MAX = float(np.finfo(float).max)
 _GATE_FAR = 0.5 * GATE_RIDGE * _FLOAT_MAX
 
@@ -98,14 +98,13 @@ class PriorMeanNode:
         return 8 * (p * ndim + p)
 
 
-def check_scaled(X: np.ndarray, lengthscales: np.ndarray) -> None:
-    """ContractViolationError when 4 |x / l|^2 overflows for a row of X, as a
-    squared distance sums two such norms and twice their rows' product.  Python
-    floats overflow to inf without a warning, and beat NumPy on one row."""
-    ls = lengthscales.tolist()
-    for row in X.tolist():
-        if not 4.0 * sum((v / l) * (v / l) for v, l in zip(row, ls)) < math.inf:
-            raise ContractViolationError("observation overflows when scaled by the lengthscales")
+def _check_stored(query: Query) -> Query:
+    """The query, if its rows' |x / l|^2 are below `kernels.FAR_NORM`, so that
+    a squared distance between two stored rows, at most 4 FAR_NORM, is
+    finite; else ContractViolationError."""
+    if not query.norms.max() < FAR_NORM:
+        raise ContractViolationError("observation overflows when scaled by the lengthscales")
+    return query
 
 
 class ChildModel:
@@ -135,9 +134,9 @@ class ChildModel:
     cache is cleared and the next use rebuilds it in O(n^3).  The owning pool
     checks and scales each row before it reaches `append`, as a one-row
     `Query`, and passes its one spec, dropping every posterior when a fit
-    changes it.  A fit, or `factorize` at the end of a batch, may leave a
-    posterior of all the rows in a slot apart: `posterior` takes it instead
-    of rebuilding, and an append or `invalidate` drops it ungrown.
+    changes it.  `factorize`, at the end of a `SplittingGP` batch, may leave
+    a posterior of all the rows in a slot apart: `posterior` takes it
+    instead of rebuilding, and an append or `invalidate` drops it ungrown.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, prior: PriorMeanNode | None = None,
@@ -152,7 +151,6 @@ class ChildModel:
         self.X, self.Y = self._Xbuf[:0], self._Ybuf[:0]
         self._sum, self._m2 = np.zeros(ndim), [0.0] * ndim
         self.prior = prior
-        self._residuals: np.ndarray | None = None
         self._posterior: GpPosterior | None = None
         self._adopted: GpPosterior | None = None
         self.extend(X, Y)
@@ -192,7 +190,7 @@ class ChildModel:
         # + 0.0 makes a -0 sum +0, as NumPy's.
         self._sum = sums[-1] + 0.0
         self.center = self._sum / (n + k)
-        self._posterior = self._adopted = self._residuals = None
+        self._posterior = self._adopted = None
 
     def append(self, query: Query, y: float, solved: dict | None = None) -> None:
         """Store one row, given as a checked and scaled one-row `Query`;
@@ -217,19 +215,15 @@ class ChildModel:
             if not post.append(self.X, y - prior, self._Xbuf.shape[0], query.aug, l):
                 post = None
         self._posterior = post
-        self._residuals = None if post is None else post.Y
 
     def invalidate(self) -> None:
         self._posterior = self._adopted = None
 
     def residuals(self, spec: KernelSpec) -> np.ndarray:
-        """Responses minus the inherited prior mean, what the local GP models;
-        the chain walk shares one `Query` of the rows under spec."""
-        if self._residuals is None:
-            prior = self.prior
-            self._residuals = self.Y - (0.0 if prior is None else
-                                        prior.evaluate(self.X, Query.of(self.X, spec)))
-        return self._residuals
+        """Responses minus the inherited prior mean, computed on each call: what
+        the local GP models; the chain walk shares one `Query` of the rows."""
+        prior = self.prior
+        return self.Y - (0.0 if prior is None else prior.evaluate(self.X, Query.of(self.X, spec)))
 
     def posterior(self, spec: KernelSpec) -> GpPosterior:
         if self._posterior is None:
@@ -252,8 +246,9 @@ class ChildModel:
 def _gate_rows(Cs: np.ndarray, norms: np.ndarray, a: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Rows [2 p_j c_j, 2 p_j, a_j - p_j |c_j|^2], (C, d + 2), from the scaled
     centers, their squared norms and the gate terms: a query row's
-    `Query.aug`, [x, -|x|^2 / 2, 1], times row j is a_j - p_j |x - c_j|^2."""
-    return np.column_stack([2.0 * p[:, None] * Cs, 2.0 * p, a - p * norms])
+    `Query.aug`, [x, -|x|^2 / 2, 1], times row j is a_j - p_j |x - c_j|^2.
+    |c_j|^2 is clamped to _GATE_FAR there, so that no product overflows."""
+    return np.column_stack([2.0 * p[:, None] * Cs, 2.0 * p, a - p * np.minimum(norms, _GATE_FAR)])
 
 
 def _gate_entry(child: ChildModel, lengthscales: list) -> tuple[float, float]:
@@ -317,12 +312,10 @@ class PredictionSummary:
 
 @dataclass
 class _Handoff:
-    """A one-row read's `Query`, its center scores with the scaled centers
-    they came from, and each child's posterior mapped to (l, chain value)."""
+    """A one-row read's `Query` and each child's posterior mapped to
+    (l, chain value) at the row."""
 
     query: Query
-    scores: np.ndarray | None = None
-    centers: np.ndarray | None = None
     solved: dict = field(default_factory=dict)
 
 
@@ -396,16 +389,15 @@ class LocalGpPool:
         return kept[2:]
 
     def _center_moved(self, idx: int) -> None:
-        """Rewrite child idx's row of the kept centers and gate, if it has one."""
+        """Rewrite child idx's row of the kept centers and gate (`_gate_rows`), if it has one."""
         kept = self._centers
         if kept is not None and idx < len(kept[2]):
             child = self.children[idx]
             c = child.center[None, :] / self._spec.lengthscales
             norm = (c * c).sum(axis=1)[0]
             a, p = _gate_entry(child, self._spec.lengthscales.tolist())
-            G, d = kept[4], c.shape[1]
             kept[2][idx], kept[3][idx] = c[0], norm
-            G[idx, :d], G[idx, d], G[idx, d + 1] = 2.0 * p * c[0], 2.0 * p, a - p * norm
+            kept[4][idx] = [*(2.0 * p * c[0]), 2.0 * p, a - p * min(norm, _GATE_FAR)]
 
     def _scores(self, query: Query) -> np.ndarray:
         """|c_j|^2 - 2 x.c_j for each query row x and center c_j, (B, C): the
@@ -413,12 +405,7 @@ class LocalGpPool:
         comparison between centers needs and which, far from every center,
         would absorb the cross term.  Routing and the weights read these."""
         Cs, norms, _ = self._scaled_centers()
-        handoff = self._handoff
-        if handoff is None or handoff.query is not query:
-            return norms - 2.0 * (query.Xs @ Cs.T)
-        if handoff.centers is not Cs:
-            handoff.scores, handoff.centers = norms - 2.0 * (query.Xs @ Cs.T), Cs
-        return handoff.scores
+        return norms - 2.0 * (query.Xs @ Cs.T)
 
     def _nearest(self, query: Query) -> tuple[int, float]:
         """(index, squared scaled distance) of the child whose center is
@@ -442,6 +429,7 @@ class LocalGpPool:
         """Insert rows in order: check them as one batch before any is stored,
         seed the spec from the first row if unset, scale them as one `Query`,
         or take the handoff's when it holds these row bytes, and route them.
+        A row is stored only if its |x / l|^2 is below `kernels.FAR_NORM`.
         The schedule's one fit comes right after the row it is due at; the
         rest are checked and scaled again under the fitted spec, so one that
         overflows only there is rejected with the rows before it stored."""
@@ -457,8 +445,8 @@ class LocalGpPool:
         q = handoff and handoff.query  # a one-row read's, if of these rows
         if not q or (q.X.tobytes(), q.X.shape) != (X.tobytes(), X.shape):
             handoff, q = None, Query.of(X, spec, "batch X")
-        check_scaled(X, spec.lengthscales)
-        self._spec, self._handoff = spec, handoff  # read by the router's `_scores`
+        _check_stored(q)
+        self._spec, self._handoff = spec, handoff  # read by the router's `_append`
         due = (self._fit_rows - self.n_observations
                if self.schedule.fit_once and self.last_fit is None else 0)
         k = due if 0 < due <= len(Y) else len(Y)  # rows stored before the fit
@@ -469,8 +457,7 @@ class LocalGpPool:
         if k == due:
             self.refit()
             if k < len(Y):
-                check_scaled(X[k:], self._spec.lengthscales)
-                self._route_rows(Query.of(X[k:], self._spec, "batch X"), Y[k:])
+                self._route_rows(_check_stored(Query.of(X[k:], self._spec, "batch X")), Y[k:])
 
     def _route_rows(self, query: Query, Y: np.ndarray) -> None:
         """Route each row as its one-row slice, which the routers, children
@@ -485,26 +472,18 @@ class LocalGpPool:
 
     def refit(self) -> FitResult:
         """Optimize the shared kernel parameters on the children's rows and
-        responses, each child a shard.  Every cached posterior is dropped; a
-        child whose rows the fit saw whole, not cut by `fit_subsample`, adopts
-        the one the fit returns for it, if any, as it is; an append takes the
-        bound of its storage from the child's buffer.  `last_fit` keeps no
-        posterior.  Every prior node shares the pool's spec, so once one is
-        frozen this raises ContractViolationError and changes nothing."""
+        responses, each child a shard, and drop every cached posterior.
+        Every prior node shares the pool's spec, so once one is frozen this
+        raises ContractViolationError and changes nothing."""
         if not self.children:
             raise EmptyModelError("cannot fit an empty model")
         if any(c.prior is not None for c in self.children):
             raise ContractViolationError("the kernel is fixed once a prior node is frozen")
         shards = subsample_shards([(c.X, c.Y) for c in self.children], self.schedule)
         result = fit(shards, self._spec, self.schedule.fit)
-        posteriors, result.posteriors = result.posteriors or [], None
-        self._spec, self._handoff = result.spec, None
-        self.last_fit = result
+        self._spec, self._handoff, self.last_fit = result.spec, None, result
         for child in self.children:
             child.invalidate()
-        for child, post in zip(self.children, posteriors):
-            if post.n == child.n:
-                child._adopted = post
         return result
 
     # -- prediction --------------------------------------------------------
@@ -676,7 +655,7 @@ class SplittingGP(LocalGpPool):
         else:  # the product only for the near rows, whose aug cannot overflow it
             near, d = ~far, query.Xs.shape[1]
             p = 0.5 * G[:, d]
-            a = G[:, d + 1] + p * norms
+            a = G[:, d + 1] + p * np.minimum(norms, _GATE_FAR)
             scores = np.maximum(np.minimum(self._scores(query), _GATE_FAR), -_GATE_FAR)
             logw = a - p * scores - np.multiply.outer(np.minimum(query.norms, _GATE_FAR),
                                                       p - p.min())

@@ -227,6 +227,18 @@ class TestRunExperiment:
             records = run_experiment(tiny_cfg(model=model, replicates=1))
             assert records and not records[0].failed
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_row_by_row_equals_one_batch(self, model):
+        # batch_size 1, the default, streams by `update`, past the fit at
+        # FIT_ROWS rows (650 training rows per fold); one batch takes
+        # `ingest_batch`.
+        def outcome(batch_size):
+            return [(r.n_obs, r.mse, r.memory_kb, r.failed) for r in run_experiment(tiny_cfg(
+                model=model, synthetic_n=1300, replicates=1, m=40, fit_iters=3, w_gen=0.3,
+                experts=3, train_schedule="batch", batch_size=batch_size))]
+
+        assert outcome(1) == outcome(1300)
+
     def test_numerical_failure_flags_record(self, monkeypatch):
         def boom(self, X):
             raise NumericalError("synthetic failure")

@@ -580,21 +580,6 @@ class TestFit:
         assert result.warning and len(calls) > 3
         assert np.isfinite(result.objective) and result.objective >= start
 
-    def test_returns_the_last_evaluations_posteriors(self):
-        rng = np.random.default_rng(24)
-        shards = [(X, np.sin(X).sum(axis=1) + rng.normal(0, 0.1, size=n))
-                  for n in (30, 45) for X in [rng.uniform(-2, 2, size=(n, 2))]]
-        result = fit(shards, make_spec([1.0, 1.0], sn2=0.1), FitSchedule(max_iters=8))
-        assert result.posteriors is not None and len(result.posteriors) == 2
-        for post, (X, Y) in zip(result.posteriors, shards):
-            fresh = GpPosterior(X, Y, result.spec)
-            assert post.spec == result.spec
-            assert post.chol.tobytes() == fresh.chol.tobytes()
-            assert post.alpha.tobytes() == fresh.alpha.tobytes()
-        plain = gp_module.FitResult(result.spec, result.objective, result.iterations,
-                                    result.converged, result.warning)
-        assert plain == result and repr(plain) == repr(result)
-
     def test_objective_never_decreases(self):
         rng = np.random.default_rng(7)
         X = rng.uniform(-2, 2, size=(40, 1))

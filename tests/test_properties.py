@@ -59,13 +59,15 @@ def streams(draw, min_size=1, ndim=2):
 @st.composite
 def far_streams(draw):
     """A stream of `streams` with one to four far rows put in anywhere: one
-    coordinate is +-1e20 or +-1e150, where a row's own |x / l|^2 dwarfs its
-    product with any center."""
+    coordinate is +-1e20, +-1e150 or +-1.5e153, where a row's own |x / l|^2
+    dwarfs its product with any center; at 1.5e153 it is within a factor 4
+    of `kernels.FAR_NORM`, past what the gate's precision can multiply."""
     X, Y = draw(streams())
     rows, ys = list(X), list(Y)
     for _ in range(draw(st.integers(1, 4))):
         row = [draw(coordinate), draw(coordinate)]
-        row[draw(st.integers(0, 1))] = draw(st.sampled_from((1e20, -1e20, 1e150, -1e150)))
+        row[draw(st.integers(0, 1))] = draw(st.sampled_from((1e20, -1e20, 1e150, -1e150,
+                                                             1.5e153, -1.5e153)))
         at = draw(st.integers(0, len(rows)))
         rows.insert(at, row)
         ys.insert(at, draw(coordinate))
