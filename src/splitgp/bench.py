@@ -76,10 +76,11 @@ class ExperimentConfig:
     out: str = ""
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ContractViolationError(f"unknown model {self.model!r}")
-        if self.train_schedule not in SCHEDULES:
-            raise ContractViolationError(f"unknown schedule {self.train_schedule!r}")
+        for kind, value, known in (("model", self.model, MODELS),
+                                   ("schedule", self.train_schedule, SCHEDULES)):
+            if value not in known:
+                raise ContractViolationError(
+                    f"unknown {kind} {value!r} (one of {', '.join(known)})")
         if self.batch_size < 1:
             raise ContractViolationError("batch_size must be >= 1")
         if self.replicates < 1:

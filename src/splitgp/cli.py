@@ -27,42 +27,42 @@ from .bench import (
 from .exceptions import ContractViolationError
 
 
+_HELP = {
+    "model": "one of " + ", ".join(MODELS),
+    "m": "splitting limit",
+    "w_gen": "local GP similarity threshold",
+    "experts": "rBCM expert count",
+    "dataset": "'synthetic' or 'csv:<path>'",
+    "x_cols": "comma list of predictor columns",
+    "y_col": "response column",
+    "kfold": "folds; below 2 uses a single split",
+    "seed": "master seed",
+    "sweep": "checkpoint counts start:stop:step",
+    "train_schedule": " or ".join(SCHEDULES) + "; batch: fit the kernel once, right after the "
+                      "500th row (min(500, m) for splitting); never: do not fit it",
+    "out": "output CSV path",
+}
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """`--config`, then one flag per `ExperimentConfig` field, named as the
+    field with `_` written `-`.  A flag's value reaches the config as text,
+    which parses and checks it as it does a config file's; a bool field's
+    flag may stand alone, meaning 1."""
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--model", choices=MODELS)
-    parser.add_argument("--m", type=int, help="splitting limit")
-    parser.add_argument("--wgen", dest="w_gen", type=float, help="local GP similarity threshold")
-    parser.add_argument("--experts", type=int, help="rBCM expert count")
-    parser.add_argument("--dataset", help="'synthetic' or 'csv:<path>'")
-    parser.add_argument("--synthetic-n", dest="synthetic_n", type=int)
-    parser.add_argument("--x-cols", dest="x_cols", help="comma list of predictor columns")
-    parser.add_argument("--y-col", dest="y_col", type=int, help="response column")
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--replicates", type=int)
-    parser.add_argument("--kfold", type=int, help="folds; below 2 uses a single split")
-    parser.add_argument("--train-fraction", dest="train_fraction", type=float)
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--sweep", help="checkpoint counts start:stop:step")
-    parser.add_argument("--train-schedule", dest="train_schedule", choices=SCHEDULES,
-                        help="batch: fit the kernel once, right after the 500th row "
-                             "(min(500, m) for splitting); never: do not fit it")
-    parser.add_argument("--fit-iters", dest="fit_iters", type=int)
-    parser.add_argument("--fit-subsample", dest="fit_subsample", type=int)
-    parser.add_argument("--standardize-x", dest="standardize_x", action="store_const",
-                        const="1", default=None)
-    parser.add_argument("--out", help="output CSV path")
+    for f in fields(ExperimentConfig):
+        bare = {"nargs": "?", "const": "1"} if f.type == "bool" else {}
+        parser.add_argument("--" + f.name.replace("_", "-"), help=_HELP.get(f.name), **bare)
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """The `--config` file's settings, overridden by the flags given."""
     mapping: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             mapping = parse_kv_text(fh.read())
-    for f in fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            mapping[f.name] = value
+    flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
+    mapping.update((key, text) for key, text in flags.items() if text is not None)
     return ExperimentConfig.from_mapping(mapping)
 
 
@@ -100,28 +100,26 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.command == "summarize":
+            rows = summarize(read_metrics(args.input), metric=args.metric)
+            out = args.out or "summary.csv"
+            emit_summary_csv(rows, out)
+            print(f"wrote {len(rows)} summary rows to {out}")
+            return 0
+        cfg = build_config(args)
         if args.command == "run":
-            cfg = build_config(args)
-            records = run_experiment(cfg)
-            out = cfg.out or "metrics.csv"
-            emit_csv(records, out)
-            print(f"wrote {len(records)} records to {out}")
-        elif args.command == "grid":
-            cfg = build_config(args)
+            records, summary = run_experiment(cfg), None
+        else:
             records, summary = grid_search(cfg, _parse_grid(args.grid))
-            out = cfg.out or "metrics.csv"
-            emit_csv(records, out)
-            print(f"wrote {len(records)} records to {out}")
+        out = cfg.out or "metrics.csv"
+        emit_csv(records, out)
+        print(f"wrote {len(records)} records to {out}")
+        if summary is not None:
             for point, mse in summary.table:
                 print(f"  {point} -> mean mse {mse:.6g}")
             print(f"best: {summary.best} (mean mse {summary.best_mse:.6g})")
             if summary.wgen_trend is not None:
                 print(f"w_gen trend monotone non-increasing: {summary.wgen_monotone}")
-        else:
-            rows = summarize(read_metrics(args.input), metric=args.metric)
-            out = args.out or "summary.csv"
-            emit_summary_csv(rows, out)
-            print(f"wrote {len(rows)} summary rows to {out}")
     except (ContractViolationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -391,8 +391,8 @@ def lml_gradient(post: GpPosterior, K: np.ndarray | None = None) -> np.ndarray:
     median, as on offset inputs the two terms would cancel; a lone far row,
     whose entries of P are exactly 0, then enters nowhere.  The expanded
     form loses digits on duplicate rows, within 10 eps cond(K), and on a far
-    cluster of rows; the pairwise form, exact on both, would cost d more
-    passes over n^2.
+    cluster of rows, where it may overflow: NumericalError, a failed `fit`
+    evaluation.  The pairwise form, exact on both, costs d more n^2 passes.
 
     K^-1 = L^-T L^-1 is formed in one F-ordered n x n array H, the only
     n x n array the call allocates: H is a copy of the cached factor, or,
@@ -436,13 +436,15 @@ def lml_gradient(post: GpPosterior, K: np.ndarray | None = None) -> np.ndarray:
     np.fill_diagonal(H, 0.0)  # -P off the diagonal, in the triangle
     Xs = post.X / spec.lengthscales
     Xc = Xs - np.median(Xs, axis=0)
-    p_rows = dsymv(-1.0, H, np.ones(n), lower=lower)  # P 1, less P's diagonal
-    xPx = np.array([x @ dsymv(-1.0, H, x, lower=lower) for x in Xc.T])
-    p_sum = p_rows.sum() + spec.signal_variance * w_diag.sum()
-    return np.concatenate([
-        p_rows @ (Xc * Xc) - xPx,
-        [0.5 * p_sum, 0.5 * spec.noise_variance * w_diag.sum()],
-    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_rows = dsymv(-1.0, H, np.ones(n), lower=lower)  # P 1, less P's diagonal
+        xPx = np.array([x @ dsymv(-1.0, H, x, lower=lower) for x in Xc.T])
+        p_sum = p_rows.sum() + spec.signal_variance * w_diag.sum()
+        grad = np.concatenate([p_rows @ (Xc * Xc) - xPx,
+                               [0.5 * p_sum, 0.5 * spec.noise_variance * w_diag.sum()]])
+    if not np.isfinite(grad).all():
+        raise NumericalError("the gradient overflows")
+    return grad
 
 
 # Standard deviation of the log-normal prior that `fit` puts on each log

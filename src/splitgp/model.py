@@ -24,8 +24,9 @@ and its posterior; a prior node scales its own rows when it is made.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .gp import FitResult, FitSchedule, GpPosterior, fit
 from .kernels import FAR_NORM, KernelSpec, Query, default_spec, scaled_cross_gram, scaled_rows
 from .partition import split
 
-SNAPSHOT_VERSION = 8
+SNAPSHOT_VERSION = 9
 
 FIT_ROWS = 500  # the row after which a pool makes its one fit (`TrainSchedule`)
 
@@ -698,20 +699,17 @@ class SplittingGP(LocalGpPool):
     # -- accounting and persistence -----------------------------------------
 
     def save(self, path) -> None:
-        """Write a snapshot of version SNAPSHOT_VERSION: children, priors, the
-        one kernel, split limit, training schedule and the last fit's outcome."""
+        """Write a snapshot of version SNAPSHOT_VERSION: a JSON `header` of m,
+        the node and child counts, and the spec, schedule and last fit as their
+        dataclass fields (NumPy values as Python ones), beside each node's and
+        child's arrays, which name a parent or prior node by index (-1: none)."""
         nodes = self.prior_nodes()
-        order = {node: i for i, node in enumerate(nodes)}  # None is -1
-        payload = {"version": np.array(SNAPSHOT_VERSION), "m": np.array(self.m),
-                   "n_children": np.array(self.n_children), "n_nodes": np.array(len(nodes)),
-                   **_schedule_to_payload(self.schedule)}
-        if self.spec is not None:
-            payload["spec"] = _spec_to_array(self.spec)
-        if self.last_fit is not None:
-            last = self.last_fit
-            payload["last_fit_spec"] = _spec_to_array(last.spec)
-            payload["last_fit"] = np.array([last.objective, last.iterations,
-                                            last.converged, last.warning], dtype=float)
+        order = {node: i for i, node in enumerate(nodes)}
+        header = {"m": self.m, "n_nodes": len(nodes), "n_children": self.n_children,
+                  "spec": self.spec and asdict(self.spec), "schedule": asdict(self.schedule),
+                  "last_fit": self.last_fit and asdict(self.last_fit)}
+        payload = {"version": np.array(SNAPSHOT_VERSION),
+                   "header": np.array(json.dumps(header, default=lambda v: v.tolist()))}
         for i, node in enumerate(nodes):
             payload[f"node_{i}_X"] = node.X
             payload[f"node_{i}_alpha"] = node.alpha
@@ -724,51 +722,28 @@ class SplittingGP(LocalGpPool):
 
     @classmethod
     def load(cls, path) -> "SplittingGP":
+        """The model a snapshot holds.  An older version is refused before the
+        header is read; the header's settings are rebuilt by their dataclasses,
+        which check them."""
         with np.load(path, allow_pickle=False) as data:
             version = int(data["version"])
             if version != SNAPSHOT_VERSION:
                 raise ContractViolationError(f"unsupported snapshot version {version}")
-            spec = _spec_from_array(data["spec"]) if "spec" in data else None
-            model = cls(int(data["m"]), spec=spec, train_schedule=_schedule_from_payload(data))
-            if "last_fit" in data:
-                objective, iterations, converged, warning = data["last_fit"]
-                model.last_fit = FitResult(_spec_from_array(data["last_fit_spec"]),
-                                           float(objective), int(iterations),
-                                           bool(converged), bool(warning))
+            head = json.loads(str(data["header"]))
+            spec = head["spec"] and KernelSpec(**head["spec"])
+            schedule = head["schedule"]
+            model = cls(head["m"], spec=spec, train_schedule=TrainSchedule(
+                **{**schedule, "fit": FitSchedule(**schedule["fit"])}))
+            if last := head["last_fit"]:
+                model.last_fit = FitResult(**{**last, "spec": KernelSpec(**last["spec"])})
             nodes: list[PriorMeanNode] = []
-            for i in range(int(data["n_nodes"])):
+            for i in range(head["n_nodes"]):
                 parent_idx = int(data[f"node_{i}_parent"])
                 nodes.append(PriorMeanNode(data[f"node_{i}_X"], data[f"node_{i}_alpha"], spec,
                                            nodes[parent_idx] if parent_idx >= 0 else None))
-            for i in range(int(data["n_children"])):
+            for i in range(head["n_children"]):
                 prior_idx = int(data[f"child_{i}_prior"])
                 model.children.append(model._new_child(
                     data[f"child_{i}_X"], data[f"child_{i}_Y"],
                     nodes[prior_idx] if prior_idx >= 0 else None))
         return model
-
-
-def _spec_to_array(spec: KernelSpec) -> np.ndarray:
-    return np.concatenate([[spec.signal_variance, spec.noise_variance], spec.lengthscales])
-
-
-def _spec_from_array(arr: np.ndarray) -> KernelSpec:
-    return KernelSpec(arr[2:], float(arr[0]), float(arr[1]))
-
-
-def _schedule_to_payload(schedule: TrainSchedule) -> dict[str, np.ndarray]:
-    subsample = schedule.fit_subsample
-    return {
-        "schedule_fit_once": np.array(schedule.fit_once),
-        "schedule_fit": np.array(schedule.fit.max_iters),
-        "schedule_subsample": np.array(-1 if subsample is None else subsample),
-        # Text, because a seed may not fit in 64 bits.
-        "schedule_subsample_seed": np.array(str(schedule.subsample_seed)),
-    }
-
-
-def _schedule_from_payload(data) -> TrainSchedule:
-    subsample = int(data["schedule_subsample"])
-    return TrainSchedule(bool(data["schedule_fit_once"]), FitSchedule(int(data["schedule_fit"])),
-                         None if subsample < 0 else subsample,
-                         int(str(data["schedule_subsample_seed"])))

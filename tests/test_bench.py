@@ -1,8 +1,10 @@
+import argparse
 import hashlib
 import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -485,10 +487,53 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_every_schedule_flag_rejected(self, capsys):
+        assert cli.main(["run", "--train-schedule", "every"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'every'" in err[0]
+        assert ", ".join(SCHEDULES) in err[0]
+
+    def test_unknown_model_flag_names_the_models(self, capsys):
+        assert cli.main(["run", "--model", "nosuch"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'nosuch'" in err[0]
+        assert ", ".join(MODELS) in err[0]
+
+    # A value of each config field other than its default, as a flag gives it.
+    _FLAG_VALUES = {
+        "model": "fullgp", "m": "7", "w_gen": "0.25", "experts": "3",
+        "dataset": "csv:table.csv", "synthetic_n": "99", "x_cols": "0,2", "y_col": "3",
+        "kfold": "4", "train_fraction": "0.6", "batch_size": "5", "replicates": "2",
+        "seed": "9", "sweep": "10:50:10", "train_schedule": "never", "fit_iters": "4",
+        "fit_subsample": "8", "standardize_x": "1", "out": "x.csv",
+    }
+
+    @staticmethod
+    def _flags_config(argv):
+        parser = argparse.ArgumentParser()
+        cli._add_run_flags(parser)
+        return cli.build_config(parser.parse_args(argv))
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+    def test_each_field_has_a_flag_that_reads_as_its_config_key(self, tmp_path, name):
+        value = self._FLAG_VALUES[name]
+        cfg_path = tmp_path / "one.cfg"
+        cfg_path.write_text(f"{name}={value}\n")
+        from_file = self._flags_config(["--config", str(cfg_path)])
+        flag = "--" + name.replace("_", "-")
+        assert self._flags_config([flag, value]) == from_file
+        assert getattr(from_file, name) != getattr(ExperimentConfig(), name)
+
+    def test_wgen_is_spelt_w_gen(self):
+        assert self._flags_config(["--w-gen", "0.5"]).w_gen == 0.5
         with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "--train-schedule", "every"])
+            self._flags_config(["--wgen", "0.5"])
         assert exc.value.code == 2
-        assert "invalid choice: 'every'" in capsys.readouterr().err
+
+    def test_bool_flag_may_stand_alone(self):
+        assert self._flags_config(["--standardize-x"]).standardize_x is True
+        assert self._flags_config(["--standardize-x", "--m", "9"]).standardize_x is True
+        assert self._flags_config(["--standardize-x", "0"]).standardize_x is False
+        assert self._flags_config([]).standardize_x is False
 
     def test_negative_fit_subsample_returns_error(self, tmp_path, capsys):
         rc = cli.main(["run", "--model", "fullgp", "--synthetic-n", "60", "--fit-subsample", "-5",

@@ -472,6 +472,19 @@ class TestSnapshot:
         assert (got.objective, got.iterations, got.converged, got.warning) == (
             want.objective, want.iterations, want.converged, want.warning)
 
+    def test_numpy_scalar_settings_round_trip(self, tmp_path):
+        X, Y = self._stream(38, n=60)
+        sched = TrainSchedule(fit=FitSchedule(np.int64(3)), fit_subsample=np.int64(20),
+                              subsample_seed=np.uint64(2**63 + 5))
+        model = SplittingGP(25, train_schedule=sched)
+        model.update_batch(X, Y)
+        model.save(tmp_path / "model.npz")
+        loaded = SplittingGP.load(tmp_path / "model.npz")
+        assert loaded.schedule == sched and loaded.schedule.subsample_seed == 2**63 + 5
+        assert loaded.last_fit == model.last_fit
+        expected = self._predict_then_update(model, X[:20], Y[:20])
+        assert self._predict_then_update(loaded, X[:20], Y[:20]).tobytes() == expected.tobytes()
+
     def _rejected(self, tmp_path, version, **payload_edits):
         """Save a snapshot, relabel it `version` with the payload edits (None
         deletes a key), and expect the load to refuse it."""
@@ -512,8 +525,13 @@ class TestSnapshot:
     def test_version_7_snapshot_rejected(self, tmp_path):
         # Version 7 stores a spec per prior node; every node now shares the
         # pool's one spec.
-        assert SNAPSHOT_VERSION == 8
+        assert SNAPSHOT_VERSION == 9
         self._rejected(tmp_path, 7, node_0_spec=np.array([1.0, 0.1, 1.0, 1.0]))
+
+    def test_version_8_snapshot_rejected(self, tmp_path):
+        # Version 8 stores the spec, schedule and last fit as arrays of their
+        # own; the version alone refuses it, before any header is read.
+        self._rejected(tmp_path, 8)
 
     def test_model_saved_after_its_fit_never_fits_again(self, tmp_path, monkeypatch):
         X, Y = self._stream(36, n=200)
@@ -660,6 +678,22 @@ class TestFitOnce:
         model.update_batch(X, signal + 0.01 * rng.standard_normal(FIT_ROWS))
         assert model.last_fit is not None and model.last_fit.warning
         assert np.sum((X[250] / model.spec.lengthscales) ** 2) < FAR_NORM
+        assert np.isfinite(model.predict(X[0])).all()
+
+    @pytest.mark.parametrize("kind", ["fullgp", "splitting"])
+    def test_a_far_cluster_fails_the_gradient_not_the_fit(self, kind):
+        # Rows 250-252 sit near 6.5e153, below FAR_NORM at every trial spec,
+        # but close enough to each other that their kernel entries are not 0:
+        # the gradient's x_d^T P x_d overflows.  That evaluation fails, here
+        # with warnings as errors, and the fit sets `warning`.
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-0.5, 0.5, size=(FIT_ROWS, 2))
+        X[250:253] = [(6.5e153, 0.0), (6.5e153, 0.3), (6.5e153 * (1 - 1e-16), 0.1)]
+        signal = np.sin(10 * X[:, 0]) * np.cos(10 * X[:, 1])
+        signal[250:253] = 0.0
+        model = FullGp() if kind == "fullgp" else SplittingGP(FIT_ROWS)
+        model.update_batch(X, signal + 0.01 * rng.standard_normal(FIT_ROWS))
+        assert model.last_fit is not None and model.last_fit.warning
         assert np.isfinite(model.predict(X[0])).all()
 
     @pytest.mark.parametrize("seed, unfitted", [(5, 0.0071), (6, 0.00746)])
