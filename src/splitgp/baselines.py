@@ -33,8 +33,8 @@ class FullGp(LocalGpPool):
     A batch goes into the child as one extension, bitwise the rows appended
     one by one, unless the child caches a posterior, which then grows row by
     row.  The kernel is fit as the schedule asks, right after the FIT_ROWS-th
-    row, but a batch does not end with a factorization: a FullGp is read
-    once its stream is in.
+    row, but a batch does not end with a factorization: the first read
+    builds it, or `factorize()` once the stream is in.
     """
 
     # perfbench/tracing.py wraps these methods where it finds them, in this
@@ -48,12 +48,7 @@ class FullGp(LocalGpPool):
         if not self.children:
             self.children.append(ChildModel(query.X[:1], Y[:1]))
             start = 1
-        child, rows = self.children[0], range(start, Y.size)
-        if child._posterior is None and len(rows) > 1:
-            child.extend(query.X[start:], Y[start:])
-        else:
-            for i in rows:
-                self._append(child, query.row(i), Y[i])
+        self._extend(self.children[0], query, Y, np.arange(start, Y.size))
         self._center_moved(0)
 
 

@@ -253,7 +253,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricRecord]:
     """Execute the configured protocol and return one record per
     replicate x fold x checkpoint.
 
-    A numerical failure inside a model flags the record and the run moves on.
+    The ingest up to each checkpoint ends with `factorize()`, inside the
+    timed training, so the read there builds no factor.  A numerical failure
+    inside a model flags the record and the run moves on.
     """
     seeds = SeedPlan(cfg.seed)
     base = load_base_dataset(cfg) if cfg.dataset.startswith("csv:") else None
@@ -273,6 +275,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricRecord]:
                 t0 = time.perf_counter()
                 try:
                     ptr = _ingest_range(model, train, ptr, ckpt, cfg.batch_size)
+                    model.factorize()
                 except NumericalError:
                     failed = True
                 train_time += time.perf_counter() - t0

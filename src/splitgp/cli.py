@@ -84,10 +84,12 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one experiment configuration")
+    # No abbreviations: each setting has one flag, and a new field whose
+    # name extends another's cannot change what a prefix means.
+    run_p = sub.add_parser("run", help="run one experiment configuration", allow_abbrev=False)
     _add_run_flags(run_p)
 
-    grid_p = sub.add_parser("grid", help="run a parameter grid")
+    grid_p = sub.add_parser("grid", help="run a parameter grid", allow_abbrev=False)
     _add_run_flags(grid_p)
     grid_p.add_argument("--grid", action="append", default=[],
                         help="key=v1,v2,... (repeatable)", required=True)

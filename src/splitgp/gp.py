@@ -511,7 +511,8 @@ def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitRes
     (R&W 5.4.1).  A zero noise variance, whose log is -inf, is held at zero.
     An evaluation that fails numerically reads +inf to the optimizer and sets
     `warning`.  If the warm start fails, or nothing beats it, spec itself is
-    returned.
+    returned; where only the warm start's gradient failed, with its objective
+    and `converged` unset, as L-BFGS-B stops there at once.
     """
     from scipy.optimize import minimize  # about 0.2 s, so loaded on first use
 
@@ -525,15 +526,16 @@ def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitRes
     free = slice(None) if spec.noise_variance > 0.0 else slice(0, -1)
     start = theta[free].copy()
     buffers = None  # the first evaluation's arrays, overwritten by every later one
-    warning = False
+    warning, warm = False, None  # warm: the first evaluation's, the warm start's, LML
 
     def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal buffers, warning
+        nonlocal buffers, warning, warm
         theta[free] = x
         try:
             if not np.abs(x).max() < 700.0:  # exp would overflow or underflow, or x is NaN
                 raise NumericalError("log parameters out of range")
             lml, buffers = _shard_lml(theta, shards, spec, buffers)
+            warm = lml if warm is None else warm
             grad = sum(lml_gradient(post, K) for post, K in buffers)
         except NumericalError:
             if buffers is None:
@@ -545,13 +547,15 @@ def fit(shards, spec: KernelSpec, schedule: FitSchedule | None = None) -> FitRes
 
     try:
         if schedule.max_iters < 1:  # SciPy would still take one step
-            return FitResult(spec, -negated(start)[0], 0, False, warning)
+            negated(start)
+            return FitResult(spec, warm, 0, False, warning)
         res = minimize(negated, start, jac=True, method="L-BFGS-B",
                        options={"maxiter": schedule.max_iters})
     except NumericalError:
         return FitResult(spec, -np.inf, 0, converged=False, warning=True)
-    if not np.isfinite(res.x).all():  # SciPy kept a step to NaN: nothing beat the start
-        return FitResult(spec, -negated(start)[0], res.nit, False, True)
+    # The warm start's gradient failed, or SciPy kept a step to NaN: nothing beat the start.
+    if not (np.isfinite(res.fun) and np.isfinite(res.x).all()):
+        return FitResult(spec, warm, res.nit, False, True)
     # Otherwise L-BFGS-B returns an accepted iterate, never one worse than the start.
     theta[free] = res.x
     final = spec if np.array_equal(res.x, start) else spec.with_log_vector(theta)

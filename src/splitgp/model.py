@@ -55,6 +55,13 @@ _GATE_NEAR = 1e6
 _FLOAT_MAX = float(np.finfo(float).max)
 _GATE_FAR = 0.5 * GATE_RIDGE * _FLOAT_MAX
 
+# A `SplittingGP` batch scores this many rows at once, a run's lookahead, and
+# routes them in a run only where they average _RUN_SHARE or more rows per
+# child they touch: a run's rows then share one `extend` and one center
+# rewrite per child, where rows one to a child would cost what `_route` does.
+_RUN_ROWS = 64
+_RUN_SHARE = 2
+
 
 class PriorMeanNode:
     """A frozen kernel expansion recording a parent's predictive mean.
@@ -135,9 +142,11 @@ class ChildModel:
     cache is cleared and the next use rebuilds it in O(n^3).  The owning pool
     checks and scales each row before it reaches `append`, as a one-row
     `Query`, and passes its one spec, dropping every posterior when a fit
-    changes it.  `factorize`, at the end of a `SplittingGP` batch, may leave
-    a posterior of all the rows in a slot apart: `posterior` takes it
-    instead of rebuilding, and an append or `invalidate` drops it ungrown.
+    changes it.  A `SplittingGP` batch stores a run of rows in a child with
+    no cached posterior through one `extend`.  `factorize`, which the pool's
+    `factorize` calls once an ingest ends, may leave a posterior of all the
+    rows in a slot apart: `posterior` takes it instead of rebuilding, and an
+    append, an `extend` or `invalidate` drops it ungrown.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, prior: PriorMeanNode | None = None,
@@ -342,7 +351,9 @@ class LocalGpPool:
     one-row read leaves for an `update` of the same row bytes to route and
     append with; any other read, update or refit drops it.  The four
     regressors are subclasses: `SplittingGP`, and in `baselines` `FullGp`
-    (one child), `LocalGpWgen` and `Rbcm`.
+    (one child), `LocalGpWgen` and `Rbcm`.  No update ends by factorizing a
+    child: a read builds the factors it finds missing, or `factorize()`
+    builds them once an ingest ends, so that the read builds none.
     """
 
     _fit_rows = FIT_ROWS
@@ -420,11 +431,20 @@ class LocalGpPool:
         child.append(query, y, self._handoff and self._handoff.solved)
         return child
 
+    def _extend(self, child: ChildModel, query: Query, Y: np.ndarray, rows: np.ndarray) -> None:
+        """Store the query's rows `rows`, in order, in the child: two or more
+        in one `extend`, bitwise the appends, unless the child caches a
+        posterior, which then grows row by row."""
+        if child._posterior is None and len(rows) > 1:
+            child.extend(query.X[rows], Y[rows])
+        else:
+            for i in rows:
+                self._append(child, query.row(i), Y[i])
+
     def update(self, x: np.ndarray, y: float) -> None:
-        """Insert a single observation: a one-row batch through this class's
-        `update_batch`, without a subclass's batch end.  y may be a float or
-        a one-entry array; a rejected row changes nothing."""
-        LocalGpPool.update_batch(self, np.asarray(x, dtype=float).reshape(1, -1), y)
+        """Insert a single observation: a one-row batch through `update_batch`.
+        y may be a float or a one-entry array; a rejected row changes nothing."""
+        self.update_batch(np.asarray(x, dtype=float).reshape(1, -1), y)
 
     def update_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
         """Insert rows in order: check them as one batch before any is stored,
@@ -468,6 +488,14 @@ class LocalGpPool:
 
     def ingest_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
         self.update_batch(X, Y)
+
+    def factorize(self) -> None:
+        """Factorize, apart, each child that holds no posterior
+        (`ChildModel.factorize`), so the next read builds no factor.  No
+        update does this: an append drops such a factor unread, so a stream's
+        owner calls it once its ingest ends."""
+        for child in self.children:
+            child.factorize(self._spec)
 
     # -- training ----------------------------------------------------------
 
@@ -590,12 +618,14 @@ class SplittingGP(LocalGpPool):
     combiner.
 
     The router sends each row to the child with the nearest center and
-    bisects a child that passes the split limit.  A batch ends with every
-    child that holds no posterior factorized (`ChildModel.factorize`), so the
-    first read after it builds no factor.  The combiner is the gate of a
-    mixture of experts (Xu, Jordan & Hinton 1995; Meeds & Osindero 2006),
-    `_weights`, not the paper's similarity weights k(c_j, x): a child's
-    weight follows the spread of its own rows, not the kernel's width.
+    bisects a child that passes the split limit.  A batch routes its rows in
+    runs (`_run`), each row to the child the one-row router would pick, and
+    ends with no factorization: the next batch's appends would drop the
+    factors unread, so `factorize()` builds them once the ingest ends.  The
+    combiner is the gate of a mixture of experts (Xu, Jordan & Hinton 1995;
+    Meeds & Osindero 2006), `_weights`, not the paper's similarity weights
+    k(c_j, x): a child's weight follows the spread of its own rows, not the
+    kernel's width.
 
     Parameters
     ----------
@@ -624,13 +654,6 @@ class SplittingGP(LocalGpPool):
     predict = LocalGpPool.predict
     predict_mean_batch = LocalGpPool.predict_mean_batch
     predict_variance_batch = LocalGpPool.predict_variance_batch
-
-    def update_batch(self, X: np.ndarray, Y: np.ndarray) -> None:
-        """Insert rows in order, as `LocalGpPool.update_batch`, then
-        factorize each child that holds no posterior."""
-        super().update_batch(X, Y)
-        for child in self.children:
-            child.factorize(self._spec)
 
     def _weights(self, query: Query) -> np.ndarray:
         """The gate, one row per query row: w_j(x) proportional to
@@ -680,6 +703,80 @@ class SplittingGP(LocalGpPool):
                 self._split_child(idx)
             else:
                 self._center_moved(idx)
+
+    def _route_rows(self, query: Query, Y: np.ndarray) -> None:
+        """Route two or more rows in runs of up to _RUN_ROWS (`_run`), each
+        row to the child `_route` would send it to; one row goes through
+        `_route`, as does the first row of an empty pool."""
+        i = 0
+        while i < len(Y):
+            if len(Y) < 2 or not self.children:
+                self._route(query.row(i), Y[i])
+                i += 1
+            else:
+                stop = min(i + _RUN_ROWS, len(Y))
+                i += self._run(query.rows(slice(i, stop)), Y[i:stop])
+
+    def _run(self, query: Query, Y: np.ndarray) -> int:
+        """Route a window of rows as `_route` would, and return how many.
+
+        One product scores the window against the kept centers, and each
+        row's lowest score names its tentative child.  Where the window
+        touches more than 1 / _RUN_SHARE children a row, a run would cost
+        what `_route` does, so every row goes through `_route`.  Otherwise
+        each row is scored again under the centers the window's earlier
+        rows moved, from running sums formed as `ChildModel.extend` forms
+        them.  The run is the rows up to the first whose tentative child is
+        not its nearest by more than rounding could move a score, which
+        goes through `_route` after the run, or up to the row that takes a
+        child past m, which splits it.  Each child then takes its run rows
+        through `_extend`, and its center row is rewritten once."""
+        S, norms = self._scores(query), self._scaled_centers()[1]
+        tent = S.argmin(axis=1)
+        touched, w = np.unique(tent), len(Y)
+        if len(touched) * _RUN_SHARE > w:
+            for i, y in enumerate(Y):
+                self._route(query.row(i), y)
+            return w
+        # Row i's version: the scaled center of its child once row i joins,
+        # `count`, the child's rows then, and `after`, the child's next row.
+        V, count, after = np.empty_like(query.Xs), np.empty(w, dtype=int), np.full(w, w)
+        for j in touched:
+            child, rows = self.children[j], np.flatnonzero(tent == j)
+            n = np.arange(child.n + 1, child.n + len(rows) + 1)
+            sums = np.add.accumulate(np.concatenate([child._sum[None, :], query.X[rows]]))[1:]
+            V[rows] = sums / n[:, None] / self._spec.lengthscales
+            count[rows], after[rows[:-1]] = n, rows[1:]
+        Vn = np.sum(V * V, axis=1)
+        # Row r meets version k of child tent[k] if k is that child's last row before r.
+        order = np.arange(w)
+        r, k = np.nonzero((order[None, :] < order[:, None]) & (order[:, None] <= after))
+        N = np.repeat(norms[None, :], w, axis=0)
+        S[r, tent[k]] = Vn[k] - 2.0 * np.einsum("ij,ij->i", query.Xs[r], V[k])
+        N[r, tent[k]] = Vn[k]
+        # A score's rounding, by any order of the product's d terms, is
+        # below d eps (|x|^2 + |c|^2) / 2 + eps |score| / 2; the margin
+        # doubles that, for the two scorings, and again.
+        tol = 2.0 * (query.Xs.shape[1] + 1) * np.finfo(float).eps
+        E = tol * (query.norms[:, None] + N) + tol * np.abs(S)
+        best = S[order, tent] + E[order, tent]
+        S -= E
+        S[order, tent] = np.inf
+        stop = np.flatnonzero(~(best < S.min(axis=1)))
+        stop = stop[0] if len(stop) else w
+        split = np.flatnonzero(count > self.m)
+        end = min(stop, split[0] + 1 if len(split) else w)
+        for j in np.unique(tent[:end]):
+            child = self.children[j]
+            self._extend(child, query, Y, np.flatnonzero(tent[:end] == j))
+            if child.n > self.m:
+                self._split_child(j)
+            else:
+                self._center_moved(j)
+        if end == stop < w:  # the run ended before a row it could not place
+            self._route(query.row(stop), Y[stop])
+            return stop + 1
+        return end
 
     def _split_child(self, idx: int) -> None:
         # The child is dropped with its buffer full: nothing writes X or alpha again.

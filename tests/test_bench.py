@@ -13,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitgp import cli
+from splitgp.baselines import FullGp
 from splitgp.bench import (
     CSV_COLUMNS,
     MODELS,
     SCHEDULES,
     ExperimentConfig,
+    GridSummary,
     MetricRecord,
     emit_csv,
     emit_summary_csv,
@@ -30,6 +32,7 @@ from splitgp.bench import (
 )
 from splitgp.data import SeedPlan
 from splitgp.exceptions import ContractViolationError, NumericalError
+from splitgp.gp import GpPosterior
 from splitgp.model import SplittingGP
 
 
@@ -185,6 +188,32 @@ class TestConfig:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("kind", ["splitting", "fullgp"])
+    def test_a_checkpoint_read_builds_no_factor(self, monkeypatch, kind):
+        # The ingest up to each checkpoint ends by factorizing every child,
+        # inside the timed training, so the read there builds no factor.
+        built, during, init = [], [], GpPosterior.__init__
+
+        def counted(post, *args, **kwargs):
+            built.append(1)
+            init(post, *args, **kwargs)
+
+        cls = {"splitting": SplittingGP, "fullgp": FullGp}[kind]
+        read = cls.predict_mean_batch
+
+        def counted_read(model, Xq):
+            start = len(built)
+            out = read(model, Xq)
+            during.append(len(built) - start)
+            return out
+
+        monkeypatch.setattr(GpPosterior, "__init__", counted)
+        monkeypatch.setattr(cls, "predict_mean_batch", counted_read)
+        records = run_experiment(tiny_cfg(model=kind, m=15, replicates=1, batch_size=20,
+                                          sweep=(20, 60, 20)))
+        assert len(records) == len(during) == 2 * 3 and not any(r.failed for r in records)
+        assert built and during == [0] * 6
+
     def test_record_shape_and_rmse(self):
         records = run_experiment(tiny_cfg())
         assert len(records) == 2 * 2  # replicates x folds, single checkpoint
@@ -528,6 +557,24 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             self._flags_config(["--wgen", "0.5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_each_flag_has_one_name(self, monkeypatch, tmp_path, command):
+        # No prefix of a flag stands for it; the full names parse.
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg) or [])
+        monkeypatch.setattr(cli, "grid_search",
+                            lambda cfg, grid: (seen.append(cfg) or [], GridSummary({}, 0.0, [])))
+        tail = [*(["--grid", "m=5"] if command == "grid" else []), "--out",
+                str(tmp_path / "m.csv")]
+        for short in (["--w", "0.5"], ["--batch", "5"], ["--standard"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, *short, *tail])
+            assert exc.value.code == 2
+        assert not seen
+        full = ["--w-gen", "0.5", "--batch-size", "5", "--standardize-x"]
+        assert cli.main([command, *full, *tail]) == 0
+        assert [(c.w_gen, c.batch_size, c.standardize_x) for c in seen] == [(0.5, 5, True)]
 
     def test_bool_flag_may_stand_alone(self):
         assert self._flags_config(["--standardize-x"]).standardize_x is True

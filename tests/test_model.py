@@ -173,6 +173,52 @@ class TestUpdateBatch:
         n, m = 900, 120
         assert int(np.ceil(n / m)) <= model.n_children <= int(np.ceil(2 * n / m)) + 1
 
+    @staticmethod
+    def _state(model):
+        """The children's rows and running sums, and the kept centers and gate rows."""
+        return ([(c.X.tobytes(), c.Y.tobytes(), c._sum.tobytes(), c.center.tobytes(), c._m2)
+                 for c in model.children], [a.tobytes() for a in model._scaled_centers()])
+
+    def test_many_children_batch_equals_row_by_row(self):
+        # Rows land one per child in most windows, which then go row by row;
+        # early windows, over few children, go in runs.
+        X = np.random.default_rng(41).uniform(-10, 10, size=(3000, 2))
+        Y = np.sin(X).sum(axis=1)
+        spec = make_spec([1.0, 1.0], sn2=0.01)
+        rowwise, batched = quiet_model(20, spec), quiet_model(20, spec)
+        for x, y in zip(X, Y):
+            rowwise.update(x, y)
+        batched.update_batch(X, Y)
+        assert batched.n_children > 150
+        assert self._state(batched) == self._state(rowwise)
+        Xq = X[::50]
+        for read in ("predict_mean_batch", "predict_variance_batch"):
+            assert (getattr(batched, read)(Xq).tobytes() ==
+                    getattr(rowwise, read)(Xq).tobytes())
+
+    def test_a_batch_builds_only_its_split_factors(self, monkeypatch):
+        # A batch factorizes only the children it splits; `factorize()`
+        # builds one factor per child, and the read after it builds none.
+        built, init = [], GpPosterior.__init__
+
+        def counted(post, X, *args, **kwargs):
+            built.append(X.shape[0])
+            init(post, X, *args, **kwargs)
+
+        monkeypatch.setattr(GpPosterior, "__init__", counted)
+        ds = synth_dataset(400, SeedPlan(8))
+        model = quiet_model(40)
+        for lo in range(0, 400, 100):
+            model.update_batch(ds.X[lo:lo + 100], ds.Y[lo:lo + 100])
+        assert built == [41] * (model.n_children - 1)
+        del built[:]
+        model.factorize()
+        assert sorted(built) == sorted(c.n for c in model.children)
+        del built[:]
+        model.predict_mean_batch(ds.X[:20])
+        model.predict(ds.X[0])
+        assert not built
+
 
 class TestPredict:
     def test_single_child_matches_gp_posterior(self):
@@ -685,7 +731,9 @@ class TestFitOnce:
         # Rows 250-252 sit near 6.5e153, below FAR_NORM at every trial spec,
         # but close enough to each other that their kernel entries are not 0:
         # the gradient's x_d^T P x_d overflows.  That evaluation fails, here
-        # with warnings as errors, and the fit sets `warning`.
+        # with warnings as errors, and the fit sets `warning`.  It is the warm
+        # start's: the fit reports the warm start's finite objective, not
+        # converged.
         rng = np.random.default_rng(0)
         X = rng.uniform(-0.5, 0.5, size=(FIT_ROWS, 2))
         X[250:253] = [(6.5e153, 0.0), (6.5e153, 0.3), (6.5e153 * (1 - 1e-16), 0.1)]
@@ -694,6 +742,7 @@ class TestFitOnce:
         model = FullGp() if kind == "fullgp" else SplittingGP(FIT_ROWS)
         model.update_batch(X, signal + 0.01 * rng.standard_normal(FIT_ROWS))
         assert model.last_fit is not None and model.last_fit.warning
+        assert not model.last_fit.converged and np.isfinite(model.last_fit.objective)
         assert np.isfinite(model.predict(X[0])).all()
 
     @pytest.mark.parametrize("seed, unfitted", [(5, 0.0071), (6, 0.00746)])
@@ -1557,10 +1606,10 @@ class TestChildStorage:
 
 
 class TestRefitAdoption:
-    """A refit drops every cached posterior.  A `SplittingGP` batch ends by
-    factorizing, in a slot apart, each child that holds no posterior, so the
-    first read after it rebuilds nothing; that factor is bitwise the one a
-    rebuild makes, and an append drops it."""
+    """A refit drops every cached posterior.  `factorize()` puts, in a slot
+    apart, a factor of each child that holds no posterior, so the first read
+    after it rebuilds nothing; that factor is bitwise the one a rebuild
+    makes, and an append drops it.  No batch ends with it."""
 
     BATCH_FIT = TrainSchedule(fit=FitSchedule(max_iters=5))
 
@@ -1576,6 +1625,7 @@ class TestRefitAdoption:
         # first split, so the model holds one child.
         model = SplittingGP(12, train_schedule=self.BATCH_FIT)
         model.update_batch(*self._data(71, model._fit_rows))
+        model.factorize()
         live = [c for c in model.children if c.n > 0]
         assert len(live) == 1 and model.last_fit is not None
         for c in live:
@@ -1605,12 +1655,14 @@ class TestRefitAdoption:
 
     def test_child_cut_by_fit_subsample_adopts_nothing(self):
         # The fit sees only some of the rows of a child cut by the
-        # subsample; the batch's end, at the fit's row, factorizes the child
-        # over all of them.  A FullGp batch ends with no factor.
+        # subsample; `factorize()` after the batch, which ends at the fit's
+        # row, factorizes the child over all of them.  A FullGp batch ends
+        # with no factor.
         cap = 8
         schedule = TrainSchedule(fit=FitSchedule(max_iters=5), fit_subsample=cap)
         model = SplittingGP(12, train_schedule=schedule)
         model.update_batch(*self._data(73, 12))
+        model.factorize()
         assert model.last_fit is not None and [c.n for c in model.children] == [12]
         self._assert_rebuilt(model)
         full = FullGp(train_schedule=schedule)
@@ -1620,8 +1672,8 @@ class TestRefitAdoption:
     def test_nothing_adopted_when_the_last_evaluation_failed(self, monkeypatch):
         # From the third on, every evaluation fails once it has rewritten the
         # arrays of the one before.  L-BFGS-B returns an iterate it accepted
-        # before that, whose factors the fit's arrays no longer hold: the
-        # batch's end factorizes each child at the returned spec.
+        # before that, whose factors the fit's arrays no longer hold:
+        # `factorize()` factorizes each child at the returned spec.
         shard_lml, calls = gp_module._shard_lml, []
 
         def failing(*args):
@@ -1634,12 +1686,13 @@ class TestRefitAdoption:
         monkeypatch.setattr(gp_module, "_shard_lml", failing)
         model = SplittingGP(12, train_schedule=self.BATCH_FIT)
         model.update_batch(*self._data(74, 12))  # fits after its last row
+        model.factorize()
         assert len(calls) > 3 and model.last_fit.warning and model.last_fit.iterations > 0
         monkeypatch.undo()
         self._assert_rebuilt(model)
 
     def test_update_only_stream_extends_no_factor(self, monkeypatch):
-        # Without a read or a batch end, no child caches a posterior for
+        # Without a read or a `factorize()`, no child caches a posterior for
         # an append to grow, the fit's included.
         post_append, calls = GpPosterior.append, []
 
@@ -1658,6 +1711,7 @@ class TestRefitAdoption:
     def test_adopted_factor_grows_within_max_rows(self):
         model = SplittingGP(12, train_schedule=self.BATCH_FIT)
         model.update_batch(*self._data(76))
+        model.factorize()
         # A child past half its limit, whose storage at twice its rows
         # would pass its buffer of m + 1 = 13 rows, and the row at its center.
         child = next(c for c in model.children if 7 <= c.n <= 11)

@@ -3,9 +3,10 @@ LocalGpWgen and Rbcm.
 
 Streams mix free rows with duplicates of earlier rows and rows on one line,
 and the queries include far-field rows, where every similarity underflows;
-the routing property streams rows farther still.  Inputs have two columns,
-except in the stream invariants, which also draw 1, 3 and 9, and in the
-splitting model's gate properties, which draw 1 to 4 and 9.
+the routing properties stream rows farther still.  Inputs have two columns,
+except in the stream invariants, which also draw 1, 3 and 9, in the
+splitting model's gate properties, which draw 1 to 4 and 9, and in its
+batch-routing property, which draws 1, 2 and 9 over 61 to 125 rows.
 The kernel is fixed and never fit, so each example stays cheap, except in
 the fit-trigger property, whose fit takes a budget of two iterations.
 """
@@ -38,10 +39,10 @@ coordinate = st.floats(-2.0, 2.0, allow_nan=False)
 
 
 @st.composite
-def streams(draw, min_size=1, ndim=2):
+def streams(draw, min_size=1, ndim=2, max_size=30):
     """(X, Y) with n rows of ndim columns: each row is free, a copy of an
     earlier row, or a point on the line through 0 along (1, 0.5, ..., 0.5)."""
-    n = draw(st.integers(min_size, 30))
+    n = draw(st.integers(min_size, max_size))
     rows = []
     for i in range(n):
         kind = draw(st.sampled_from(("free", "duplicate", "line")) if i else st.just("free"))
@@ -57,17 +58,17 @@ def streams(draw, min_size=1, ndim=2):
 
 
 @st.composite
-def far_streams(draw):
+def far_streams(draw, ndim=2, **sizes):
     """A stream of `streams` with one to four far rows put in anywhere: one
     coordinate is +-1e20, +-1e150 or +-1.5e153, where a row's own |x / l|^2
     dwarfs its product with any center; at 1.5e153 it is within a factor 4
     of `kernels.FAR_NORM`, past what the gate's precision can multiply."""
-    X, Y = draw(streams())
+    X, Y = draw(streams(ndim=ndim, **sizes))
     rows, ys = list(X), list(Y)
     for _ in range(draw(st.integers(1, 4))):
-        row = [draw(coordinate), draw(coordinate)]
-        row[draw(st.integers(0, 1))] = draw(st.sampled_from((1e20, -1e20, 1e150, -1e150,
-                                                             1.5e153, -1.5e153)))
+        row = [draw(coordinate) for _ in range(ndim)]
+        row[draw(st.integers(0, ndim - 1))] = draw(st.sampled_from((1e20, -1e20, 1e150, -1e150,
+                                                                    1.5e153, -1.5e153)))
         at = draw(st.integers(0, len(rows)))
         rows.insert(at, row)
         ys.insert(at, draw(coordinate))
@@ -180,6 +181,38 @@ def test_a_row_joins_the_child_of_its_lowest_score(pool, stream):
         assert len(joined) <= 1
         if joined:
             assert scores[joined[0]] == scores.min()
+
+
+@PROPERTY_SETTINGS
+@given(case=st.sampled_from((1, 2, 9)).flatmap(lambda ndim: st.tuples(
+    st.integers(3, 20), far_streams(ndim, min_size=60, max_size=120), query_rows(ndim),
+    st.integers(1, 59))))
+def test_a_batch_routes_each_row_where_an_update_would(case):
+    # A splitting batch routes in runs, re-scored as the run moves the
+    # centers; each row must land where the one-row router puts it.  The
+    # second batch opens with a row midway between two centers, where
+    # rounding decides, and follows a read, so its children grow the
+    # posteriors the read cached, row by row.
+    m, (X, Y), Xq, cut = case
+    rowwise, batched = (SplittingGP(m, spec=spec_of(X.shape[1]),
+                                    train_schedule=TrainSchedule.never()) for _ in range(2))
+    for x, y in zip(X[:cut], Y[:cut]):
+        rowwise.update(x, y)
+    batched.update_batch(X[:cut], Y[:cut])
+    if rowwise.n_children >= 2:
+        mid = 0.5 * (rowwise.children[0].center + rowwise.children[1].center)
+        X, Y = np.insert(X, cut, mid, axis=0), np.insert(Y, cut, 0.0)
+    for model in (rowwise, batched):
+        model.predict(Xq[0])
+    for x, y in zip(X[cut:], Y[cut:]):
+        rowwise.update(x, y)
+    batched.update_batch(X[cut:], Y[cut:])
+    states = [([(c.X.tobytes(), c.Y.tobytes(), c._sum.tobytes(), c.center.tobytes(), c._m2)
+                for c in model.children], [a.tobytes() for a in model._scaled_centers()])
+              for model in (rowwise, batched)]
+    assert states[0] == states[1]
+    for read in ("predict_mean_batch", "predict_variance_batch"):
+        assert getattr(rowwise, read)(Xq).tobytes() == getattr(batched, read)(Xq).tobytes()
 
 
 @st.composite
